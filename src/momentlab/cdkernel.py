@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from momentlab import sdpcore
-from momentlab.momentkit import TruncatedSequence, preordering_products
+from momentlab.momentkit import TruncatedSequence, moment_matrix, preordering_products
 from momentlab.polycore import (
     MonomialBasis,
     Polynomial,
@@ -151,13 +151,8 @@ _DEGREE_CAP_ND = 8
 def _factor_coefficients(mu: ReferenceMeasure, D: int) -> np.ndarray:
     """Lower-triangular coefficient matrix of the orthonormal basis of one
     factor, rows indexed like monomial_basis(mu.n, D)."""
-    basis = monomial_basis(mu.n, D)
-    s = len(basis)
-    G = np.empty((s, s))
-    for i in range(s):
-        ai = basis.monomial(i)
-        for j in range(i, s):
-            G[i, j] = G[j, i] = mu.moment(tuple(a + b for a, b in zip(ai, basis.monomial(j))))
+    G = moment_matrix(moment_sequence(mu, 2 * D), D)
+    s = len(G)
     d = 1.0 / np.sqrt(np.diag(G))
     Geq = G * np.outer(d, d)
     w = np.linalg.eigvalsh(Geq)

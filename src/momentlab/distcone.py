@@ -207,7 +207,10 @@ def support_gap(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
                 pool: Optional[np.ndarray] = None, seed: int = 0) -> float:
     """h_pseudo(c) - h_moment(c): the pseudo-moment support function (one SDP)
     minus the sampled moment support function. Dividing by |c| lower-bounds the
-    Hausdorff distance d_k."""
+    Hausdorff distance d_k.
+
+    The SDP must reach status `optimal`; otherwise NonOptimalSolveError names
+    r and the status."""
     c = np.asarray(c, dtype=float).ravel()
     if not np.any(c):
         raise ValueError("direction must be nonzero")
@@ -216,7 +219,9 @@ def support_gap(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
         raise ValueError(f"direction needs length s(n,k) = {len(basis)}")
     p = Polynomial.from_vector(basis, c)
     rel = build_moment_relaxation(-p, X, certificate, r)
-    value, _ = solve_relaxation(rel, opts or SolveOptions())
+    value, sol = solve_relaxation(rel, opts or SolveOptions())
+    if sol.status != "optimal":
+        raise NonOptimalSolveError(f"r={r}: solver status {sol.status!r}")
     h_pseudo = -value
     if pool is None:
         pool = _feasible_pool(X, seed)

@@ -6,6 +6,11 @@ pseudo-moment vector as a free block linked to PSD localizing blocks; SOS
 programs carry one Gram block per certificate term plus free polynomial
 multipliers on equalities (T, Q) or nonnegative scalars on squared equalities
 (R).
+
+Both sides are built from the same blocks: for each spec, momentkit's sparse
+operator (localizing_operator for a PSD spec, shift_operator for an equality)
+is a row block of the moment program and, transposed, a column block of the
+SOS program.
 """
 
 from __future__ import annotations
@@ -18,14 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from momentlab import sdpcore
-from momentlab.momentkit import preordering_products
-from momentlab.polycore import (
-    Polynomial,
-    count_monomials,
-    half_degree,
-    l1_norm,
-    monomial_basis,
-)
+from momentlab.momentkit import localizing_operator, preordering_products, shift_operator
+from momentlab.polycore import Polynomial, count_monomials, half_degree, monomial_basis
 from momentlab.sdpcore import Block, ConicProgram, Solution, SolveOptions
 from momentlab.semialg import SemiAlgebraicSet, rejection_sample
 
@@ -81,171 +80,91 @@ def _check_level(f: Polynomial, X: SemiAlgebraicSet, r: int) -> None:
         raise LevelTooLowError(f"level r={r} below required {need}")
 
 
-def _monomial_sum_index(basis, alpha, beta, gamma=None):
-    total = tuple(a + b for a, b in zip(alpha, beta))
-    if gamma is not None:
-        total = tuple(a + g for a, g in zip(total, gamma))
-    return basis.index(total)
+def _level_specs(f: Polynomial, X: SemiAlgebraicSet, certificate: str, r: int,
+                 max_psd_size: int):
+    """PSD specs, their matrix sizes, and the equality specs of level r."""
+    _check_level(f, X, r)
+    specs = preordering_products(X, r, kind=certificate)
+    psd_specs = [s for s in specs if s.constraint_kind == "psd"]
+    sizes = [count_monomials(X.n, spec.matrix_order) for spec in psd_specs]
+    for size in sizes:
+        if size > max_psd_size:
+            raise ValueError(f"PSD block of size {size} exceeds cap {max_psd_size}")
+    return psd_specs, sizes, [s for s in specs if s.constraint_kind != "psd"]
+
+
+def _spec_operator(spec, order: int) -> sp.csr_matrix:
+    """The linear map in y that one spec constrains: packed localizing rows
+    L for a PSD block, shift rows S for an equality (all of M_t(h y), or the
+    scalar l_y(h^2) for R)."""
+    if spec.constraint_kind == "psd":
+        return localizing_operator(spec.weight, spec.matrix_order, order)
+    d = 2 * spec.matrix_order if spec.constraint_kind == "zero" else 0
+    return shift_operator(spec.weight, d, order)
 
 
 def build_moment_relaxation(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
                             r: int, max_psd_size: int = 400) -> Relaxation:
     """Level-r moment program: minimize l_y(f) over y0 = 1 and the localizing
-    constraints of the chosen certificate."""
-    _check_level(f, X, r)
-    n = X.n
-    big = monomial_basis(n, 2 * r)
-    s2r = len(big)
-    specs = preordering_products(X, r, kind=certificate)
-    psd_specs = [s for s in specs if s.constraint_kind == "psd"]
-    zero_specs = [s for s in specs if s.constraint_kind == "zero"]
-    scalar_specs = [s for s in specs if s.constraint_kind == "scalar_zero"]
+    constraints of the chosen certificate.
 
-    blocks = [Block("free", s2r)]
-    offsets = [0]
-    for spec in psd_specs:
-        size = count_monomials(n, spec.matrix_order)
-        if size > max_psd_size:
-            raise ValueError(f"PSD block of size {size} exceeds cap {max_psd_size}")
-        offsets.append(offsets[-1] + blocks[-1].scalar_len)
-        blocks.append(Block("psd", size))
+    x = (y, one svec slack per PSD spec). The rows are y0 = 1, then
+    L_J y - slack_J = 0 per PSD spec, then S_h y = 0 per equality."""
+    psd_specs, sizes, eq_specs = _level_specs(f, X, certificate, r, max_psd_size)
+    big = monomial_basis(X.n, 2 * r)
+    blocks = [Block("free", len(big))] + [Block("psd", size) for size in sizes]
 
-    rows, cols, vals, rhs = [], [], [], []
+    k = len(psd_specs)
+    grid = [[sp.csr_matrix(([1.0], ([0], [0])), shape=(1, len(big)))] + [None] * k]
+    for j, spec in enumerate(psd_specs):
+        row = [-_spec_operator(spec, 2 * r)] + [None] * k
+        row[1 + j] = sp.identity(blocks[1 + j].scalar_len)
+        grid.append(row)
+    grid += [[_spec_operator(spec, 2 * r)] + [None] * k for spec in eq_specs]
+    A = sp.bmat(grid, format="csr")
 
-    def add_entry(row, col, val):
-        rows.append(row)
-        cols.append(col)
-        vals.append(val)
-
-    # y_0 = 1
-    add_entry(0, 0, 1.0)
-    rhs.append(1.0)
-    row = 1
-
-    for spec, off in zip(psd_specs, offsets[1:]):
-        rb = monomial_basis(n, spec.matrix_order)
-        size = len(rb)
-        p = 0
-        for i in range(size):
-            ai = rb.monomial(i)
-            for j in range(i, size):
-                aj = rb.monomial(j)
-                w = 1.0 if i == j else np.sqrt(2.0)
-                add_entry(row, off + p, 1.0)
-                for gamma, cg in spec.weight.terms.items():
-                    add_entry(row, _monomial_sum_index(big, ai, aj, gamma), -w * cg)
-                rhs.append(0.0)
-                row += 1
-                p += 1
-
-    for spec in zero_specs:
-        gb = monomial_basis(n, 2 * spec.matrix_order)
-        for gamma in gb.exponents:
-            for delta, ch in spec.weight.terms.items():
-                add_entry(row, _monomial_sum_index(big, gamma, delta), ch)
-            rhs.append(0.0)
-            row += 1
-
-    for spec in scalar_specs:
-        for delta, ch in spec.weight.terms.items():
-            add_entry(row, big.index(delta), ch)
-        rhs.append(0.0)
-        row += 1
-
-    num_vars = sum(b.scalar_len for b in blocks)
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(row, num_vars))
-    c = np.zeros(num_vars)
-    for alpha, cf in f.terms.items():
-        c[big.index(alpha)] = cf
-    program = ConicProgram(tuple(blocks), c, A, np.array(rhs))
+    c = np.zeros(A.shape[1])
+    c[:len(big)] = f.coefficient_vector(big)
+    rhs = np.zeros(A.shape[0])
+    rhs[0] = 1.0
+    program = ConicProgram(tuple(blocks), c, A, rhs)
     return Relaxation(program=program, kind=HierarchyKind(certificate, "moment"),
                       level=r, objective=f, domain=X, psd_specs=psd_specs,
-                      y_slice=slice(0, s2r))
+                      y_slice=slice(0, len(big)))
 
 
 def build_sos_relaxation(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
                          r: int, max_psd_size: int = 400) -> Relaxation:
     """Level-r SOS program: maximize c with f - c in the chosen certificate cone,
-    written as coefficient matching over the monomials of degree <= 2r."""
-    _check_level(f, X, r)
-    n = X.n
-    big = monomial_basis(n, 2 * r)
-    specs = preordering_products(X, r, kind=certificate)
-    psd_specs = [s for s in specs if s.constraint_kind == "psd"]
-    eq_specs = [s for s in specs if s.constraint_kind in ("zero", "scalar_zero")]
+    written as coefficient matching over the monomials of degree <= 2r.
+
+    Its column blocks are the transposes of the moment program's row blocks:
+    c on the constant monomial, S_h' per equality multiplier, L_J' per Gram
+    block."""
+    psd_specs, sizes, eq_specs = _level_specs(f, X, certificate, r, max_psd_size)
+    big = monomial_basis(X.n, 2 * r)
+    zero_specs = [s for s in eq_specs if s.constraint_kind == "zero"]
+    scalar_specs = [s for s in eq_specs if s.constraint_kind == "scalar_zero"]
 
     # free block: [c, tau coefficient vectors...] for T/Q; nonneg taus for R
     tau_layout = []
     free_len = 1
-    nonneg_len = 0
-    for spec in eq_specs:
-        if spec.constraint_kind == "zero":
-            size = count_monomials(n, 2 * spec.matrix_order)
-            tau_layout.append((spec, slice(free_len, free_len + size)))
-            free_len += size
-        else:
-            tau_layout.append((spec, nonneg_len))
-            nonneg_len += 1
-
+    for spec in zero_specs:
+        size = count_monomials(X.n, 2 * spec.matrix_order)
+        tau_layout.append((spec, slice(free_len, free_len + size)))
+        free_len += size
+    tau_layout += [(spec, i) for i, spec in enumerate(scalar_specs)]
     blocks = [Block("free", free_len)]
-    if nonneg_len:
-        blocks.append(Block("nonneg", nonneg_len))
-    gram_offsets = []
-    offset = sum(b.scalar_len for b in blocks)
-    for spec in psd_specs:
-        size = count_monomials(n, spec.matrix_order)
-        if size > max_psd_size:
-            raise ValueError(f"PSD block of size {size} exceeds cap {max_psd_size}")
-        gram_offsets.append(offset)
-        blocks.append(Block("psd", size))
-        offset += blocks[-1].scalar_len
+    if scalar_specs:
+        blocks.append(Block("nonneg", len(scalar_specs)))
+    blocks += [Block("psd", size) for size in sizes]
 
-    nonneg_offset = free_len if nonneg_len else None
-    row_of = {alpha: i for i, alpha in enumerate(big.exponents)}
-    rows, cols, vals = [], [], []
-
-    def add_entry(alpha, col, val):
-        rows.append(row_of[alpha])
-        cols.append(col)
-        vals.append(val)
-
-    zero = tuple([0] * n)
-    add_entry(zero, 0, 1.0)
-
-    for spec, loc in tau_layout:
-        if spec.constraint_kind == "zero":
-            tb = monomial_basis(n, 2 * spec.matrix_order)
-            for k, delta in enumerate(tb.exponents):
-                for eta, ch in spec.weight.terms.items():
-                    add_entry(tuple(a + b for a, b in zip(delta, eta)),
-                              loc.start + k, ch)
-        else:
-            for eta, ch in spec.weight.terms.items():
-                add_entry(eta, nonneg_offset + loc, ch)
-
-    for spec, off in zip(psd_specs, gram_offsets):
-        rb = monomial_basis(n, spec.matrix_order)
-        size = len(rb)
-        p = 0
-        for i in range(size):
-            ai = rb.monomial(i)
-            for j in range(i, size):
-                aj = rb.monomial(j)
-                # G[i,j] = svec_p (i==j) or svec_p / sqrt2, appearing twice off-diagonal
-                scale = 1.0 if i == j else np.sqrt(2.0)
-                for gamma, cg in spec.weight.terms.items():
-                    alpha = tuple(a + b + g for a, b, g in zip(ai, aj, gamma))
-                    add_entry(alpha, off + p, scale * cg)
-                p += 1
-
-    b_vec = np.zeros(len(big))
-    for alpha, cf in f.terms.items():
-        b_vec[row_of[alpha]] = cf
-    num_vars = sum(b.scalar_len for b in blocks)
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(len(big), num_vars))
-    c_vec = np.zeros(num_vars)
+    columns = [sp.csr_matrix(([1.0], ([0], [0])), shape=(len(big), 1))]
+    columns += [_spec_operator(spec, 2 * r).T for spec in zero_specs + scalar_specs + psd_specs]
+    A = sp.bmat([columns], format="csr")
+    c_vec = np.zeros(A.shape[1])
     c_vec[0] = -1.0  # maximize c
-    program = ConicProgram(tuple(blocks), c_vec, A, b_vec)
+    program = ConicProgram(tuple(blocks), c_vec, A, f.coefficient_vector(big))
     return Relaxation(program=program, kind=HierarchyKind(certificate, "sos"),
                       level=r, objective=f, domain=X, psd_specs=psd_specs,
                       c_index=0, tau_layout=tau_layout)
@@ -281,39 +200,25 @@ def certificate_extract(sol: Solution, rel: Relaxation) -> CertificateExtract:
         raise ValueError("certificates live on the SOS side")
     if sol.status != "optimal":
         raise ValueError(f"cannot extract a certificate from status {sol.status!r}")
-    n = rel.domain.n
-    cval = float(sol.x[rel.c_index])
-    blocks = sol.blocks
-    # locate gram blocks: they are the psd blocks in declaration order
-    gram_blocks = [B for B, blk in zip(blocks, rel.program.blocks) if blk.kind == "psd"]
-    terms = []
-    total = Polynomial.zero(n)
-    for spec, G in zip(rel.psd_specs, gram_blocks):
-        rb = monomial_basis(n, spec.matrix_order)
-        sq = Polynomial.zero(n)
-        for i in range(len(rb)):
-            for j in range(len(rb)):
-                if G[i, j] != 0.0:
-                    ai, aj = rb.monomial(i), rb.monomial(j)
-                    sq = sq + Polynomial.monomial(n, tuple(a + b for a, b in zip(ai, aj)), G[i, j])
-        contribution = spec.weight * sq
-        terms.append(CertificateTerm(spec.weight, G, contribution))
-        total = total + contribution
-    nonneg_vals = None
-    for B, blk in zip(blocks, rel.program.blocks):
-        if blk.kind == "nonneg":
-            nonneg_vals = B
+    A, x = rel.program.A, sol.x
+    big = monomial_basis(rel.domain.n, 2 * rel.level)
+    blocks = list(zip(rel.program.blocks, rel.program.block_slices(), sol.blocks))
+    grams = [(sl, G) for blk, sl, G in blocks if blk.kind == "psd"]
+    nonneg_start = next((sl.start for blk, sl, _ in blocks if blk.kind == "nonneg"), None)
+
+    def term(spec, cols: slice, gram: np.ndarray) -> CertificateTerm:
+        # a block's columns of A are its transposed operator, so A x on them
+        # is the coefficient vector of that term of the certificate
+        return CertificateTerm(spec.weight, gram,
+                               Polynomial.from_vector(big, A[:, cols] @ x[cols]))
+
+    terms = [term(spec, sl, G) for spec, (sl, G) in zip(rel.psd_specs, grams)]
     for spec, loc in rel.tau_layout:
-        if spec.constraint_kind == "zero":
-            tb = monomial_basis(n, 2 * spec.matrix_order)
-            tau = Polynomial.from_vector(tb, sol.x[loc])
-            contribution = spec.weight * tau
-        else:
-            contribution = spec.weight * float(nonneg_vals[loc])
-        terms.append(CertificateTerm(spec.weight, np.empty((0, 0)), contribution))
-        total = total + contribution
-    residual = l1_norm(rel.objective - Polynomial.constant(n, cval) - total)
-    return CertificateExtract(bound=cval, terms=terms, residual=residual)
+        if spec.constraint_kind == "scalar_zero":
+            loc = slice(nonneg_start + loc, nonneg_start + loc + 1)
+        terms.append(term(spec, loc, np.empty((0, 0))))
+    residual = float(np.abs(rel.program.b - A @ x).sum())
+    return CertificateExtract(bound=float(x[rel.c_index]), terms=terms, residual=residual)
 
 
 # ----------------------------------------------------------------------------

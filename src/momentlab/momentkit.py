@@ -1,9 +1,10 @@
 """Truncated (pseudo-)moment sequences and the linear algebra built on them.
 
-Covers the Riesz functional, moment and localizing matrices, enumeration of
-preordering products, liftings into the graph space of the inequality map,
-order/dimension projections, and the pushforward transform of sequences under
-an invertible linear change of variables.
+Covers the Riesz functional, the sparse localizing operator y -> svec M_t(g y)
+behind moment matrices, localizing matrices and both sides of the hierarchy
+programs, enumeration of preordering products, liftings into the graph space
+of the inequality map, order/dimension projections, and the pushforward
+transform of sequences under an invertible linear change of variables.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ import csv
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from momentlab.polycore import (
     MonomialBasis,
@@ -26,6 +29,7 @@ from momentlab.polycore import (
     monomial_basis,
     monomial_label,
 )
+from momentlab.sdpcore import packed_indices, packed_weights
 from momentlab.semialg import SemiAlgebraicSet, _ball_polynomial, _embed
 from momentlab.polycore import l1_norm
 
@@ -135,41 +139,77 @@ def riesz_apply(y: TruncatedSequence, f: Polynomial) -> float:
     return float(sum(c * y.values[basis.index(a)] for a, c in f.terms.items()))
 
 
+def _grlex_index(n: int, order: int, exponents: np.ndarray) -> np.ndarray:
+    """Position of each exponent row in monomial_basis(n, order); every row must
+    have degree <= order."""
+    radix = (order + 1) ** np.arange(n, dtype=np.int64)
+    codes = monomial_basis(n, order).exponent_array @ radix
+    sorter = np.argsort(codes)
+    return sorter[np.searchsorted(codes, exponents @ radix, sorter=sorter)]
+
+
+@lru_cache(maxsize=None)
+def _pair_index(n: int, t: int) -> np.ndarray:
+    """Read-only table P with P[i, j] the position of alpha_i + alpha_j in the
+    graded-lex basis, alpha ranging over monomial_basis(n, t)."""
+    expo = monomial_basis(n, t).exponent_array
+    s = len(expo)
+    P = _grlex_index(n, 2 * t, (expo[:, None, :] + expo[None, :, :]).reshape(-1, n))
+    P = P.reshape(s, s)
+    P.flags.writeable = False
+    return P
+
+
+def _shift_rows(g: Polynomial, deltas: np.ndarray, weights: np.ndarray,
+                order: int) -> sp.csr_matrix:
+    """Row k holds weights[k] * l_y(g x^deltas[k]) as a linear form in y."""
+    gammas = np.array(list(g.terms), dtype=np.int64).reshape(-1, g.n)
+    coeffs = np.fromiter(g.terms.values(), dtype=float, count=len(gammas))
+    cols = _grlex_index(g.n, order, (deltas[:, None, :] + gammas[None, :, :]).reshape(-1, g.n))
+    rows = np.repeat(np.arange(len(deltas)), len(gammas))
+    vals = (weights[:, None] * coeffs[None, :]).ravel()
+    return sp.csr_matrix((vals, (rows, cols)),
+                         shape=(len(deltas), count_monomials(g.n, order)))
+
+
+def shift_operator(g: Polynomial, d: int, order: int) -> sp.csr_matrix:
+    """Sparse S with (S y)_delta = l_y(g x^delta) for |delta| <= d, acting on
+    sequences y of the given order (rows and columns in graded-lex order)."""
+    if d + g.degree > order:
+        raise DegreeOverflowError(f"shift of order {d} for deg-{g.degree} weight needs "
+                                  f"sequence order {d + g.degree}, got {order}")
+    deltas = monomial_basis(g.n, d).exponent_array
+    return _shift_rows(g, deltas, np.ones(len(deltas)), order)
+
+
+def localizing_operator(g: Polynomial, t: int, order: int) -> sp.csr_matrix:
+    """Sparse L with L y = svec(M_t(g y)) for sequences y of the given order.
+
+    Row p of L is the row of shift_operator(g, 2t, order) at alpha_i + alpha_j,
+    (i, j) the p-th packed pair, times its packing weight (sqrt 2 off the
+    diagonal). The SOS side uses the transpose: L' svec(G) is the coefficient
+    vector of g * v_t' G v_t.
+    """
+    if 2 * t + g.degree > order:
+        raise DegreeOverflowError(
+            f"localizing matrix of order {t} for deg-{g.degree} weight needs "
+            f"sequence order {2 * t + g.degree}, got {order}")
+    P = _pair_index(g.n, t)
+    rows, cols = packed_indices(len(P))
+    deltas = monomial_basis(g.n, 2 * t).exponent_array[P[rows, cols]]
+    return _shift_rows(g, deltas, packed_weights(len(P)), order)
+
+
 def moment_matrix(y: TruncatedSequence, r: int) -> np.ndarray:
     """M_r(y) with entries y_{alpha+beta}, rows and columns of degree <= r."""
     if 2 * r > y.order:
         raise DegreeOverflowError(f"moment matrix of order {r} needs sequence order {2 * r}")
-    rows = monomial_basis(y.n, r)
-    full = y.basis
-    s = len(rows)
-    M = np.empty((s, s))
-    for i in range(s):
-        ai = rows.monomial(i)
-        for j in range(i, s):
-            idx = full.index(tuple(a + b for a, b in zip(ai, rows.monomial(j))))
-            M[i, j] = M[j, i] = y.values[idx]
-    return M
+    return y.values[_pair_index(y.n, r)]
 
 
 def localizing_matrix_at_order(y: TruncatedSequence, g: Polynomial, t: int) -> np.ndarray:
     """M_t(g y) with entries sum_gamma g_gamma y_{gamma+alpha+beta}."""
-    if 2 * t + g.degree > y.order:
-        raise DegreeOverflowError(
-            f"localizing matrix of order {t} for deg-{g.degree} weight needs "
-            f"sequence order {2 * t + g.degree}")
-    rows = monomial_basis(y.n, t)
-    full = y.basis
-    s = len(rows)
-    M = np.zeros((s, s))
-    for i in range(s):
-        ai = rows.monomial(i)
-        for j in range(i, s):
-            aj = rows.monomial(j)
-            acc = 0.0
-            for gamma, c in g.terms.items():
-                acc += c * y.values[full.index(tuple(a + b + e for a, b, e in zip(ai, aj, gamma)))]
-            M[i, j] = M[j, i] = acc
-    return M
+    return (shift_operator(g, 2 * t, y.order) @ y.values)[_pair_index(y.n, t)]
 
 
 def localizing_matrix(y: TruncatedSequence, g: Polynomial, r: int) -> np.ndarray:

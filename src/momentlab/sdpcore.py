@@ -53,12 +53,7 @@ class Block:
 
 def packed_indices(size: int) -> tuple:
     """Upper-triangle (row, col) arrays in the row-major packed order."""
-    rows, cols = [], []
-    for i in range(size):
-        for j in range(i, size):
-            rows.append(i)
-            cols.append(j)
-    return np.array(rows), np.array(cols)
+    return np.triu_indices(size)
 
 
 def packed_weights(size: int) -> np.ndarray:

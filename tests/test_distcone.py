@@ -130,6 +130,9 @@ def test_hausdorff_refuses_non_optimal_solve():
     capped = SolveOptions(tol=1e-9, max_iters=5)
     with pytest.raises(NonOptimalSolveError, match=r"r=2, direction 0: .*'max_iters'"):
         hausdorff_lower_bound(BALL1, "T", 2, 2, directions=3, seed=0, opts=capped)
+    # a capped solve in direction -x^2 read -0.162, against 4.3e-12 when optimal
+    with pytest.raises(NonOptimalSolveError, match=r"r=2: .*'max_iters'"):
+        support_gap(BALL1, "T", 2, 2, np.array([0.0, 0.0, -1.0]), capped)
 
 
 def test_lojasiewicz_interval():

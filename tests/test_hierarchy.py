@@ -131,6 +131,36 @@ def test_reduced_below_preordering_on_sphere():
     assert sos_vals["R"] <= sos_vals["T"] + 2e-9
 
 
+@pytest.mark.parametrize("X, certificate, r", [
+    (SPHERE, "T", 2),
+    (SPHERE, "R", 2),
+    (make_catalog_set("simplex", n=2, K=1.0), "T", 3),
+])
+def test_sos_program_is_transpose_of_moment_program(X, certificate, r):
+    f = Polynomial.from_pairs(X.n, [[[0] * X.n, 0.5], [[1] + [0] * (X.n - 1), -1.0],
+                                    [[0] * (X.n - 1) + [2], 2.0]])
+    mom = build_moment_relaxation(f, X, certificate, r)
+    sos = build_sos_relaxation(f, X, certificate, r)
+    My = mom.program.A[:, mom.y_slice].toarray()
+    S = sos.program.A.toarray()
+    assert np.array_equal(sos.program.b, mom.program.c[mom.y_slice])
+    assert np.array_equal(S[:, [0]], My[[0]].T)  # c pairs with y_0 = 1
+
+    slices = sos.program.block_slices()
+    kinds = [blk.kind for blk in sos.program.blocks]
+    gram_cols = [sl for sl, kind in zip(slices, kinds) if kind == "psd"]
+    nonneg = next((sl.start for sl, kind in zip(slices, kinds) if kind == "nonneg"), None)
+    eq_cols = [loc if isinstance(loc, slice) else slice(nonneg + loc, nonneg + loc + 1)
+               for _, loc in sos.tau_layout]
+    row = 1
+    for sign, cols in [(-1.0, c) for c in gram_cols] + [(1.0, c) for c in eq_cols]:
+        rows = slice(row, row + cols.stop - cols.start)
+        assert np.array_equal(S[:, cols], sign * My[rows].T)
+        row = rows.stop
+    assert row == My.shape[0]
+    assert len(eq_cols) == len(X.equalities)
+
+
 def test_certificate_requires_sos_side():
     rel = build_moment_relaxation(X_VAR, BALL1, "Q", 1)
     _, sol = solve_relaxation(rel, TIGHT)

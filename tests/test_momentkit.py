@@ -9,6 +9,7 @@ from momentlab.momentkit import (
     lifted_domain,
     localizing_matrix,
     localizing_matrix_at_order,
+    localizing_operator,
     max_spec_violation,
     moment_matrix,
     preordering_products,
@@ -16,11 +17,13 @@ from momentlab.momentkit import (
     project_order,
     riesz_apply,
     sequence_from_measure,
+    shift_operator,
     spec_matrix,
     transform_matrix,
     transform_sequence,
 )
 from momentlab.polycore import Polynomial, monomial_basis
+from momentlab.sdpcore import svec
 from momentlab.semialg import make_catalog_set
 
 
@@ -74,6 +77,38 @@ def test_localizing_matrix_examples():
 
     one = Polynomial.constant(1, 1.0)
     assert np.allclose(localizing_matrix(yh, one, 2), moment_matrix(yh, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_localizing_operator_matches_naive_loops(n, t):
+    rng = np.random.default_rng(10 * n + t)
+    order = 2 * t + 2
+    full = monomial_basis(n, order)
+    rows = monomial_basis(n, t)
+    g = Polynomial.from_vector(monomial_basis(n, 2), rng.normal(size=len(monomial_basis(n, 2))))
+    y = rng.normal(size=len(full))
+    L = localizing_operator(g, t, order)
+
+    M = np.zeros((len(rows), len(rows)))
+    for i, ai in enumerate(rows.exponents):
+        for j, aj in enumerate(rows.exponents):
+            M[i, j] = sum(c * y[full.index(tuple(a + b + e for a, b, e in zip(ai, aj, gamma)))]
+                          for gamma, c in g.terms.items())
+    assert np.allclose(L @ y, svec(M), rtol=1e-12, atol=1e-12)
+
+    # the SOS side reads the transpose: L' svec(G) = coefficients of g * v' G v
+    G = rng.normal(size=M.shape)
+    G = G + G.T
+    vGv = sum((Polynomial.monomial(n, tuple(a + b for a, b in zip(ai, aj)), G[i, j])
+               for i, ai in enumerate(rows.exponents) for j, aj in enumerate(rows.exponents)),
+              Polynomial.zero(n))
+    assert np.allclose(L.T @ svec(G), (g * vGv).coefficient_vector(full), rtol=1e-12, atol=1e-12)
+
+    seq = TruncatedSequence(n, order, y)
+    shifted = [riesz_apply(seq, g * Polynomial.monomial(n, d))
+               for d in monomial_basis(n, 2 * t).exponents]
+    assert np.allclose(shift_operator(g, 2 * t, order) @ y, shifted, rtol=1e-12, atol=1e-12)
 
 
 def test_preordering_product_counts():
