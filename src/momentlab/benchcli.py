@@ -235,7 +235,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
     for cert in config.certificates:
         try:
             report = hierarchy.run_ladder(f, X, cert, config.levels, opts,
-                                          sides=config.sides, tol=config.tol)
+                                          sides=config.sides, tol=config.tol,
+                                          max_psd_size=config.max_psd_size)
         except Exception as err:  # per-task failures recorded, run continues
             failures.append(f"ladder {cert}: {err}")
             continue
@@ -246,7 +247,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
                                 res.status, f"{seconds:.3f}", config.seed])
             if res.side == "moment":
                 bounds[(cert, res.level)] = res.value
-        failures.extend(report.monotonicity_violations)
+        failures.extend(report.monotonicity_violations + report.status_notes)
     ladder_csv = out / "ladder.csv"
     _write_csv(ladder_csv, ["level", "certificate", "side", "bound", "gap",
                             "status", "seconds", "seed"], ladder_rows)
@@ -266,7 +267,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
                 try:
                     val = distcone.hausdorff_lower_bound(
                         X, cert, r, config.k, directions=config.directions,
-                        seed=config.seed, opts=opts)
+                        seed=config.seed, opts=opts, max_psd_size=config.max_psd_size)
                 except Exception as err:
                     failures.append(f"distance {cert} r={r}: {err}")
                     continue
@@ -447,13 +448,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                       sides=("moment",), k=args.k,
                                       directions=args.directions,
                                       seed=args.seed, tol=args.tol,
+                                      max_psd_size=args.max_psd_size,
                                       out_dir=args.out_dir, with_distance=True)
             bundle = run_experiment(config)
             print(f"wrote {bundle.distance_csv}")
+            for line in bundle.failures:
+                print(f"note: {line}", file=sys.stderr)
             for cert, fit in bundle.rate_fits.items():
                 print(f"{cert}: slope {fit.slope:.4f} "
                       f"(empirical exponent {fit.empirical_exponent:.4f}, "
                       f"R^2 {fit.r_squared:.4f})")
+            if any(line.startswith("distance ") for line in bundle.failures):
+                raise SolverFailure("distance failures recorded")
         elif args.command == "lojfit":
             _, X, _ = parse_problem(args.problem)
             lo, hi = X.bounding_box()

@@ -19,7 +19,13 @@ from momentlab.hierarchy import build_moment_relaxation, solve_relaxation
 from momentlab.momentkit import TruncatedSequence
 from momentlab.polycore import Polynomial, count_monomials, monomial_basis
 from momentlab.sdpcore import SolveOptions
-from momentlab.semialg import SemiAlgebraicSet, violation, violation_many
+from momentlab.semialg import (
+    SemiAlgebraicSet,
+    _project_batch,
+    _slsqp_constraints,
+    violation,
+    violation_many,
+)
 
 
 class SamplerStarvationError(RuntimeError):
@@ -51,12 +57,6 @@ class MomentConeSample:
     @property
     def count(self) -> int:
         return self.atoms.shape[0]
-
-
-def _project_points_to_set(X: SemiAlgebraicSet, pts: np.ndarray) -> np.ndarray:
-    from momentlab.semialg import _project_to_equalities
-
-    return np.array([_project_to_equalities(X, p) for p in pts])
 
 
 def sample_moment_cone(X: SemiAlgebraicSet, k: int, strategy: str = "sobol",
@@ -93,14 +93,14 @@ def sample_moment_cone(X: SemiAlgebraicSet, k: int, strategy: str = "sobol",
                                       equalities=X.equalities + (surf,)
                                       if surf not in X.equalities else X.equalities,
                                       name="surface", box=X.box or (lo, hi))
-            parts.append(_project_points_to_set(target, chunk))
+            parts.append(_project_batch(target, chunk, tol))
         pool = np.vstack(parts)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     if X.equalities and strategy != "boundary-biased":
         if strategy == "sobol":
-            pool = _project_points_to_set(X, pool[:4 * count])
+            pool = _project_batch(X, pool[:4 * count], tol)
         # grids are left untouched: hitting a variety is the caller's business
     ok = violation_many(X, pool) <= tol
     accepted = pool[ok]
@@ -198,7 +198,12 @@ def _feasible_pool(X: SemiAlgebraicSet, seed: int, size: int = 4096) -> np.ndarr
     lo, hi = X.bounding_box()
     pts = rng.uniform(lo, hi, size=(size, X.n))
     keep = pts[violation_many(X, pts) <= 1e-9]
-    sampled = rejection_sample(X, max(64, size // 16), seed=seed + 1)
+    # about `size` feasible points: a set of positive volume keeps its share
+    # of the box draw and samples the rest; a variety, which box points miss,
+    # samples them all. A sparser pool leaves gaps (over 10 degrees on the
+    # circle at 256 points) where the global maximum's basin can get none of
+    # the four polish starts of _support_over_set.
+    sampled = rejection_sample(X, max(64, size - len(keep)), seed=seed + 1)
     return np.vstack([keep, sampled]) if keep.size else sampled
 
 
@@ -231,10 +236,12 @@ def support_gap(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
 
 def hausdorff_lower_bound(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
                           directions: int = 32, seed: int = 0,
-                          opts: Optional[SolveOptions] = None) -> float:
+                          opts: Optional[SolveOptions] = None,
+                          max_psd_size: int = 400) -> float:
     """max over random unit directions of support_gap / |c|; a lower-bound
     estimate of d_k(certificate(X)_{2r}) that is nondecreasing in the number
-    of directions.
+    of directions. The relaxation is built with PSD blocks capped at
+    `max_psd_size`, as in build_moment_relaxation.
 
     Every direction's SDP must reach status `optimal`; otherwise
     NonOptimalSolveError names r, the direction index and the status."""
@@ -258,7 +265,7 @@ def hausdorff_lower_bound(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
         if rel is None:
             # the feasible set is direction-independent: build once, then swap
             # objectives and warm start from the previous solution
-            rel = build_moment_relaxation(-p, X, certificate, r)
+            rel = build_moment_relaxation(-p, X, certificate, r, max_psd_size)
             program = rel.program
         else:
             cv = np.zeros(program.num_vars)
@@ -293,12 +300,7 @@ def distance_to_set(X: SemiAlgebraicSet, x: np.ndarray, starts: int = 8,
 
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
-    cons = [{"type": "ineq", "fun": (lambda z, g=g: g(z)),
-             "jac": (lambda z, g=g: np.array([d(z) for d in g.gradient()]))}
-            for g in X.inequalities]
-    cons += [{"type": "eq", "fun": (lambda z, h=h: h(z)),
-              "jac": (lambda z, h=h: np.array([d(z) for d in h.gradient()]))}
-             for h in X.equalities]
+    cons = _slsqp_constraints(X)
     best = np.inf
     restored = _restore_feasibility(X, x)
     if restored is not None:
@@ -411,11 +413,10 @@ def cqc_check(X: SemiAlgebraicSet, count: int = 64, seed: int = 0,
     checked = 0
     per_constraint = max(2, count // max(1, len(X.inequalities)))
     for j, g in enumerate(X.inequalities):
-        cons = [{"type": "eq", "fun": (lambda z, g=g: g(z)),
-                 "jac": (lambda z, g=g: np.array([d(z) for d in g.gradient()]))}]
-        cons += [{"type": "ineq", "fun": (lambda z, q=q: q(z)),
-                  "jac": (lambda z, q=q: np.array([d(z) for d in q.gradient()]))}
-                 for i, q in enumerate(X.inequalities) if i != j]
+        # g_j held at zero, the other inequalities kept
+        surface = SemiAlgebraicSet(n=X.n, equalities=(g,), inequalities=tuple(
+            q for i, q in enumerate(X.inequalities) if i != j))
+        cons = _slsqp_constraints(surface)
         for _ in range(per_constraint):
             x0 = rng.uniform(lo, hi, size=X.n)
             res = minimize(lambda z: float(np.sum((z - x0) ** 2)), x0,
@@ -424,10 +425,11 @@ def cqc_check(X: SemiAlgebraicSet, count: int = 64, seed: int = 0,
             x = res.x
             if x is None or violation(X, x) > 1e-7:
                 continue
-            active = [q for q in X.inequalities if abs(q(x)) <= active_tol]
-            if not active:
+            vals, jac = X.compiled.jet(x)
+            active = np.abs(vals) <= active_tol
+            if not active.any():
                 continue
-            J = np.array([[d(x) for d in q.gradient()] for q in active])
+            J = jac[active]
             sv = np.linalg.svd(J, compute_uv=False)
             min_sv = min(min_sv, float(sv[-1]))
             checked += 1

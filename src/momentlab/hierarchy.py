@@ -241,17 +241,51 @@ class RelaxationResult:
 class LadderReport:
     results: list
     monotonicity_violations: list
+    # one line per row whose solve did not reach `optimal`: its value is no bound
+    status_notes: list = field(default_factory=list)
+
+
+def _monotonicity_check(results: Sequence[RelaxationResult], tol: float) -> tuple:
+    """(violations, status notes) of ladder rows solved to tolerance `tol`.
+
+    Each side's optimal rows are compared in level order. A row whose status
+    is not `optimal` bounds nothing, so it gets a note and no comparison.
+    """
+    violations, notes, last = [], [], {}
+    for res in sorted(results, key=lambda res: res.level):
+        label = f"{res.certificate}/{res.side}: level {res.level}"
+        if res.status != "optimal":
+            notes.append(f"{label} stopped at status {res.status!r}; "
+                         f"its value {res.value:.9g} is not a bound")
+            continue
+        prev = last.get(res.side)
+        # sdpcore.solve stops once |pv - dv| <= tol (1 + |pv| + |dv|). The
+        # level's true value lies between pv and dv, so the reported value v
+        # is off by at most that gap; |dv| <= |v| + gap turns the rule into
+        # gap <= tol (1 + 2|v|) / (1 - tol). Two levels may err in opposite
+        # directions, so the drop solver error allows is the sum of both.
+        if prev is not None:
+            slack = tol * (2.0 + 2.0 * abs(prev) + 2.0 * abs(res.value)) / (1.0 - tol)
+            if res.value < prev - slack:
+                violations.append(f"{label} value {res.value:.9g} below previous {prev:.9g}")
+        last[res.side] = res.value
+    return violations, notes
 
 
 def run_ladder(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
                levels: Sequence[int], opts: Optional[SolveOptions] = None,
                sides: Sequence[str] = ("moment", "sos"),
-               tol: float = 1e-7, workers: int = 1) -> LadderReport:
+               tol: float = 1e-7, workers: int = 1,
+               max_psd_size: int = 400) -> LadderReport:
     """Solve the chosen hierarchy at each level, both sides by default.
 
     Levels are independent solves; with workers > 1 they run on a thread pool
     (the backing linear algebra releases the interpreter lock), and results are
     collected in submission order so output stays deterministic.
+
+    `tol` is the solve tolerance the monotonicity check derives its slack
+    from. Only rows with status `optimal` are compared; every other row gets
+    a line in `status_notes` instead.
     """
     tasks = [(r, side) for r in sorted(levels) for side in sides]
 
@@ -259,7 +293,7 @@ def run_ladder(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
         r, side = task
         build = build_moment_relaxation if side == "moment" else build_sos_relaxation
         start = time.perf_counter()
-        rel = build(f, X, certificate, r)
+        rel = build(f, X, certificate, r, max_psd_size=max_psd_size)
         value, sol = solve_relaxation(rel, opts)
         elapsed = time.perf_counter() - start
         return RelaxationResult(level=r, certificate=certificate, side=side,
@@ -275,22 +309,14 @@ def run_ladder(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
         results = [run_one(t) for t in tasks]
 
     by_key = {(res.level, res.side): res for res in results}
-    violations = []
-    last = {}
-    for r in sorted(levels):
-        values = {}
-        for side in sides:
-            res = by_key[(r, side)]
-            values[side] = res.value
-            if side in last and res.value < last[side] - 2 * tol:
-                violations.append(f"{certificate}/{side}: level {r} value "
-                                  f"{res.value:.9g} below previous {last[side]:.9g}")
-            last[side] = res.value
-        if len(values) == 2:
-            gap = abs(values["moment"] - values["sos"])
+    if len(sides) == 2:
+        for r in levels:
+            gap = abs(by_key[(r, "moment")].value - by_key[(r, "sos")].value)
             by_key[(r, "moment")].gap = gap
             by_key[(r, "sos")].gap = gap
-    return LadderReport(results=results, monotonicity_violations=violations)
+    violations, notes = _monotonicity_check(results, tol)
+    return LadderReport(results=results, monotonicity_violations=violations,
+                        status_notes=notes)
 
 
 def estimate_minimum(f: Polynomial, X: SemiAlgebraicSet, samples: int = 4096,

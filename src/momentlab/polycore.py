@@ -297,6 +297,75 @@ def eval_poly(f: Polynomial, x) -> float:
     return total
 
 
+class CompiledPoly:
+    """Polynomials f_1..f_k in n variables compiled for evaluation at points.
+
+    Every value, first partial and second partial of every f_i is a linear
+    combination of monomials x^u, u a row of the exponent matrix `exponents`.
+    The value, gradient and Hessian coefficient tables are built once, so a
+    call evaluates the monomials once and multiplies by one table per order.
+    A point has shape (n,) and a batch (npoints, n); outputs take the
+    leading shape of the input and then (k,), (k, n) or (k, n, n).
+    """
+
+    __slots__ = ("n", "count", "exponents", "_tables")
+
+    def __init__(self, n: int, polys: Sequence[Polynomial]):
+        index: dict = {}
+        entries = ([], [], [])  # per derivative order: (monomial row, column, coefficient)
+
+        def add(order, alpha, col, coeff):
+            row = index.setdefault(alpha, len(index))
+            entries[order].append((row, col, coeff))
+
+        for k, p in enumerate(polys):
+            if p.n != n:
+                raise ValueError(f"dimension mismatch: {p.n} vs {n}")
+            for alpha, c in p.terms.items():
+                add(0, alpha, k, c)
+                for i in range(n):
+                    if alpha[i] == 0:
+                        continue
+                    da = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+                    dc = c * alpha[i]
+                    add(1, da, k * n + i, dc)
+                    for j in range(n):
+                        if da[j]:
+                            dda = da[:j] + (da[j] - 1,) + da[j + 1:]
+                            add(2, dda, (k * n + i) * n + j, dc * da[j])
+        self.n = n
+        self.count = len(polys)
+        self.exponents = np.array(list(index), dtype=np.int64).reshape(len(index), n)
+        self._tables = []
+        for order, rows in enumerate(entries):
+            table = np.zeros((len(index), self.count * n ** order))
+            for row, col, coeff in rows:
+                table[row, col] += coeff
+            self._tables.append(table)
+
+    def monomials(self, x) -> np.ndarray:
+        """x^u for every row u of `exponents`, at a point or a batch."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.n,):
+            raise ValueError(f"points have dimension {x.shape[-1:]}, expected {self.n}")
+        return (x[..., None, :] ** self.exponents).prod(axis=-1)
+
+    def __call__(self, x) -> np.ndarray:
+        """Values f_1..f_k."""
+        return self.monomials(x).dot(self._tables[0])
+
+    def jet(self, x, order: int = 1) -> tuple:
+        """(values, Jacobian) or, with order 2, (values, Jacobian, Hessians),
+        all from one monomial evaluation."""
+        mono = self.monomials(x)
+        shape = mono.shape[:-1] + (self.count,)
+        out = [mono.dot(self._tables[0])]
+        for d in range(1, order + 1):
+            shape += (self.n,)
+            out.append(mono.dot(self._tables[d]).reshape(shape))
+        return tuple(out)
+
+
 class SingularMatrixError(ValueError):
     pass
 

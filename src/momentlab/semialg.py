@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from momentlab.polycore import Polynomial, eval_poly, half_degree
+# eval_poly is unused here but stays bound: semialg.eval_poly is a public name
+from momentlab.polycore import CompiledPoly, Polynomial, eval_poly, half_degree  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,11 @@ class SemiAlgebraicSet:
         degs = [half_degree(p) for p in self.inequalities + self.equalities]
         return max(degs, default=0)
 
+    @cached_property
+    def compiled(self) -> CompiledPoly:
+        """The equalities, then the inequalities, compiled into one evaluator."""
+        return CompiledPoly(self.n, self.equalities + self.inequalities)
+
     def bounding_box(self) -> tuple:
         if self.box is not None:
             lo, hi = self.box
@@ -82,22 +89,15 @@ def violation(X: SemiAlgebraicSet, x) -> float:
     x = np.asarray(x, dtype=float).ravel()
     if x.size != X.n:
         raise ValueError(f"point has dimension {x.size}, set has {X.n}")
-    worst = 0.0
-    for g in X.inequalities:
-        worst = max(worst, -eval_poly(g, x))
-    for h in X.equalities:
-        worst = max(worst, abs(eval_poly(h, x)))
-    return worst
+    return float(violation_many(X, x)[0])
 
 
 def violation_many(X: SemiAlgebraicSet, points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    worst = np.zeros(pts.shape[0])
-    for g in X.inequalities:
-        worst = np.maximum(worst, -g.eval_many(pts))
-    for h in X.equalities:
-        worst = np.maximum(worst, np.abs(h.eval_many(pts)))
-    return worst
+    values = X.compiled(pts)
+    neq = len(X.equalities)
+    worst = np.abs(values[:, :neq]).max(axis=1, initial=0.0)
+    return np.maximum(worst, (-values[:, neq:]).max(axis=1, initial=0.0))
 
 
 def archimedean_augment(X: SemiAlgebraicSet, R: float, sample_check: int = 0,
@@ -316,8 +316,13 @@ def rejection_sample(X: SemiAlgebraicSet, count: int, seed: int = 0,
                      polish_equalities: bool = True) -> np.ndarray:
     """Sample points of X by rejection in the bounding box.
 
-    Sets with equalities are sampled by projecting box points onto the zero set
-    first (plain rejection almost never hits a variety).
+    Plain rejection almost never hits a variety, so on sets with equalities
+    (and `polish_equalities` set) each batch of box points is first projected
+    onto the zero set: Gauss-Newton steps for the whole batch at once, and an
+    SLSQP projection, one point at a time, for the points that do not land
+    within `tol` (for instance where the constraint gradients vanish). Points
+    still outside X after that are rejected. The result is a function of
+    `seed`.
     """
     rng = np.random.default_rng(seed)
     lo, hi = X.bounding_box()
@@ -328,7 +333,7 @@ def rejection_sample(X: SemiAlgebraicSet, count: int, seed: int = 0,
         pts = rng.uniform(lo, hi, size=(batch, X.n))
         tries += batch
         if X.equalities and polish_equalities:
-            pts = np.array([_project_to_equalities(X, p) for p in pts])
+            pts = _project_batch(X, pts, tol)
         ok = violation_many(X, pts) <= tol
         kept.extend(pts[ok])
     if len(kept) < count:
@@ -336,42 +341,49 @@ def rejection_sample(X: SemiAlgebraicSet, count: int, seed: int = 0,
     return np.array(kept[:count])
 
 
+def _project_batch(X: SemiAlgebraicSet, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Project a batch of points onto the equalities of X.
+
+    Up to 40 Gauss-Newton steps z <- z - pinv(J_h(z)) h(z) run on the whole
+    batch; a point stops moving once |h| <= 1e-13 (the iteration count and
+    threshold of restore_feasibility) or when h or J_h is no longer finite.
+    A point whose violation of X then exceeds `tol` is projected again from
+    its start by SLSQP.
+    """
+    neq = len(X.equalities)
+    z = np.array(pts, dtype=float)
+    for _ in range(40):
+        vals, jac = X.compiled.jet(z)
+        h, J = vals[:, :neq], jac[:, :neq]
+        moving = ((np.abs(h).max(axis=1, initial=0.0) > 1e-13)
+                  & np.isfinite(h).all(axis=1) & np.isfinite(J).all(axis=(1, 2)))
+        if not moving.any():
+            break
+        z[moving] -= (np.linalg.pinv(J[moving]) @ h[moving, :, None])[:, :, 0]
+    for i in np.flatnonzero(~(violation_many(X, z) <= tol)):
+        z[i] = _project_to_equalities(X, pts[i])
+    return z
+
+
 def restore_feasibility(X: SemiAlgebraicSet, x: np.ndarray,
                         iters: int = 40) -> Optional[np.ndarray]:
     """Gauss-Newton steps onto the violated constraints; None on failure."""
     z = np.asarray(x, dtype=float).copy()
+    neq = len(X.equalities)
     for _ in range(iters):
-        residuals, jacs = [], []
-        for h in X.equalities:
-            residuals.append(eval_poly(h, z))
-            jacs.append([eval_poly(d, z) for d in h.gradient()])
-        for g in X.inequalities:
-            val = eval_poly(g, z)
-            if val < 0.0:
-                residuals.append(val)
-                jacs.append([eval_poly(d, z) for d in g.gradient()])
-        if not residuals:
+        vals, jac = X.compiled.jet(z)
+        rows = vals < 0.0
+        rows[:neq] = True
+        if not rows.any():
             return z
-        F = np.asarray(residuals)
+        F = vals[rows]
         if np.abs(F).max() <= 1e-13:
             return z
-        J = np.asarray(jacs, dtype=float)
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        step, *_ = np.linalg.lstsq(jac[rows], -F, rcond=None)
         if not np.all(np.isfinite(step)):
             return None
         z = z + step
     return z if violation(X, z) <= 1e-9 else None
-
-
-def _poly_hessian(p: Polynomial, x: np.ndarray) -> np.ndarray:
-    n = p.n
-    H = np.empty((n, n))
-    grads = p.gradient()
-    for i in range(n):
-        row = grads[i].gradient()
-        for j in range(n):
-            H[i, j] = eval_poly(row[j], x)
-    return H
 
 
 def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
@@ -385,38 +397,41 @@ def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
     restoration fails. Local solvers routinely stop short on curved constraint
     surfaces; this keeps grid-plus-polish estimates trustworthy to round-off.
     """
-    p = f if maximize else -1.0 * f
+    p = CompiledPoly(X.n, (f if maximize else -1.0 * f,))
     x = restore_feasibility(X, np.asarray(x0, dtype=float))
     if x is None:
         return None
-    grad_p = p.gradient()
+    neq = len(X.equalities)
+    # rows never released: the equalities, and an inequality that is also an
+    # equality (the sphere's redundant ball)
+    fixed = np.array([True] * neq + [g in X.equalities for g in X.inequalities], dtype=bool)
 
-    def active_constraints(z):
-        cons = list(X.equalities)
-        cons += [g for g in X.inequalities if abs(eval_poly(g, z)) <= act_tol]
-        return cons
+    def active(z):
+        """Mask of the active constraint rows at z, and their Jacobian."""
+        vals, jac = X.compiled.jet(z)
+        on = np.abs(vals) <= act_tol
+        on[:neq] = True
+        return on, jac[on]
 
     def value(z):
-        return eval_poly(p, z)
+        return float(p(z)[0])
+
+    def gradient(z):
+        return p.jet(z)[1][0]
 
     best_x, best_v = x, value(x)
     step = 0.1
     for _ in range(iters):
-        g = np.array([eval_poly(d, best_x) for d in grad_p])
-        cons = active_constraints(best_x)
+        g = gradient(best_x)
+        on, J = active(best_x)
         direction = g
-        if cons:
-            J = np.array([[eval_poly(d, best_x) for d in c.gradient()] for c in cons])
+        if on.any():
             lam, *_ = np.linalg.lstsq(J.T, g, rcond=None)
             # a positive multiplier means the ascent direction already points
             # into the feasible side of that inequality: release it
-            keep = []
-            for c, l in zip(cons, lam):
-                if c in X.equalities or l <= 1e-12:
-                    keep.append(c)
-            if keep:
-                J = np.array([[eval_poly(d, best_x) for d in c.gradient()] for c in keep])
-                tang, *_ = np.linalg.lstsq(J, J @ g, rcond=None)
+            keep = fixed[on] | (lam <= 1e-12)
+            if keep.any():
+                tang, *_ = np.linalg.lstsq(J[keep], J[keep] @ g, rcond=None)
                 direction = g - tang
         nrm = float(np.linalg.norm(direction))
         if nrm <= 1e-14:
@@ -439,24 +454,19 @@ def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
             step *= 0.25
 
     # KKT Newton refinement on the final active set
-    cons = active_constraints(best_x)
-    if cons:
-        m = len(cons)
-        lam = np.zeros(m)
-        J0 = np.array([[eval_poly(d, best_x) for d in c.gradient()] for c in cons])
-        lam, *_ = np.linalg.lstsq(J0.T, np.array([eval_poly(d, best_x) for d in grad_p]),
-                                  rcond=None)
+    on, J0 = active(best_x)
+    if on.any():
+        m = int(on.sum())
+        lam, *_ = np.linalg.lstsq(J0.T, gradient(best_x), rcond=None)
         z = best_x.copy()
         for _ in range(12):
-            J = np.array([[eval_poly(d, z) for d in c.gradient()] for c in cons])
-            gp = np.array([eval_poly(d, z) for d in grad_p])
-            F = np.concatenate([gp - J.T @ lam,
-                                np.array([eval_poly(c, z) for c in cons])])
+            vals, jac, hess = X.compiled.jet(z, 2)
+            _, gp, Hp = p.jet(z, 2)
+            J = jac[on]
+            F = np.concatenate([gp[0] - J.T @ lam, vals[on]])
             if np.abs(F).max() <= 1e-13:
                 break
-            H = _poly_hessian(p, z)
-            for c, l in zip(cons, lam):
-                H = H - l * _poly_hessian(c, z)
+            H = Hp[0] - np.tensordot(lam, hess[on], axes=1)
             KKT = np.block([[H, -J.T], [J, np.zeros((m, m))]])
             try:
                 delta = np.linalg.lstsq(KKT, -F, rcond=None)[0]
@@ -471,16 +481,24 @@ def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
     return best_x, f_val
 
 
+def _slsqp_constraints(X: SemiAlgebraicSet) -> list:
+    """X's equalities and inequalities as SLSQP constraint dicts, with
+    Jacobians, on the compiled evaluator."""
+    compiled, neq = X.compiled, len(X.equalities)
+    cons = []
+    if X.equalities:
+        cons.append({"type": "eq", "fun": lambda z: compiled(z)[:neq],
+                     "jac": lambda z: compiled.jet(z)[1][:neq]})
+    if X.inequalities:
+        cons.append({"type": "ineq", "fun": lambda z: compiled(z)[neq:],
+                     "jac": lambda z: compiled.jet(z)[1][neq:]})
+    return cons
+
+
 def _project_to_equalities(X: SemiAlgebraicSet, x0: np.ndarray) -> np.ndarray:
     from scipy.optimize import minimize
 
-    cons = [{"type": "eq", "fun": (lambda z, h=h: eval_poly(h, z)),
-             "jac": (lambda z, h=h: np.array([eval_poly(d, z) for d in h.gradient()]))}
-            for h in X.equalities]
-    cons += [{"type": "ineq", "fun": (lambda z, g=g: eval_poly(g, z)),
-              "jac": (lambda z, g=g: np.array([eval_poly(d, z) for d in g.gradient()]))}
-             for g in X.inequalities]
     res = minimize(lambda z: np.sum((z - x0) ** 2), x0, jac=lambda z: 2 * (z - x0),
-                   constraints=cons, method="SLSQP",
+                   constraints=_slsqp_constraints(X), method="SLSQP",
                    options={"maxiter": 120, "ftol": 1e-14})
     return res.x

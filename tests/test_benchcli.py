@@ -226,3 +226,18 @@ def test_cli_upper_single_and_series(tmp_path, capsys):
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(-1.0 / np.sqrt(2.0), abs=1e-5)
     assert float(first[2]) == pytest.approx(-1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("command", [["ladder"], ["distance", "--k", "2", "--directions", "2"]])
+def test_cli_max_psd_size_reaches_the_builders(tmp_path, capsys, command):
+    # level 1 on the circle has a 3x3 moment block: a cap of 2 refuses it
+    path = write_problem(tmp_path, SPHERE_PROBLEM)
+
+    def run(cap):
+        return main(["--out-dir", str(tmp_path / "out"), "--max-psd-size", str(cap),
+                     command[0], "--problem", str(path), "--certificate", "Q",
+                     "--levels", "1"] + command[1:])
+
+    assert run(2) == 3
+    assert "PSD block of size 3 exceeds cap 2" in capsys.readouterr().err
+    assert run(3) == 0

@@ -236,3 +236,26 @@ def test_pseudo_moment_radius():
     sample = sample_moment_cone(X, 4, strategy="sobol", count=64, seed=5)
     norms = np.linalg.norm(sample.vectors, axis=1)
     assert norms.max() <= pseudo_moment_radius(1.5, 2, 4) + 1e-9
+
+
+def test_support_pool_covers_the_circle():
+    from momentlab.distcone import _feasible_pool, _support_over_set
+    from momentlab.polycore import monomial_basis
+
+    # box points miss the circle, so the whole pool is sampled on it; seed
+    # 353062898 once gave a 256-point pool whose gap held the maximizer of
+    # direction 11, and the support estimate fell 1.7e-3 short
+    seed = 353062898
+    pool = _feasible_pool(SPHERE, seed)
+    assert pool.shape == (4096, 2)
+    assert np.all(violation_many(SPHERE, pool) <= 1e-9)
+    angles = np.sort(np.arctan2(pool[:, 1], pool[:, 0]))
+    assert np.diff(np.r_[angles, angles[0] + 2 * np.pi]).max() < np.radians(2.0)
+    t = np.linspace(0.0, 2.0 * np.pi, 200001)
+    circle = np.stack([np.cos(t), np.sin(t)], axis=1)
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        c = rng.normal(size=6)
+        p = Polynomial.from_vector(monomial_basis(2, 2), c / np.linalg.norm(c))
+        assert _support_over_set(p, SPHERE, pool) == pytest.approx(
+            p.eval_many(circle).max(), abs=1e-8)

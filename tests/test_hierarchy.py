@@ -4,6 +4,8 @@ import pytest
 from momentlab.hierarchy import (
     HierarchyKind,
     LevelTooLowError,
+    RelaxationResult,
+    _monotonicity_check,
     build_moment_relaxation,
     build_sos_relaxation,
     certificate_extract,
@@ -217,3 +219,37 @@ def test_ladder_strictly_increasing_on_motzkin_ball():
     assert lb4 > lb3 + 1e-3     # the ladder strictly moves
     assert lb3 <= mlb3 + 1e-6   # weak duality
     assert lb4 <= fmin + 1e-6
+
+
+def _row(level, value, status="optimal", side="moment"):
+    return RelaxationResult(level=level, certificate="Q", side=side, value=value,
+                            status=status, gap=np.nan, seconds=0.0, iterations=0)
+
+
+def test_monotonicity_slack_follows_the_stopping_rule():
+    # a drop of 5.4e-7 near -2.5 at tol 1e-7 is within what |pv - dv| <=
+    # tol (1 + |pv| + |dv|) allows on each level; 1e-3 is not
+    noise = [_row(2, -2.50011423), _row(3, -2.50011477)]
+    assert _monotonicity_check(noise, 1e-7) == ([], [])
+    drop = [_row(2, -2.50011423), _row(3, -2.50111423)]
+    violations, notes = _monotonicity_check(drop, 1e-7)
+    assert violations == ["Q/moment: level 3 value -2.50111423 below previous -2.50011423"]
+    assert notes == []
+
+
+def test_monotonicity_skips_non_optimal_rows():
+    rows = [_row(2, -1.0), _row(3, -7.0, status="max_iters"), _row(4, -1.0),
+            _row(2, -1.0, side="sos"), _row(3, -1.5, side="sos")]
+    violations, notes = _monotonicity_check(rows, 1e-7)
+    # the capped row is neither compared nor used as the next level's reference
+    assert violations == ["Q/sos: level 3 value -1.5 below previous -1"]
+    assert notes == ["Q/moment: level 3 stopped at status 'max_iters'; "
+                     "its value -7 is not a bound"]
+
+
+def test_ladder_reports_capped_rows_as_notes():
+    f = Polynomial(1, {(4,): 1.0, (2,): -1.0})
+    report = run_ladder(f, BALL1, "Q", [2, 3], SolveOptions(max_iters=5))
+    assert all(res.status == "max_iters" for res in report.results)
+    assert report.monotonicity_violations == []
+    assert len(report.status_notes) == 4

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from momentlab.polycore import (
+    CompiledPoly,
     MonomialBasis,
     Polynomial,
     SingularMatrixError,
@@ -168,3 +169,54 @@ def test_eval_many_matches_pointwise():
     vals = f.eval_many(pts)
     for x, v in zip(pts, vals):
         assert abs(v - eval_poly(f, x)) < 1e-12
+
+
+def _random_polynomial(rng, n, degree):
+    basis = enumerate_monomials(n, degree)
+    coeffs = rng.normal(size=len(basis)) * (rng.random(len(basis)) < 0.5)
+    return Polynomial.from_vector(basis, coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compiled_poly_matches_symbolic_derivatives(n):
+    rng = np.random.default_rng(n)
+    polys = [_random_polynomial(rng, n, d) for d in range(7)]
+    polys += [Polynomial.zero(n), Polynomial.constant(n, -1.5)]
+    compiled = CompiledPoly(n, polys)
+    points = rng.uniform(-1.3, 1.3, size=(9, n))
+    values, jac, hess = compiled.jet(points, 2)
+    assert values.shape == (9, len(polys))
+    assert jac.shape == (9, len(polys), n)
+    assert hess.shape == (9, len(polys), n, n)
+    np.testing.assert_array_equal(compiled(points), values)
+    for k, p in enumerate(polys):
+        np.testing.assert_allclose(values[:, k], p.eval_many(points), rtol=1e-12, atol=1e-12)
+        for x, v, g, H in zip(points, values[:, k], jac[:, k], hess[:, k]):
+            assert v == pytest.approx(eval_poly(p, x), rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(g, [eval_poly(p.diff(i), x) for i in range(n)],
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                H, [[eval_poly(p.diff(i).diff(j), x) for j in range(n)] for i in range(n)],
+                rtol=1e-12, atol=1e-11)
+    # one point in, one point's shapes out; the sums may round differently
+    single = compiled.jet(points[4], 2)
+    for got, batch in zip(single, (values, jac, hess)):
+        np.testing.assert_allclose(got, batch[4], rtol=1e-14, atol=1e-14)
+
+
+def test_compiled_poly_zero_constant_and_empty():
+    zero = CompiledPoly(2, (Polynomial.zero(2), Polynomial.constant(2, 3.0)))
+    v, g, H = zero.jet(np.array([0.7, -2.0]), 2)
+    np.testing.assert_array_equal(v, [0.0, 3.0])
+    np.testing.assert_array_equal(g, np.zeros((2, 2)))
+    np.testing.assert_array_equal(H, np.zeros((2, 2, 2)))
+    empty = CompiledPoly(3, ())
+    assert empty(np.ones(3)).shape == (0,)
+    assert empty.jet(np.ones((4, 3)))[1].shape == (4, 0, 3)
+
+
+def test_compiled_poly_rejects_mismatched_dimensions():
+    with pytest.raises(ValueError, match="dimension"):
+        CompiledPoly(2, (Polynomial.variable(3, 0),))
+    with pytest.raises(ValueError, match="dimension"):
+        CompiledPoly(2, (Polynomial.variable(2, 0),))(np.ones(3))
