@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -211,6 +211,7 @@ class ExperimentBundle:
     lemma_csv: Optional[Path]
     rate_fits: dict
     failures: list
+    exact: list = field(default_factory=list)  # certificates whose series is zero
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -255,19 +256,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
     distance_csv = None
     lemma_csv = None
     rate_fits = {}
+    exact = []
     if config.with_distance:
         if config.k is None:
             raise ProblemFormatError("distance runs need the truncation order k")
         hint = X.lojasiewicz_hint.exponent if X.lojasiewicz_hint else None
+        # the directions and the sampled moment support function depend on
+        # neither the certificate nor the level: sample them once per run
+        support, support_error = None, None
+        try:
+            support = distcone.sampled_support(X, config.k, config.directions,
+                                               config.seed)
+        except Exception as err:  # then every level of every series fails
+            support_error = err
         distance_rows = []
         series = {}
         for cert in config.certificates:
             values = []
             for r in config.levels:
                 try:
+                    if support_error is not None:
+                        raise support_error
                     val = distcone.hausdorff_lower_bound(
                         X, cert, r, config.k, directions=config.directions,
-                        seed=config.seed, opts=opts, max_psd_size=config.max_psd_size)
+                        seed=config.seed, opts=opts, max_psd_size=config.max_psd_size,
+                        support=support)
                 except Exception as err:
                     failures.append(f"distance {cert} r={r}: {err}")
                     continue
@@ -275,6 +288,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
                                       config.seed])
                 values.append((r, val))
             series[cert] = values
+            if values and all(abs(v) <= 10 * config.tol for _, v in values):
+                # an exact relaxation (the circle at k = 2, by the S-lemma):
+                # the series is zero up to solver error and has no rate
+                exact.append(cert)
+                continue
             try:
                 rate_fits[cert] = fit_rate(values, predicted_exponent=hint)
             except ValueError as err:
@@ -303,7 +321,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
 
     return ExperimentBundle(ladder_csv=ladder_csv, distance_csv=distance_csv,
                             lemma_csv=lemma_csv, rate_fits=rate_fits,
-                            failures=failures)
+                            failures=failures, exact=exact)
 
 
 # ----------------------------------------------------------------------------
@@ -454,6 +472,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"wrote {bundle.distance_csv}")
             for line in bundle.failures:
                 print(f"note: {line}", file=sys.stderr)
+            for cert in bundle.exact:
+                print(f"{cert}: series is zero within {10 * args.tol:g}; no rate fitted")
             for cert, fit in bundle.rate_fits.items():
                 print(f"{cert}: slope {fit.slope:.4f} "
                       f"(empirical exponent {fit.empirical_exponent:.4f}, "

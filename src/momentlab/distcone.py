@@ -234,52 +234,88 @@ def support_gap(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
     return h_pseudo - h_moment
 
 
+@dataclass(frozen=True)
+class SampledSupport:
+    """The sampled moment support function of X in unit directions: row d of
+    `directions` is a unit vector c over monomial_basis(n, k), and
+    `h_moment[d]` the pool-plus-polish estimate of max over X of c . v_k(x)."""
+
+    k: int
+    seed: int
+    directions: np.ndarray  # (number of directions, s(n, k))
+    h_moment: np.ndarray
+
+
+def sampled_support(X: SemiAlgebraicSet, k: int, directions: int,
+                    seed: int) -> SampledSupport:
+    """Draw `directions` unit directions (one N(0, I) draw each from
+    default_rng(seed), normalized) and estimate X's moment support function
+    in each over one feasible pool. It depends on neither the certificate
+    nor the level, so a distance series computes it once."""
+    if directions < 1:
+        raise ValueError("need at least one direction")
+    rng = np.random.default_rng(seed)
+    s = count_monomials(X.n, k)
+    dirs = np.empty((directions, s))
+    for d in range(directions):
+        c = rng.normal(size=s)
+        dirs[d] = c / np.linalg.norm(c)
+    pool = _feasible_pool(X, seed)
+    basis = monomial_basis(X.n, k)
+    h_moment = np.array([_support_over_set(Polynomial.from_vector(basis, c), X, pool)
+                         for c in dirs])
+    return SampledSupport(k=k, seed=seed, directions=dirs, h_moment=h_moment)
+
+
 def hausdorff_lower_bound(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
                           directions: int = 32, seed: int = 0,
                           opts: Optional[SolveOptions] = None,
-                          max_psd_size: int = 400) -> float:
+                          max_psd_size: int = 400,
+                          support: Optional[SampledSupport] = None) -> float:
     """max over random unit directions of support_gap / |c|; a lower-bound
     estimate of d_k(certificate(X)_{2r}) that is nondecreasing in the number
     of directions. The relaxation is built with PSD blocks capped at
     `max_psd_size`, as in build_moment_relaxation.
 
+    The directions and the sampled moment support function come from
+    `support`, which must be sampled_support(X, k, directions, seed); without
+    it they are computed here. A `support` with another k, direction count or
+    seed raises ValueError.
+
     Every direction's SDP must reach status `optimal`; otherwise
     NonOptimalSolveError names r, the direction index and the status."""
     from momentlab import sdpcore
-    from momentlab.sdpcore import ConicProgram
 
-    if directions < 1:
-        raise ValueError("need at least one direction")
-    rng = np.random.default_rng(seed)
-    s = count_monomials(X.n, k)
-    pool = _feasible_pool(X, seed)
+    if support is None:
+        support = sampled_support(X, k, directions, seed)
+    given = (support.k, support.directions.shape[0], support.seed)
+    for name, have, want in zip(("k", "directions", "seed"), given, (k, directions, seed)):
+        if have != want:
+            raise ValueError(f"support was sampled with {name}={have}, not {want}")
     basis = monomial_basis(X.n, k)
     opts = opts or SolveOptions()
     rel = None
     warm = None
     best = -np.inf
-    for d in range(directions):
-        c = rng.normal(size=s)
-        c /= np.linalg.norm(c)
+    for d, (c, h_moment) in enumerate(zip(support.directions, support.h_moment)):
         p = Polynomial.from_vector(basis, c)
         if rel is None:
-            # the feasible set is direction-independent: build once, then swap
-            # objectives and warm start from the previous solution
+            # the feasible set is direction-independent: build, scale and
+            # factor once, then swap objectives and warm start from the
+            # previous solution
             rel = build_moment_relaxation(-p, X, certificate, r, max_psd_size)
             program = rel.program
         else:
             cv = np.zeros(program.num_vars)
             cv[rel.y_slice] = (-p).coefficient_vector(monomial_basis(X.n, 2 * r))
-            program = ConicProgram(program.blocks, cv, program.A, program.b)
+            program = program.with_objective(cv)
         run_opts = SolveOptions(**{**opts.__dict__, "warm": warm})
         sol = sdpcore.solve(program, run_opts)
         if sol.status != "optimal":
             raise NonOptimalSolveError(
                 f"r={r}, direction {d}: solver status {sol.status!r}")
         warm = sol
-        h_pseudo = -sol.primal_value
-        h_moment = _support_over_set(p, X, pool)
-        best = max(best, h_pseudo - h_moment)
+        best = max(best, -sol.primal_value - h_moment)
     return float(best)
 
 

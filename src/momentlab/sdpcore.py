@@ -13,8 +13,10 @@ form with sqrt(2) off-diagonal scaling so the flattening is an isometry and
 dual residuals keep their meaning.
 
 Sized for desk-scale moment relaxations (PSD blocks up to a few hundred); a
-solve call is single-threaded and deterministic given its options, and
-distinct calls share no state.
+solve call is single-threaded and deterministic given its options. The
+equilibration and the factor of A A' read neither c nor b, so a program
+computes them once and keeps them; `ConicProgram.with_objective` hands them
+to a copy with another objective. Distinct calls share nothing else.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -126,6 +129,21 @@ class ConicProgram:
     @property
     def num_rows(self) -> int:
         return self.b.size
+
+    def with_objective(self, c: np.ndarray) -> "ConicProgram":
+        """This program with objective c. The copy shares this program's
+        scaling and A A' factor, computed here if they were not yet, so a
+        sweep over objectives equilibrates and factors once."""
+        out = ConicProgram(self.blocks, c, self.A, self.b)
+        out.__dict__["_scaled_factor"] = self._scaled_factor
+        return out
+
+    @cached_property
+    def _scaled_factor(self) -> tuple:
+        """(A_scaled, d_row, d_col, A_scaled', Cholesky factor of A_scaled
+        A_scaled'): what an equilibrated solve needs of A and the blocks."""
+        A, d_row, d_col = _equilibrate(self)
+        return (A, d_row, d_col, *_factor_gram(A))
 
     def block_slices(self) -> list:
         out, offset = [], 0
@@ -272,6 +290,21 @@ def _equilibrate(program: ConicProgram, iters: int = 8):
     return A.tocsr(), d_row, d_col
 
 
+def _factor_gram(A: sp.csr_matrix) -> tuple:
+    """(A', Cholesky factor of A A'), with a growing ridge when A A' is
+    singular to working precision."""
+    m = A.shape[0]
+    AT = A.T.tocsr()
+    gram = (A @ AT).toarray()
+    ridge = 0.0
+    for _ in range(4):
+        try:
+            return AT, sla.cho_factor(gram + ridge * np.eye(m), lower=True)
+        except np.linalg.LinAlgError:
+            ridge = max(ridge * 100.0, 1e-12 * max(1.0, float(np.trace(gram)) / m))
+    raise np.linalg.LinAlgError("could not factor A A^T")
+
+
 # ----------------------------------------------------------------------------
 # main solve loop
 
@@ -283,28 +316,16 @@ def solve(program: ConicProgram, opts: Optional[SolveOptions] = None) -> Solutio
     cone = _ConeOps(program.blocks, slices)
 
     if opts.scale:
-        A, d_row, d_col = _equilibrate(program)
+        A, d_row, d_col, AT, chol = program._scaled_factor
     else:
         A, d_row, d_col = program.A.astype(float), np.ones(m), np.ones(n)
+        AT, chol = _factor_gram(A)
     b = d_row * program.b
     c = d_col * program.c
     b_scale = max(1.0, float(np.linalg.norm(b)))
     c_scale = max(1.0, float(np.linalg.norm(c)))
     b = b / b_scale
     c = c / c_scale
-
-    AT = A.T.tocsr()
-    gram = (A @ AT).toarray()
-    ridge = 0.0
-    chol = None
-    for _ in range(4):
-        try:
-            chol = sla.cho_factor(gram + ridge * np.eye(m), lower=True)
-            break
-        except np.linalg.LinAlgError:
-            ridge = max(ridge * 100.0, 1e-12 * max(1.0, float(np.trace(gram)) / m))
-    if chol is None:
-        raise np.linalg.LinAlgError("could not factor A A^T")
 
     rho = opts.rho
     z = np.zeros(n)

@@ -398,7 +398,8 @@ def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
     surfaces; this keeps grid-plus-polish estimates trustworthy to round-off.
     """
     p = CompiledPoly(X.n, (f if maximize else -1.0 * f,))
-    x = restore_feasibility(X, np.asarray(x0, dtype=float))
+    x0 = np.asarray(x0, dtype=float)
+    x = restore_feasibility(X, x0)
     if x is None:
         return None
     neq = len(X.equalities)
@@ -421,6 +422,14 @@ def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
 
     best_x, best_v = x, value(x)
     step = 0.1
+    # Each point is restored once per call: `outcomes` maps a trial's bytes
+    # to its restoration and that point's value (-inf when infeasible), and
+    # acceptance is judged against the current best_v. The direction depends
+    # on best_x alone, and a failed search rejects every halving down to
+    # `rejected`; the next one starts a quarter lower, so its trials at or
+    # above `rejected` repeat rejected points bit for bit and are skipped.
+    outcomes = {x0.tobytes(): (x, best_v)}
+    rejected = np.inf
     for _ in range(iters):
         g = gradient(best_x)
         on, J = active(best_x)
@@ -439,14 +448,21 @@ def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
         improved = False
         trial_step = step
         for _ in range(30):
-            cand = restore_feasibility(X, best_x + trial_step * direction / max(nrm, 1e-30))
-            if cand is not None and violation(X, cand) <= 1e-9:
-                v = value(cand)
+            if trial_step < rejected:
+                trial = best_x + trial_step * direction / max(nrm, 1e-30)
+                key = trial.tobytes()
+                if key not in outcomes:
+                    cand = restore_feasibility(X, trial)
+                    feasible = cand is not None and violation(X, cand) <= 1e-9
+                    outcomes[key] = (cand, value(cand) if feasible else -np.inf)
+                cand, v = outcomes[key]
                 if v > best_v + 1e-16:
                     best_x, best_v = cand, v
                     improved = True
                     step = trial_step * 1.5
+                    rejected = np.inf
                     break
+                rejected = trial_step
             trial_step *= 0.5
         if not improved:
             if step <= 1e-12:

@@ -72,7 +72,7 @@ def sample_spectrahedron(X, certificate, r, count, seed, center, opts=TIGHT):
         else:
             cv = np.zeros(program.num_vars)
             cv[rel.y_slice] = c
-            program = sdpcore.ConicProgram(program.blocks, cv, program.A, program.b)
+            program = program.with_objective(cv)
         run_opts = SolveOptions(**{**opts.__dict__, "warm": warm})
         sol = sdpcore.solve(program, run_opts)
         warm = sol
@@ -322,11 +322,12 @@ _SPHERE_SERIES = {}
 def _sphere_gap_series():
     if "series" not in _SPHERE_SERIES:
         sphere = make_catalog_set("sphere", n=2, R=1.0)
+        support = distcone.sampled_support(sphere, 2, 24, 7)
         series = []
         for r in (2, 3, 4, 5, 6):
             val = distcone.hausdorff_lower_bound(sphere, "T", r, 2,
                                                  directions=24, seed=7,
-                                                 opts=TIGHT)
+                                                 opts=TIGHT, support=support)
             series.append((r, val))
         _SPHERE_SERIES["series"] = series
     return _SPHERE_SERIES["series"]

@@ -241,3 +241,32 @@ def test_cli_max_psd_size_reaches_the_builders(tmp_path, capsys, command):
     assert run(2) == 3
     assert "PSD block of size 3 exceeds cap 2" in capsys.readouterr().err
     assert run(3) == 0
+
+
+def test_cli_distance_zero_series_fits_no_rate(tmp_path, capsys):
+    # on the circle the order-2 relaxation is exact (S-lemma): the series is
+    # zero up to solver error, so it has no rate and no fit failure
+    path = write_problem(tmp_path, SPHERE_PROBLEM)
+    code = main(["--out-dir", str(tmp_path / "out"), "distance", "--problem", str(path),
+                 "--certificate", "T", "--levels", "1..2", "--k", "2",
+                 "--directions", "3"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "T: series is zero within 1e-06; no rate fitted" in captured.out
+    assert "rate fit" not in captured.err
+    assert "slope" not in captured.out
+
+
+def test_run_experiment_short_nonzero_series_records_fit_failure(tmp_path, monkeypatch):
+    from momentlab import distcone
+
+    monkeypatch.setattr(distcone, "hausdorff_lower_bound",
+                        lambda X, cert, r, k, **kwargs: 0.5 / r)
+    path = write_problem(tmp_path, BALL_PROBLEM)
+    config = ExperimentConfig(problem=str(path), certificates=("T",), levels=(1, 2),
+                              sides=("moment",), k=2, directions=2, seed=1,
+                              out_dir=str(tmp_path / "out"), with_distance=True)
+    bundle = run_experiment(config)
+    assert bundle.exact == []
+    assert bundle.rate_fits == {}
+    assert bundle.failures == ["rate fit T: need at least 3 positive points to fit, have 2"]

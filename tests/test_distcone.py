@@ -13,6 +13,7 @@ from momentlab.distcone import (
     lojasiewicz_fit,
     project_to_moment_set,
     sample_moment_cone,
+    sampled_support,
     support_gap,
 )
 from momentlab.momentkit import TruncatedSequence
@@ -259,3 +260,48 @@ def test_support_pool_covers_the_circle():
         p = Polynomial.from_vector(monomial_basis(2, 2), c / np.linalg.norm(c))
         assert _support_over_set(p, SPHERE, pool) == pytest.approx(
             p.eval_many(circle).max(), abs=1e-8)
+
+
+def test_hausdorff_with_shared_support_is_bit_identical():
+    support = sampled_support(SPHERE, 2, 4, 5)
+    assert support.directions.shape == (4, 6)
+    assert np.allclose(np.linalg.norm(support.directions, axis=1), 1.0)
+    for r in (2, 3):
+        alone = hausdorff_lower_bound(SPHERE, "T", r, 2, directions=4, seed=5, opts=TIGHT)
+        shared = hausdorff_lower_bound(SPHERE, "T", r, 2, directions=4, seed=5,
+                                       opts=TIGHT, support=support)
+        assert shared == alone
+
+
+@pytest.mark.parametrize("k, directions, seed, name", [(3, 4, 5, "k"), (2, 3, 5, "directions"),
+                                                        (2, 4, 6, "seed")])
+def test_hausdorff_refuses_a_mismatched_support(k, directions, seed, name):
+    support = sampled_support(BALL1, 2, 4, 5)
+    with pytest.raises(ValueError, match=f"support was sampled with {name}="):
+        hausdorff_lower_bound(BALL1, "T", 2, k, directions=directions, seed=seed,
+                              support=support)
+
+
+def test_distance_series_samples_one_pool(tmp_path, monkeypatch):
+    import json
+
+    from momentlab import distcone
+    from momentlab.benchcli import ExperimentConfig, run_experiment
+
+    pools = []
+    original = distcone._feasible_pool
+
+    def counting(X, seed, *args, **kwargs):
+        pools.append(seed)
+        return original(X, seed, *args, **kwargs)
+
+    monkeypatch.setattr(distcone, "_feasible_pool", counting)
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps({"objective": [[[1], 1.0]],
+                                "set": {"catalog": "ball", "n": 1, "R": 1.0}}))
+    config = ExperimentConfig(problem=str(path), certificates=("T",), levels=(1, 2),
+                              sides=("moment",), k=2, directions=3, seed=4,
+                              out_dir=str(tmp_path / "out"), with_distance=True)
+    bundle = run_experiment(config)
+    assert len(bundle.distance_csv.read_text().splitlines()) == 3
+    assert pools == [4]

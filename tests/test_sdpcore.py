@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from momentlab import sdpcore
 from momentlab.sdpcore import (
     Block,
     ConicProgram,
@@ -217,3 +218,37 @@ def test_random_programs_with_known_optimum():
         assert sol.primal_value <= target + 1e-6 * (1 + abs(target))
         assert sol.dual_value >= target - 1e-6 * (1 + abs(target))
         assert abs(sol.primal_value - target) <= 1e-5 * (1 + abs(target))
+
+
+def test_with_objective_matches_a_fresh_program():
+    p = moment_ball_program()
+    c2 = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])  # min x + x^2 on [-1, 1]
+    fresh = ConicProgram(p.blocks, c2, p.A, p.b)
+    shared = p.with_objective(c2)
+    opts = SolveOptions(tol=1e-9)
+    first = solve(p, opts)
+    warm = SolveOptions(tol=1e-9, warm=first)
+    for a, b in ((solve(shared, opts), solve(fresh, opts)),
+                 (solve(shared, warm), solve(fresh, warm))):
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.y, b.y)
+        assert (a.iterations, a.status) == (b.iterations, b.status)
+        assert a.status == "optimal"
+
+
+def test_with_objective_equilibrates_once(monkeypatch):
+    calls = []
+    original = sdpcore._equilibrate
+
+    def counting(program, *args, **kwargs):
+        calls.append(program)
+        return original(program, *args, **kwargs)
+
+    monkeypatch.setattr(sdpcore, "_equilibrate", counting)
+    p = moment_ball_program()
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        c = np.zeros(p.num_vars)
+        c[:3] = rng.normal(size=3)
+        assert solve(p.with_objective(c), SolveOptions(tol=1e-8)).status == "optimal"
+    assert len(calls) == 1

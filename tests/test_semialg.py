@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from momentlab import semialg
-from momentlab.polycore import Polynomial, eval_poly
+from momentlab.polycore import Polynomial, eval_poly, monomial_basis
 from momentlab.semialg import (
     SemiAlgebraicSet,
     SimpleSetProduct,
@@ -191,3 +191,30 @@ def test_rejection_sampler_sphere_count_and_seed(n):
     assert np.all(violation_many(S, pts) <= 1e-9)
     np.testing.assert_array_equal(pts, rejection_sample(S, 300, seed=11))
     assert not np.array_equal(pts, rejection_sample(S, 300, seed=12))
+
+
+@pytest.mark.parametrize("kind, params", [("sphere", {"n": 2}), ("sphere", {"n": 3}),
+                                          ("ball", {"n": 3}), ("simplex", {"n": 2})])
+def test_local_extremum_restores_each_point_once(kind, params, monkeypatch):
+    # a failed line search used to restart a quarter lower and restore 28 of
+    # its 30 trial points again, and steps below an ulp gave best_x again
+    X = make_catalog_set(kind, **params)
+    restored = []
+
+    def recorder(X, x, *args, **kwargs):
+        restored.append(np.asarray(x, dtype=float).tobytes())
+        return original(X, x, *args, **kwargs)
+
+    original = semialg.restore_feasibility
+    monkeypatch.setattr(semialg, "restore_feasibility", recorder)
+    rng = np.random.default_rng(4)
+    starts = rejection_sample(X, 3, seed=2)
+    for degree in (2, 3, 4):
+        basis = monomial_basis(X.n, degree)
+        f = Polynomial.from_vector(basis, rng.normal(size=len(basis)))
+        for x0 in starts:
+            for maximize in (True, False):
+                restored.clear()
+                assert semialg.local_extremum(f, X, x0, maximize=maximize) is not None
+                assert len(restored) > 1
+                assert len(set(restored)) == len(restored)
