@@ -442,23 +442,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
                 _, x_star = hierarchy.estimate_minimum(f, X, seed=args.seed,
                                                        return_point=True)
-                rows = []
+                rows, notes = [], []
                 for r in _parse_levels(args.levels):
                     t0 = _time.perf_counter()
                     ub1, sol = upper_bound_sdp(f, X, args.certificate, r,
                                                measure, opts)
+                    if sol.status != "optimal":
+                        notes.append(f"upper level {r}: solver status '{sol.status}'; "
+                                     f"ub_sdp {ub1:.9g} is not a bound")
                     try:
                         ub2 = upper_bound_kernel(f, measure, r, None, x_star)
                     except ValueError:
                         ub2 = float("nan")
                     rows.append([r, f"{ub1:.12g}", f"{ub2:.12g}", args.measure,
-                                 f"{_time.perf_counter() - t0:.3f}"])
+                                 f"{_time.perf_counter() - t0:.3f}", sol.status])
                 out = Path(args.out_dir)
                 out.mkdir(parents=True, exist_ok=True)
                 _write_csv(out / "upper.csv",
-                           ["level", "ub_sdp", "ub_kernel", "measure", "seconds"],
+                           ["level", "ub_sdp", "ub_kernel", "measure", "seconds",
+                            "status"],
                            rows)
                 print(f"wrote {out / 'upper.csv'}")
+                for line in notes:
+                    print(f"note: {line}", file=sys.stderr)
+                if notes:
+                    raise SolverFailure("upper failures recorded")
         elif args.command == "distance":
             config = ExperimentConfig(problem=args.problem,
                                       certificates=(args.certificate,),

@@ -1,4 +1,4 @@
-"""Dense conic solver for equality-constrained programs over PSD cones,
+"""Conic solver for equality-constrained programs over PSD cones,
 nonnegative orthants, and free variables.
 
 The solver is operator splitting (ADMM) on
@@ -6,8 +6,9 @@ The solver is operator splitting (ADMM) on
     minimize  c'x   subject to  Ax = b,  x in K,
 
 with the splitting x = z: the x-update is an equality-constrained quadratic
-step solved through one Cholesky factorization of A A' (reused across all
-iterations and penalty updates), the z-update projects block-wise onto K, and
+step solved through one sparse LU factorization of A A' with symmetric
+ordering and diagonal pivots (reused across all iterations and penalty
+updates), the z-update projects block-wise onto K, and
 scaled dual updates close the loop. PSD blocks are stored in symmetric-packed
 form with sqrt(2) off-diagonal scaling so the flattening is an isometry and
 dual residuals keep their meaning.
@@ -28,8 +29,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -140,7 +141,7 @@ class ConicProgram:
 
     @cached_property
     def _scaled_factor(self) -> tuple:
-        """(A_scaled, d_row, d_col, A_scaled', Cholesky factor of A_scaled
+        """(A_scaled, d_row, d_col, A_scaled', sparse factor of A_scaled
         A_scaled'): what an equilibrated solve needs of A and the blocks."""
         A, d_row, d_col = _equilibrate(self)
         return (A, d_row, d_col, *_factor_gram(A))
@@ -291,17 +292,28 @@ def _equilibrate(program: ConicProgram, iters: int = 8):
 
 
 def _factor_gram(A: sp.csr_matrix) -> tuple:
-    """(A', Cholesky factor of A A'), with a growing ridge when A A' is
-    singular to working precision."""
+    """(A', sparse LU factor of A A'), with a growing ridge when A A' is
+    singular to working precision. The ordering is symmetric and the pivots
+    stay on the diagonal, so L and U are the halves of an L D L' factor; a
+    pivot that is not finite and positive, or a row permutation that differs
+    from the column one, means A A' was not numerically positive definite."""
     m = A.shape[0]
     AT = A.T.tocsr()
-    gram = (A @ AT).toarray()
+    gram = (A @ AT).tocsc()
     ridge = 0.0
     for _ in range(4):
         try:
-            return AT, sla.cho_factor(gram + ridge * np.eye(m), lower=True)
-        except np.linalg.LinAlgError:
-            ridge = max(ridge * 100.0, 1e-12 * max(1.0, float(np.trace(gram)) / m))
+            lu = spla.splu(gram + ridge * sp.identity(m, format="csc"),
+                           permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError:
+            pass
+        else:
+            pivots = lu.U.diagonal()
+            if (np.all(np.isfinite(pivots)) and np.all(pivots > 0.0)
+                    and np.array_equal(lu.perm_r, lu.perm_c)):
+                return AT, lu
+        ridge = max(ridge * 100.0, 1e-12 * max(1.0, float(gram.diagonal().sum()) / m))
     raise np.linalg.LinAlgError("could not factor A A^T")
 
 
@@ -316,10 +328,10 @@ def solve(program: ConicProgram, opts: Optional[SolveOptions] = None) -> Solutio
     cone = _ConeOps(program.blocks, slices)
 
     if opts.scale:
-        A, d_row, d_col, AT, chol = program._scaled_factor
+        A, d_row, d_col, AT, lu = program._scaled_factor
     else:
         A, d_row, d_col = program.A.astype(float), np.ones(m), np.ones(n)
-        AT, chol = _factor_gram(A)
+        AT, lu = _factor_gram(A)
     b = d_row * program.b
     c = d_col * program.c
     b_scale = max(1.0, float(np.linalg.norm(b)))
@@ -358,7 +370,7 @@ def solve(program: ConicProgram, opts: Optional[SolveOptions] = None) -> Solutio
     for it in range(1, opts.max_iters + 1):
         v = z - u
         rhs = A @ (rho * v - c) - rho * b
-        nu = sla.cho_solve(chol, rhs)
+        nu = lu.solve(rhs)
         x = v - (c + AT @ nu) / rho
         x_hat = opts.over_relax * x + (1.0 - opts.over_relax) * z
         z_new = cone.project(x_hat + u)

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from momentlab import benchcli
 from momentlab.benchcli import (
     ExperimentConfig,
     ProblemFormatError,
@@ -220,12 +222,36 @@ def test_cli_upper_single_and_series(tmp_path, capsys):
                  "--levels", "1..3"])
     assert code == 0
     lines = (out_dir / "upper.csv").read_text().splitlines()
-    assert lines[0] == "level,ub_sdp,ub_kernel,measure,seconds"
+    assert lines[0] == "level,ub_sdp,ub_kernel,measure,seconds,status"
     assert len(lines) == 4
+    assert [line.split(",")[-1] for line in lines[1:]] == ["optimal"] * 3
     # with the all-ones default schedule the kernel route returns f(x*) = -1
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(-1.0 / np.sqrt(2.0), abs=1e-5)
     assert float(first[2]) == pytest.approx(-1.0, abs=1e-7)
+
+
+def test_cli_upper_series_flags_a_capped_level(tmp_path, capsys, monkeypatch):
+    # a capped solve's value is no upper bound: the row keeps its status, the
+    # level gets a note and the command exits 3 after writing the file
+    real = benchcli.upper_bound_sdp
+
+    def capped_at_level_2(f, X, certificate, r, measure, opts):
+        value, sol = real(f, X, certificate, r, measure, opts)
+        return value, (dataclasses.replace(sol, status="max_iters") if r == 2 else sol)
+
+    monkeypatch.setattr(benchcli, "upper_bound_sdp", capped_at_level_2)
+    path = write_problem(tmp_path, BALL_PROBLEM)
+    out_dir = tmp_path / "out"
+    code = main(["--out-dir", str(out_dir), "upper", "--problem", str(path),
+                 "--levels", "1..3"])
+    assert code == 3
+    lines = (out_dir / "upper.csv").read_text().splitlines()
+    assert [line.split(",")[-1] for line in lines[1:]] == ["optimal", "max_iters", "optimal"]
+    err = capsys.readouterr().err
+    notes = [line for line in err.splitlines() if line.startswith("note: ")]
+    assert len(notes) == 1
+    assert "upper level 2: solver status 'max_iters'" in notes[0]
 
 
 @pytest.mark.parametrize("command", [["ladder"], ["distance", "--k", "2", "--directions", "2"]])

@@ -3,6 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from momentlab import sdpcore
+from momentlab.hierarchy import build_moment_relaxation
+from momentlab.polycore import Polynomial
 from momentlab.sdpcore import (
     Block,
     ConicProgram,
@@ -13,6 +15,7 @@ from momentlab.sdpcore import (
     solve,
     svec,
 )
+from momentlab.semialg import make_catalog_set
 
 
 def test_svec_isometry():
@@ -252,3 +255,46 @@ def test_with_objective_equilibrates_once(monkeypatch):
         c[:3] = rng.normal(size=3)
         assert solve(p.with_objective(c), SolveOptions(tol=1e-8)).status == "optimal"
     assert len(calls) == 1
+
+
+def test_repeated_rows_go_through_the_ridge(monkeypatch):
+    # repeated rows make A A' singular. For x0 + x1 + x2 = 1 given three
+    # times (once doubled) the unridged factorization raises; for the rows
+    # v = 0.1 (1, 1, 1) and 3 v it returns a pivot of -7e-18. The ridge must
+    # carry both.
+    attempts = []
+    original = sdpcore.spla.splu
+
+    def counting(*args, **kwargs):
+        attempts.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sdpcore.spla, "splu", counting)
+    A = sp.csr_matrix(np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]))
+    prog = ConicProgram((Block("nonneg", 3),), np.array([1.0, 2.0, 3.0]), A,
+                        np.array([1.0, 1.0, 2.0]))
+    opts = SolveOptions()
+    sol = solve(prog, opts)
+    assert len(attempts) > 1
+    assert sol.status == "optimal"
+    assert sol.primal_value == pytest.approx(1.0, abs=10 * opts.tol)
+
+    attempts.clear()
+    v = np.full(3, 0.1)
+    _, lu = sdpcore._factor_gram(sp.csr_matrix(np.vstack([v, 3.0 * v])))
+    assert len(attempts) > 1
+    assert np.all(lu.U.diagonal() > 0.0)
+
+
+def test_sparse_factor_solves_the_ball3_moment_gram():
+    # Q, 3-ball, r=4: 841 rows and a 2%-dense A A'
+    ball3 = make_catalog_set("ball", n=3, R=1.0)
+    motzkin = Polynomial(3, {(4, 2, 0): 1.0, (2, 4, 0): 1.0, (2, 2, 2): -3.0,
+                             (0, 0, 6): 1.0})
+    program = build_moment_relaxation(motzkin, ball3, "Q", 4).program
+    A, _, _, AT, lu = program._scaled_factor
+    m = program.num_rows
+    assert lu.L.nnz + lu.U.nnz < m * m / 10
+    r = np.random.default_rng(3).normal(size=m)
+    reference = np.linalg.solve((A @ AT).toarray(), r)
+    assert np.linalg.norm(lu.solve(r) - reference) <= 1e-10 * np.linalg.norm(reference)
