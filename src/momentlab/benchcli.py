@@ -400,8 +400,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           help="two points, e.g. '0.3;0.5' or '0.1,0.2;0.3,0.4'")
 
     args = parser.parse_args(argv)
-    opts = SolveOptions(tol=args.tol)
     try:
+        opts = SolveOptions(tol=args.tol)
         if args.command == "solve":
             f, X, _ = parse_problem(args.problem)
             build = (hierarchy.build_moment_relaxation if args.side == "moment"

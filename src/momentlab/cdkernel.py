@@ -18,9 +18,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from momentlab import sdpcore
-from momentlab.momentkit import TruncatedSequence, moment_matrix, preordering_products
+from momentlab.momentkit import (
+    TruncatedSequence,
+    localizing_operator,
+    moment_matrix,
+    preordering_products,
+)
 from momentlab.polycore import (
     MonomialBasis,
     Polynomial,
@@ -466,19 +472,12 @@ def upper_bound_sdp(f: Polynomial, X: SemiAlgebraicSet, certificate: str, r: int
              if s.constraint_kind == "psd"]
     y_mu = moment_sequence(measures, 2 * r + f.degree)
 
-    from momentlab.momentkit import localizing_matrix_at_order
+    def packed(g, t):  # svec M_t(g y_mu)
+        return localizing_operator(g, t, y_mu.order) @ y_mu.values
 
-    blocks = []
-    cvec = []
-    arow = []
-    for spec in specs:
-        F = localizing_matrix_at_order(y_mu, f * spec.weight, spec.matrix_order)
-        N = localizing_matrix_at_order(y_mu, spec.weight, spec.matrix_order)
-        blocks.append(Block("psd", F.shape[0]))
-        cvec.append(sdpcore.svec(F))
-        arow.append(sdpcore.svec(N))
-    import scipy.sparse as sp
-
+    blocks = [Block("psd", count_monomials(X.n, spec.matrix_order)) for spec in specs]
+    cvec = [packed(f * spec.weight, spec.matrix_order) for spec in specs]
+    arow = [packed(spec.weight, spec.matrix_order) for spec in specs]
     program = ConicProgram(tuple(blocks), np.concatenate(cvec),
                            sp.csr_matrix(np.concatenate(arow)[None, :]),
                            np.array([1.0]))

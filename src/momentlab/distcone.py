@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from momentlab import sdpcore
 from momentlab.hierarchy import build_moment_relaxation, solve_relaxation
 from momentlab.momentkit import TruncatedSequence
 from momentlab.polycore import Polynomial, count_monomials, monomial_basis
@@ -224,7 +225,7 @@ def support_gap(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
         raise ValueError(f"direction needs length s(n,k) = {len(basis)}")
     p = Polynomial.from_vector(basis, c)
     rel = build_moment_relaxation(-p, X, certificate, r)
-    value, sol = solve_relaxation(rel, opts or SolveOptions())
+    value, sol = solve_relaxation(rel, opts)
     if sol.status != "optimal":
         raise NonOptimalSolveError(f"r={r}: solver status {sol.status!r}")
     h_pseudo = -value
@@ -284,8 +285,6 @@ def hausdorff_lower_bound(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
 
     Every direction's SDP must reach status `optimal`; otherwise
     NonOptimalSolveError names r, the direction index and the status."""
-    from momentlab import sdpcore
-
     if support is None:
         support = sampled_support(X, k, directions, seed)
     given = (support.k, support.directions.shape[0], support.seed)
@@ -293,28 +292,19 @@ def hausdorff_lower_bound(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
         if have != want:
             raise ValueError(f"support was sampled with {name}={have}, not {want}")
     basis = monomial_basis(X.n, k)
-    opts = opts or SolveOptions()
     rel = None
-    warm = None
+    sol = None
     best = -np.inf
     for d, (c, h_moment) in enumerate(zip(support.directions, support.h_moment)):
         p = Polynomial.from_vector(basis, c)
-        if rel is None:
-            # the feasible set is direction-independent: build, scale and
-            # factor once, then swap objectives and warm start from the
-            # previous solution
-            rel = build_moment_relaxation(-p, X, certificate, r, max_psd_size)
-            program = rel.program
-        else:
-            cv = np.zeros(program.num_vars)
-            cv[rel.y_slice] = (-p).coefficient_vector(monomial_basis(X.n, 2 * r))
-            program = program.with_objective(cv)
-        run_opts = SolveOptions(**{**opts.__dict__, "warm": warm})
-        sol = sdpcore.solve(program, run_opts)
+        # the feasible set is direction-independent: build, scale and factor
+        # once, then swap objectives and warm start from the previous solution
+        rel = (build_moment_relaxation(-p, X, certificate, r, max_psd_size)
+               if rel is None else rel.with_objective(-p))
+        sol = sdpcore.solve(rel.program, opts, warm=sol)
         if sol.status != "optimal":
             raise NonOptimalSolveError(
                 f"r={r}, direction {d}: solver status {sol.status!r}")
-        warm = sol
         best = max(best, -sol.primal_value - h_moment)
     return float(best)
 

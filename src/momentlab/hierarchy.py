@@ -16,7 +16,7 @@ SOS program.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,6 +64,17 @@ class Relaxation:
     def value(self, sol: Solution) -> float:
         """Bound carried by a solution: mlb on the moment side, lb on the SOS side."""
         return sol.primal_value if self.kind.side == "moment" else -sol.primal_value
+
+    def with_objective(self, f: Polynomial) -> "Relaxation":
+        """This moment-side relaxation with objective l_y(f). The copy shares
+        the program's scaling and A A' factor (ConicProgram.with_objective),
+        so a sweep over objectives builds and factors once."""
+        if self.y_slice is None:
+            raise ValueError("objective swaps need a moment-side relaxation")
+        _check_level(f, self.domain, self.level)
+        c = np.zeros(self.program.num_vars)
+        c[self.y_slice] = f.coefficient_vector(monomial_basis(self.domain.n, 2 * self.level))
+        return replace(self, program=self.program.with_objective(c), objective=f)
 
     def pseudo_moments(self, sol: Solution):
         from momentlab.momentkit import TruncatedSequence
@@ -275,22 +286,15 @@ def _monotonicity_check(results: Sequence[RelaxationResult], tol: float) -> tupl
 def run_ladder(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
                levels: Sequence[int], opts: Optional[SolveOptions] = None,
                sides: Sequence[str] = ("moment", "sos"),
-               tol: float = 1e-7, workers: int = 1,
-               max_psd_size: int = 400) -> LadderReport:
-    """Solve the chosen hierarchy at each level, both sides by default.
-
-    Levels are independent solves; with workers > 1 they run on a thread pool
-    (the backing linear algebra releases the interpreter lock), and results are
-    collected in submission order so output stays deterministic.
+               tol: float = 1e-7, max_psd_size: int = 400) -> LadderReport:
+    """Solve the chosen hierarchy at each level, both sides by default, one
+    level and side after another in level order.
 
     `tol` is the solve tolerance the monotonicity check derives its slack
     from. Only rows with status `optimal` are compared; every other row gets
     a line in `status_notes` instead.
     """
-    tasks = [(r, side) for r in sorted(levels) for side in sides]
-
-    def run_one(task):
-        r, side = task
+    def run_one(r, side):
         build = build_moment_relaxation if side == "moment" else build_sos_relaxation
         start = time.perf_counter()
         rel = build(f, X, certificate, r, max_psd_size=max_psd_size)
@@ -300,13 +304,7 @@ def run_ladder(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
                                 value=value, status=sol.status, gap=np.nan,
                                 seconds=elapsed, iterations=sol.iterations)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, tasks))
-    else:
-        results = [run_one(t) for t in tasks]
+    results = [run_one(r, side) for r in sorted(levels) for side in sides]
 
     by_key = {(res.level, res.side): res for res in results}
     if len(sides) == 2:

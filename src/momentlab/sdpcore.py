@@ -13,16 +13,18 @@ scaled dual updates close the loop. PSD blocks are stored in symmetric-packed
 form with sqrt(2) off-diagonal scaling so the flattening is an isometry and
 dual residuals keep their meaning.
 
-Sized for desk-scale moment relaxations (PSD blocks up to a few hundred); a
-solve call is single-threaded and deterministic given its options. The
-equilibration and the factor of A A' read neither c nor b, so a program
-computes them once and keeps them; `ConicProgram.with_objective` hands them
-to a copy with another objective. Distinct calls share nothing else.
+`solve(program, opts, warm)` takes two options, the tolerance and the
+iteration cap (`SolveOptions`), and optionally a previous Solution to start
+from; the penalty, relaxation and check schedule are the module constants
+below. Sized for desk-scale moment relaxations (PSD blocks up to a few
+hundred); a solve is deterministic given its arguments. The equilibration
+and the factor of A A' read neither c nor b, so a program computes them once
+and keeps them; `ConicProgram.with_objective` hands them to a copy with
+another objective. Distinct calls share nothing else.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,6 +35,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 _SQRT2 = math.sqrt(2.0)
+
+RHO = 1.0            # initial ADMM penalty, adapted every ADAPT_EVERY iterations
+OVER_RELAX = 1.6     # over-relaxation factor of the x-update
+CHECK_EVERY = 25     # iterations between residual checks
+ADAPT_EVERY = 50     # iterations between penalty updates
+STALL_WINDOW = 500   # iterations without halving the residual before the ray test
 
 
 # ----------------------------------------------------------------------------
@@ -160,23 +168,6 @@ class ConicProgram:
             vals.append(smat(seg, blk.size) if blk.kind == "psd" else seg.copy())
         return vals
 
-    def dump(self, path) -> None:
-        """Sparse text dump: header of block sizes, then nonzero c/b entries and
-        A triplets, for cross-checking against external solvers."""
-        buf = io.StringIO()
-        buf.write("# momentlab conic program: minimize c'x s.t. Ax=b, x in K\n")
-        buf.write("blocks " + " ".join(f"{blk.kind}:{blk.size}" for blk in self.blocks) + "\n")
-        buf.write(f"dims {self.num_rows} {self.num_vars}\n")
-        for name, vec in (("c", self.c), ("b", self.b)):
-            for i, v in enumerate(vec):
-                if v != 0.0:
-                    buf.write(f"{name} {i} {v!r}\n")
-        coo = self.A.tocoo()
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            buf.write(f"A {i} {j} {v!r}\n")
-        with open(path, "w") as fh:
-            fh.write(buf.getvalue())
-
 
 @dataclass
 class Residuals:
@@ -201,17 +192,19 @@ class Solution:
     certificate_ray: Optional[np.ndarray] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
+    """Stop once every relative residual is at most `tol`, or after
+    `max_iters` iterations."""
+
     tol: float = 1e-7
     max_iters: int = 100000
-    rho: float = 1.0
-    over_relax: float = 1.6
-    check_every: int = 25
-    adapt_every: int = 50
-    stall_window: int = 500
-    scale: bool = True
-    warm: Optional[Solution] = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
 
 
 # ----------------------------------------------------------------------------
@@ -321,17 +314,15 @@ def _factor_gram(A: sp.csr_matrix) -> tuple:
 # main solve loop
 
 
-def solve(program: ConicProgram, opts: Optional[SolveOptions] = None) -> Solution:
+def solve(program: ConicProgram, opts: Optional[SolveOptions] = None,
+          warm: Optional[Solution] = None) -> Solution:
+    """Solve `program`; with `warm`, a solution of a program with the same A,
+    start from its primal x and dual y."""
     opts = opts or SolveOptions()
     m, n = program.num_rows, program.num_vars
-    slices = program.block_slices()
-    cone = _ConeOps(program.blocks, slices)
+    cone = _ConeOps(program.blocks, program.block_slices())
 
-    if opts.scale:
-        A, d_row, d_col, AT, lu = program._scaled_factor
-    else:
-        A, d_row, d_col = program.A.astype(float), np.ones(m), np.ones(n)
-        AT, lu = _factor_gram(A)
+    A, d_row, d_col, AT, lu = program._scaled_factor
     b = d_row * program.b
     c = d_col * program.c
     b_scale = max(1.0, float(np.linalg.norm(b)))
@@ -339,12 +330,12 @@ def solve(program: ConicProgram, opts: Optional[SolveOptions] = None) -> Solutio
     b = b / b_scale
     c = c / c_scale
 
-    rho = opts.rho
+    rho = RHO
     z = np.zeros(n)
     u = np.zeros(n)
-    if opts.warm is not None:
-        z = (opts.warm.x / d_col) / b_scale
-        slack = program.c - program.A.T @ opts.warm.y
+    if warm is not None:
+        z = (warm.x / d_col) / b_scale
+        slack = program.c - program.A.T @ warm.y
         u = -(d_col * slack) / (c_scale * rho)
 
     def report(z_cur, nu_cur):
@@ -365,32 +356,31 @@ def solve(program: ConicProgram, opts: Optional[SolveOptions] = None) -> Solutio
     stall_count = 0
     status = "max_iters"
     certificate = None
-    it = 0
 
     for it in range(1, opts.max_iters + 1):
         v = z - u
         rhs = A @ (rho * v - c) - rho * b
         nu = lu.solve(rhs)
         x = v - (c + AT @ nu) / rho
-        x_hat = opts.over_relax * x + (1.0 - opts.over_relax) * z
+        x_hat = OVER_RELAX * x + (1.0 - OVER_RELAX) * z
         z_new = cone.project(x_hat + u)
         u = u + x_hat - z_new
         dz = float(np.linalg.norm(z_new - z))
         z = z_new
 
-        if it % opts.check_every == 0 or it == opts.max_iters:
+        if it % CHECK_EVERY == 0 or it == opts.max_iters:
             x_orig, y_orig, pv, dv, res = report(z, nu)
-            if best is None or res.worst() < best[5].worst():
-                best = (x_orig, y_orig, pv, dv, it, res)
+            if best is None or res.worst() < best[4].worst():
+                best = (x_orig, y_orig, pv, dv, res)
             if res.worst() <= opts.tol:
                 status = "optimal"
                 break
             if res.worst() > 0.5 * stall_anchor:
-                stall_count += opts.check_every
+                stall_count += CHECK_EVERY
             else:
                 stall_anchor = res.worst()
                 stall_count = 0
-            if stall_count >= opts.stall_window:
+            if stall_count >= STALL_WINDOW:
                 ray = _infeasibility_ray(program, cone, y_orig)
                 if ray is not None:
                     status = "infeasible_certificate"
@@ -399,7 +389,7 @@ def solve(program: ConicProgram, opts: Optional[SolveOptions] = None) -> Solutio
                 stall_count = 0
                 stall_anchor = res.worst()
 
-        if it % opts.adapt_every == 0:
+        if it % ADAPT_EVERY == 0:
             rp_s = float(np.linalg.norm(A @ z - b))
             rd_s = rho * dz
             if rp_s > 10.0 * rd_s and rho < 1e6:
@@ -409,9 +399,7 @@ def solve(program: ConicProgram, opts: Optional[SolveOptions] = None) -> Solutio
                 rho /= 2.0
                 u *= 2.0
 
-    if best is None:
-        best = (*report(z, nu)[:4], it, report(z, nu)[4])
-    x_orig, y_orig, pv, dv, _, res = best
+    x_orig, y_orig, pv, dv, res = best
     return Solution(status=status, primal_value=pv, dual_value=dv,
                     blocks=program.unpack(x_orig), x=x_orig, y=y_orig,
                     residuals=res, iterations=it, certificate_ray=certificate)

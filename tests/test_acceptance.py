@@ -61,21 +61,14 @@ def sample_spectrahedron(X, certificate, r, count, seed, center, opts=TIGHT):
     delta = min(margins)
     assert delta > 0
     rel = None
+    sol = None
     points = []
-    warm = None
     for _ in range(count):
         c = rng.normal(size=len(basis))
         f = Polynomial.from_vector(basis, c)
-        if rel is None:
-            rel = hierarchy.build_moment_relaxation(f, X, certificate, r)
-            program = rel.program
-        else:
-            cv = np.zeros(program.num_vars)
-            cv[rel.y_slice] = c
-            program = program.with_objective(cv)
-        run_opts = SolveOptions(**{**opts.__dict__, "warm": warm})
-        sol = sdpcore.solve(program, run_opts)
-        warm = sol
+        rel = (hierarchy.build_moment_relaxation(f, X, certificate, r)
+               if rel is None else rel.with_objective(f))
+        sol = sdpcore.solve(rel.program, opts, warm=sol)
         y = TruncatedSequence(X.n, 2 * r, sol.x[rel.y_slice])
         viol = max_spec_violation(y, specs)
         theta = min(0.5, viol / (viol + delta) + 1e-12)

@@ -166,6 +166,14 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert main(["solve", "--problem", str(bad), "--level", "1"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["0", "nan", "-1"])
+def test_cli_rejects_a_bad_tolerance(tmp_path, capsys, tol):
+    # before any solve: no tolerance of zero or less, or nan, is ever met
+    path = write_problem(tmp_path, BALL_PROBLEM)
+    assert main(["--tol", tol, "solve", "--problem", str(path), "--level", "1"]) == 2
+    assert "tol must be finite and positive" in capsys.readouterr().err
+
+
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
     # -1 - x^2 >= 0 is empty: the moment relaxation is infeasible at level 1
     doc = {"objective": [[[1], 1.0]],

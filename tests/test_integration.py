@@ -11,7 +11,7 @@ from momentlab.cdkernel import (
     orthonormal_basis,
 )
 from momentlab.distcone import SamplerStarvationError, sample_moment_cone
-from momentlab.hierarchy import build_moment_relaxation, run_ladder, solve_relaxation
+from momentlab.hierarchy import build_moment_relaxation, solve_relaxation
 from momentlab.momentkit import (
     DiscreteMeasure,
     TruncatedSequence,
@@ -102,12 +102,3 @@ def test_kernel_slice_certificate_runs():
     if member:
         assert margin >= -1e-8
 
-
-def test_parallel_ladder_matches_serial():
-    X = make_catalog_set("ball", n=1, R=1.0)
-    f = Polynomial(1, {(4,): 1.0, (2,): -1.0})
-    serial = run_ladder(f, X, "Q", [2, 3], TIGHT)
-    parallel = run_ladder(f, X, "Q", [2, 3], TIGHT, workers=4)
-    for a, b in zip(serial.results, parallel.results):
-        assert (a.level, a.side) == (b.level, b.side)
-        assert a.value == pytest.approx(b.value, abs=1e-12)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from momentlab import sdpcore
-from momentlab.hierarchy import build_moment_relaxation
+from momentlab.hierarchy import LevelTooLowError, build_moment_relaxation, build_sos_relaxation
 from momentlab.polycore import Polynomial
 from momentlab.sdpcore import (
     Block,
@@ -160,25 +160,22 @@ def test_infeasible_certificate():
 def test_warm_start_reuses_solution():
     prog = sos_interval_program()
     first = solve(prog, SolveOptions(tol=1e-9))
-    second = solve(prog, SolveOptions(tol=1e-9, warm=first))
+    second = solve(prog, SolveOptions(tol=1e-9), warm=first)
     assert second.status == "optimal"
     assert second.iterations <= first.iterations
+
+
+def test_options_are_validated():
+    for bad in (dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")),
+                dict(tol=float("inf")), dict(max_iters=0)):
+        with pytest.raises(ValueError):
+            SolveOptions(**bad)
 
 
 def test_dimension_validation():
     with pytest.raises(ValueError):
         ConicProgram((Block("free", 2),), np.zeros(3),
                      sp.csr_matrix(np.zeros((1, 2))), np.zeros(1))
-
-
-def test_program_dump(tmp_path):
-    prog = scalar_bound_program()
-    path = tmp_path / "prog.txt"
-    prog.dump(path)
-    text = path.read_text().splitlines()
-    assert text[1] == "blocks free:1 psd:1"
-    assert text[2] == "dims 1 2"
-    assert any(line.startswith("A 0 0 ") for line in text)
 
 
 def test_deterministic():
@@ -226,17 +223,28 @@ def test_random_programs_with_known_optimum():
 def test_with_objective_matches_a_fresh_program():
     p = moment_ball_program()
     c2 = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])  # min x + x^2 on [-1, 1]
-    fresh = ConicProgram(p.blocks, c2, p.A, p.b)
-    shared = p.with_objective(c2)
+    cases = [(p, p.with_objective(c2), ConicProgram(p.blocks, c2, p.A, p.b))]
+    # the same through a relaxation: x^4 - x^2, then x^3 + x, on [-1, 1] at Q, r=2
+    X = make_catalog_set("ball", n=1, R=1.0)
+    x = Polynomial.variable(1, 0)
+    rel = build_moment_relaxation(x ** 4 - x ** 2, X, "Q", 2)
+    swapped = rel.with_objective(x ** 3 + x)
+    fresh = build_moment_relaxation(x ** 3 + x, X, "Q", 2)
+    assert np.array_equal(swapped.program.c, fresh.program.c)
+    cases.append((rel.program, swapped.program, fresh.program))
     opts = SolveOptions(tol=1e-9)
-    first = solve(p, opts)
-    warm = SolveOptions(tol=1e-9, warm=first)
-    for a, b in ((solve(shared, opts), solve(fresh, opts)),
-                 (solve(shared, warm), solve(fresh, warm))):
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.y, b.y)
-        assert (a.iterations, a.status) == (b.iterations, b.status)
-        assert a.status == "optimal"
+    for base, shared, fresh in cases:
+        first = solve(base, opts)
+        for a, b in ((solve(shared, opts), solve(fresh, opts)),
+                     (solve(shared, opts, first), solve(fresh, opts, first))):
+            assert np.array_equal(a.x, b.x)
+            assert np.array_equal(a.y, b.y)
+            assert (a.iterations, a.status) == (b.iterations, b.status)
+            assert a.status == "optimal"
+    with pytest.raises(ValueError, match="moment-side"):
+        build_sos_relaxation(x ** 4 - x ** 2, X, "Q", 2).with_objective(x)
+    with pytest.raises(LevelTooLowError):
+        rel.with_objective(x ** 5)
 
 
 def test_with_objective_equilibrates_once(monkeypatch):
