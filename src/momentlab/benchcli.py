@@ -202,6 +202,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.levels:
             raise ProblemFormatError("level range must be nonempty")
+        if self.with_distance:
+            if self.k is None or self.k < 0:
+                raise ProblemFormatError(
+                    f"distance runs need a truncation order k >= 0, got {self.k}")
+            if self.directions < 1:
+                raise ProblemFormatError(
+                    f"distance runs need at least one direction, got {self.directions}")
 
 
 @dataclass
@@ -236,7 +243,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
     for cert in config.certificates:
         try:
             report = hierarchy.run_ladder(f, X, cert, config.levels, opts,
-                                          sides=config.sides, tol=config.tol,
+                                          sides=config.sides,
                                           max_psd_size=config.max_psd_size)
         except Exception as err:  # per-task failures recorded, run continues
             failures.append(f"ladder {cert}: {err}")
@@ -258,8 +265,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
     rate_fits = {}
     exact = []
     if config.with_distance:
-        if config.k is None:
-            raise ProblemFormatError("distance runs need the truncation order k")
         hint = X.lojasiewicz_hint.exponent if X.lojasiewicz_hint else None
         # the directions and the sampled moment support function depend on
         # neither the certificate nor the level: sample them once per run

@@ -34,7 +34,13 @@ from momentlab.polycore import (
     monomial_basis,
 )
 from momentlab.sdpcore import Block, ConicProgram, SolveOptions
-from momentlab.semialg import SemiAlgebraicSet, SimpleSetProduct, make_catalog_set
+from momentlab.semialg import (
+    SemiAlgebraicSet,
+    SimpleSetProduct,
+    make_catalog_set,
+    sampled_extremum,
+    violation_many,
+)
 
 
 class IllConditionedGramError(RuntimeError):
@@ -410,41 +416,25 @@ def _factor_grid(mu: ReferenceMeasure, density: int, seed: int) -> np.ndarray:
     else:
         rng = np.random.default_rng(seed)
         pts = rng.uniform(lo, hi, size=(min(density ** 2, 8192), mu.n))
-    from momentlab.semialg import violation_many
-
     return pts[violation_many(dom, pts) <= 1e-12]
 
 
 def harmonic_constant_bound(X: Union[SimpleSetProduct, ReferenceMeasure], k: int,
                             density: int = 2001, seed: int = 0) -> float:
     """Upper bound on the harmonic constant: sqrt of product over factors of
-    tau(X_i, k) = max_{j<=k} max_x C^(j)(x, x), by dense grid plus local polish."""
-    from scipy.optimize import minimize
-
-    measures = measures_for(X)
+    tau(X_i, k) = max_{j<=k} max_x C^(j)(x, x). Each max_x is taken by
+    sampled_extremum on the diagonal sum_{deg P_i = j} P_i^2, over a dense
+    grid of the factor with one polish start."""
     product = 1.0
-    for mu in measures:
+    for mu in measures_for(X):
         fb = orthonormal_basis(mu, k)
-        pts = _factor_grid(mu, density, seed)
-        vals = fb.eval_rows(pts) ** 2
-        total = fb.total_degrees()
+        grid = _factor_grid(mu, density, seed)
+        dom, total = mu.domain(), fb.total_degrees()
         tau = 0.0
-        dom = mu.domain()
-        cons = [{"type": "ineq", "fun": (lambda z, g=g: g(z))} for g in dom.inequalities]
         for j in range(k + 1):
-            comp = vals[:, total == j].sum(axis=1)
-            best_idx = int(np.argmax(comp))
-            tau_j = float(comp[best_idx])
-
-            def neg(z, j=j):
-                row = fb.eval_rows(np.atleast_2d(z))[0]
-                return -float(np.sum(row[total == j] ** 2))
-
-            res = minimize(neg, pts[best_idx], method="SLSQP", constraints=cons,
-                           options={"maxiter": 80, "ftol": 1e-12})
-            if res.x is not None and all(g(res.x) >= -1e-9 for g in dom.inequalities):
-                tau_j = max(tau_j, -float(res.fun))
-            tau = max(tau, tau_j)
+            diag = sum((fb.polynomial(i) * fb.polynomial(i) for i in np.flatnonzero(total == j)),
+                       Polynomial.zero(mu.n))
+            tau = max(tau, sampled_extremum(diag, dom, grid, 1, maximize=True)[0])
         product *= tau
     return float(np.sqrt(product))
 
@@ -455,7 +445,7 @@ def harmonic_constant_bound(X: Union[SimpleSetProduct, ReferenceMeasure], k: int
 
 def upper_bound_sdp(f: Polynomial, X: SemiAlgebraicSet, certificate: str, r: int,
                     measure, opts: Optional[SolveOptions] = None):
-    """ub(f, Q(X))_r or ub(f, T(X))_r: minimize the f-moment of a certificate
+    """ub(f, Q(X))_r or ub(f, T(X))_r: the least f-moment of a certificate
     density q against the reference measure, normalizing its mass to one.
 
     Objective and normalization reduce to localizing-type matrices of the
@@ -488,7 +478,7 @@ def upper_bound_sdp(f: Polynomial, X: SemiAlgebraicSet, certificate: str, r: int
 def upper_bound_kernel(f: Polynomial, X: Union[SimpleSetProduct, ReferenceMeasure],
                        r: int, weights: Optional[KernelWeights], x_star) -> float:
     """Kernel-route upper bound (C_{2r} f)(x*): decompose f, scale each graded
-    component by its eigenvalue, and evaluate at the estimated minimizer."""
+    component by its eigenvalue, and evaluate at x*, the estimated minimum point."""
     if f.degree > 2 * r:
         raise ValueError(f"deg f = {f.degree} exceeds kernel degree {2 * r}")
     basis = orthonormal_basis(X, f.degree)

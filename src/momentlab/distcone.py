@@ -21,9 +21,12 @@ from momentlab.momentkit import TruncatedSequence
 from momentlab.polycore import Polynomial, count_monomials, monomial_basis
 from momentlab.sdpcore import SolveOptions
 from momentlab.semialg import (
+    FEASIBILITY_TOL,
     SemiAlgebraicSet,
     _project_batch,
     _slsqp_constraints,
+    rejection_sample,
+    sampled_extremum,
     violation,
     violation_many,
 )
@@ -61,8 +64,7 @@ class MomentConeSample:
 
 
 def sample_moment_cone(X: SemiAlgebraicSet, k: int, strategy: str = "sobol",
-                       count: int = 256, seed: int = 0,
-                       tol: float = 1e-9) -> MomentConeSample:
+                       count: int = 256, seed: int = 0) -> MomentConeSample:
     """Sample atoms of X and their moment vectors v_k under the global order.
 
     Strategies: `grid` (lattice in the bounding box), `sobol` (scrambled
@@ -94,16 +96,16 @@ def sample_moment_cone(X: SemiAlgebraicSet, k: int, strategy: str = "sobol",
                                       equalities=X.equalities + (surf,)
                                       if surf not in X.equalities else X.equalities,
                                       name="surface", box=X.box or (lo, hi))
-            parts.append(_project_batch(target, chunk, tol))
+            parts.append(_project_batch(target, chunk))
         pool = np.vstack(parts)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     if X.equalities and strategy != "boundary-biased":
         if strategy == "sobol":
-            pool = _project_batch(X, pool[:4 * count], tol)
+            pool = _project_batch(X, pool[:4 * count])
         # grids are left untouched: hitting a variety is the caller's business
-    ok = violation_many(X, pool) <= tol
+    ok = violation_many(X, pool) <= FEASIBILITY_TOL
     accepted = pool[ok]
     rate = accepted.shape[0] / pool.shape[0]
     if accepted.shape[0] == 0 or rate < 1e-4:
@@ -176,34 +178,16 @@ def project_to_moment_set(y: TruncatedSequence, sample: MomentConeSample,
 # support gaps and Hausdorff lower bounds
 
 
-def _support_over_set(p: Polynomial, X: SemiAlgebraicSet, pool: np.ndarray,
-                      starts: int = 4) -> float:
-    """max of p over X: dense evaluation over a feasible pool plus local polish.
-    Documented estimate (a lower bound on the true maximum)."""
-    from momentlab.semialg import local_extremum
-
-    vals = p.eval_many(pool)
-    order = np.argsort(vals)[::-1]
-    best = float(vals[order[0]])
-    for idx in order[:starts]:
-        polished = local_extremum(p, X, pool[idx], maximize=True)
-        if polished is not None:
-            best = max(best, polished[1])
-    return best
-
-
 def _feasible_pool(X: SemiAlgebraicSet, seed: int, size: int = 4096) -> np.ndarray:
-    from momentlab.semialg import rejection_sample
-
     rng = np.random.default_rng(seed)
     lo, hi = X.bounding_box()
     pts = rng.uniform(lo, hi, size=(size, X.n))
-    keep = pts[violation_many(X, pts) <= 1e-9]
+    keep = pts[violation_many(X, pts) <= FEASIBILITY_TOL]
     # about `size` feasible points: a set of positive volume keeps its share
     # of the box draw and samples the rest; a variety, which box points miss,
     # samples them all. A sparser pool leaves gaps (over 10 degrees on the
     # circle at 256 points) where the global maximum's basin can get none of
-    # the four polish starts of _support_over_set.
+    # the four polish starts of the support estimate.
     sampled = rejection_sample(X, max(64, size - len(keep)), seed=seed + 1)
     return np.vstack([keep, sampled]) if keep.size else sampled
 
@@ -231,7 +215,7 @@ def support_gap(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
     h_pseudo = -value
     if pool is None:
         pool = _feasible_pool(X, seed)
-    h_moment = _support_over_set(p, X, pool)
+    h_moment = sampled_extremum(p, X, pool, 4, maximize=True)[0]
     return h_pseudo - h_moment
 
 
@@ -263,8 +247,8 @@ def sampled_support(X: SemiAlgebraicSet, k: int, directions: int,
         dirs[d] = c / np.linalg.norm(c)
     pool = _feasible_pool(X, seed)
     basis = monomial_basis(X.n, k)
-    h_moment = np.array([_support_over_set(Polynomial.from_vector(basis, c), X, pool)
-                         for c in dirs])
+    h_moment = np.array([sampled_extremum(Polynomial.from_vector(basis, c), X, pool, 4,
+                                          maximize=True)[0] for c in dirs])
     return SampledSupport(k=k, seed=seed, directions=dirs, h_moment=h_moment)
 
 
@@ -342,7 +326,7 @@ def distance_to_set(X: SemiAlgebraicSet, x: np.ndarray, starts: int = 8,
         res = minimize(lambda z: float(np.sum((z - x) ** 2)), start,
                        jac=lambda z: 2.0 * (z - x), constraints=cons,
                        method="SLSQP", options={"maxiter": 200, "ftol": 1e-16})
-        if res.x is not None and violation(X, res.x) <= 1e-9:
+        if res.x is not None and violation(X, res.x) <= FEASIBILITY_TOL:
             best = min(best, float(np.linalg.norm(res.x - x)))
     return best
 

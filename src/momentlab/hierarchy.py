@@ -26,7 +26,13 @@ from momentlab import sdpcore
 from momentlab.momentkit import localizing_operator, preordering_products, shift_operator
 from momentlab.polycore import Polynomial, count_monomials, half_degree, monomial_basis
 from momentlab.sdpcore import Block, ConicProgram, Solution, SolveOptions
-from momentlab.semialg import SemiAlgebraicSet, rejection_sample
+from momentlab.semialg import (
+    FEASIBILITY_TOL,
+    SemiAlgebraicSet,
+    rejection_sample,
+    sampled_extremum,
+    violation_many,
+)
 
 
 class LevelTooLowError(ValueError):
@@ -286,13 +292,13 @@ def _monotonicity_check(results: Sequence[RelaxationResult], tol: float) -> tupl
 def run_ladder(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
                levels: Sequence[int], opts: Optional[SolveOptions] = None,
                sides: Sequence[str] = ("moment", "sos"),
-               tol: float = 1e-7, max_psd_size: int = 400) -> LadderReport:
+               max_psd_size: int = 400) -> LadderReport:
     """Solve the chosen hierarchy at each level, both sides by default, one
     level and side after another in level order.
 
-    `tol` is the solve tolerance the monotonicity check derives its slack
-    from. Only rows with status `optimal` are compared; every other row gets
-    a line in `status_notes` instead.
+    The monotonicity check derives its slack from the solve tolerance
+    `opts.tol`. Only rows with status `optimal` are compared; every other row
+    gets a line in `status_notes` instead.
     """
     def run_one(r, side):
         build = build_moment_relaxation if side == "moment" else build_sos_relaxation
@@ -312,47 +318,39 @@ def run_ladder(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
             gap = abs(by_key[(r, "moment")].value - by_key[(r, "sos")].value)
             by_key[(r, "moment")].gap = gap
             by_key[(r, "sos")].gap = gap
-    violations, notes = _monotonicity_check(results, tol)
+    violations, notes = _monotonicity_check(results, (opts or SolveOptions()).tol)
     return LadderReport(results=results, monotonicity_violations=violations,
                         status_notes=notes)
 
 
-def estimate_minimum(f: Polynomial, X: SemiAlgebraicSet, samples: int = 4096,
-                     starts: int = 8, seed: int = 0,
+def estimate_minimum(f: Polynomial, X: SemiAlgebraicSet, seed: int = 0,
                      return_point: bool = False):
-    """Grid/sample + multistart local descent upper estimate of min f over X.
+    """Sample-and-polish upper estimate of min f over X; with `return_point`,
+    (value, point).
 
-    The returned value is the objective at the best feasible point found, so it
-    always upper-bounds the true minimum; it is documented as an estimate.
+    The pool is the feasible share of 4096 uniform draws in X's bounding box
+    plus 32 rejection_sample points; sampled_extremum polishes its 8 best.
+    The value is f at the best feasible point found, so it upper-bounds the
+    true minimum; it is documented as an estimate.
     """
     rng = np.random.default_rng(seed)
     lo, hi = X.bounding_box()
-    pts = rng.uniform(lo, hi, size=(samples, X.n))
-    from momentlab.semialg import violation_many
-
-    keep = pts[violation_many(X, pts) <= 1e-9]
+    pts = rng.uniform(lo, hi, size=(4096, X.n))
+    keep = pts[violation_many(X, pts) <= FEASIBILITY_TOL]
     try:
-        sampled = rejection_sample(X, max(starts * 4, 32), seed=seed + 1)
+        sampled = rejection_sample(X, 32, seed=seed + 1)
         keep = np.vstack([keep, sampled]) if keep.size else sampled
     except RuntimeError:
         pass
     if keep.size == 0:
         raise RuntimeError(f"could not find feasible points of {X.name}")
-    vals = f.eval_many(keep)
-    order = np.argsort(vals)
-    best = float(vals[order[0]])
-    best_point = keep[order[0]]
-
-    from momentlab.semialg import local_extremum
-
-    for idx in order[:starts]:
-        polished = local_extremum(f, X, keep[idx], maximize=False)
-        if polished is not None and polished[1] < best:
-            best_point, best = polished
-    if return_point:
-        return best, np.asarray(best_point, dtype=float)
-    return best
+    best, point = sampled_extremum(f, X, keep, 8, maximize=False)
+    return (best, point) if return_point else best
 
 
-def estimate_maximum(f: Polynomial, X: SemiAlgebraicSet, **kw) -> float:
-    return -estimate_minimum(-f, X, **kw)
+def estimate_maximum(f: Polynomial, X: SemiAlgebraicSet, seed: int = 0,
+                     return_point: bool = False):
+    """estimate_minimum of -f, negated: a lower estimate of max f over X;
+    with `return_point`, (value, point)."""
+    value, point = estimate_minimum(-f, X, seed=seed, return_point=True)
+    return (-value, point) if return_point else -value

@@ -16,6 +16,16 @@ import numpy as np
 # eval_poly is unused here but stays bound: semialg.eval_poly is a public name
 from momentlab.polycore import CompiledPoly, Polynomial, eval_poly, half_degree  # noqa: F401
 
+# A point is a member of X when its violation is at most this.
+FEASIBILITY_TOL = 1e-9
+# Gauss-Newton schedule of restore_feasibility and _project_batch: at most
+# _GN_STEPS steps, stopping once the residual is at most _GN_STOP.
+_GN_STEPS = 40
+_GN_STOP = 1e-13
+_MAX_DRAWS = 200000  # box points rejection_sample draws before it gives up
+_ACTIVE_TOL = 1e-6  # local_extremum: g is active where |g(x)| is at most this
+_POLISH_ITERS = 120  # local_extremum: most projected-gradient steps
+
 
 @dataclass(frozen=True)
 class LojasiewiczHint:
@@ -100,24 +110,17 @@ def violation_many(X: SemiAlgebraicSet, points: np.ndarray) -> np.ndarray:
     return np.maximum(worst, (-values[:, neq:]).max(axis=1, initial=0.0))
 
 
-def archimedean_augment(X: SemiAlgebraicSet, R: float, sample_check: int = 0,
-                        seed: int = 0) -> SemiAlgebraicSet:
+def archimedean_augment(X: SemiAlgebraicSet, R: float) -> SemiAlgebraicSet:
     """Append g0 = R^2 - |x|^2 and record the radius. Idempotent.
 
     The caller asserts X is contained in the R-ball; that is not machine
-    checkable in general, so at most a sampling warning is emitted.
+    checkable in general, and it is not checked.
     """
     if R <= 0:
         raise ValueError("R must be positive")
     ball = _ball_polynomial(X.n, R)
     if any(g == ball for g in X.inequalities):
         return replace(X, radius=R if X.radius is None else X.radius)
-    if sample_check > 0:
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-2 * R, 2 * R, size=(sample_check, X.n))
-        inside = pts[violation_many(X, pts) <= 1e-9]
-        if inside.size and np.any(np.sum(inside ** 2, axis=1) > R * R + 1e-9):
-            warnings.warn(f"sampled a point of X outside the ball of radius {R}")
     return replace(X, inequalities=X.inequalities + (ball,), radius=R)
 
 
@@ -311,84 +314,97 @@ _CATALOG = {
 }
 
 
-def rejection_sample(X: SemiAlgebraicSet, count: int, seed: int = 0,
-                     tol: float = 1e-9, max_tries: int = 200000,
-                     polish_equalities: bool = True) -> np.ndarray:
-    """Sample points of X by rejection in the bounding box.
+def rejection_sample(X: SemiAlgebraicSet, count: int, seed: int = 0) -> np.ndarray:
+    """Sample `count` points of X by rejection in the bounding box.
 
     Plain rejection almost never hits a variety, so on sets with equalities
-    (and `polish_equalities` set) each batch of box points is first projected
-    onto the zero set: Gauss-Newton steps for the whole batch at once, and an
-    SLSQP projection, one point at a time, for the points that do not land
-    within `tol` (for instance where the constraint gradients vanish). Points
-    still outside X after that are rejected. The result is a function of
-    `seed`.
+    each batch of box points is first projected onto the zero set (see
+    _project_batch). A point is kept when its violation is at most
+    FEASIBILITY_TOL; after 200000 box draws without `count` kept points,
+    RuntimeError reports starvation. The result is a function of `seed`.
     """
     rng = np.random.default_rng(seed)
     lo, hi = X.bounding_box()
     kept = []
     tries = 0
     batch = max(4 * count, 256)
-    while len(kept) < count and tries < max_tries:
+    while len(kept) < count and tries < _MAX_DRAWS:
         pts = rng.uniform(lo, hi, size=(batch, X.n))
         tries += batch
-        if X.equalities and polish_equalities:
-            pts = _project_batch(X, pts, tol)
-        ok = violation_many(X, pts) <= tol
+        if X.equalities:
+            pts = _project_batch(X, pts)
+        ok = violation_many(X, pts) <= FEASIBILITY_TOL
         kept.extend(pts[ok])
     if len(kept) < count:
         raise RuntimeError(f"sampler starvation: kept {len(kept)}/{count} after {tries} draws")
     return np.array(kept[:count])
 
 
-def _project_batch(X: SemiAlgebraicSet, pts: np.ndarray, tol: float) -> np.ndarray:
+def _project_batch(X: SemiAlgebraicSet, pts: np.ndarray) -> np.ndarray:
     """Project a batch of points onto the equalities of X.
 
-    Up to 40 Gauss-Newton steps z <- z - pinv(J_h(z)) h(z) run on the whole
-    batch; a point stops moving once |h| <= 1e-13 (the iteration count and
-    threshold of restore_feasibility) or when h or J_h is no longer finite.
-    A point whose violation of X then exceeds `tol` is projected again from
-    its start by SLSQP.
+    Gauss-Newton steps z <- z - pinv(J_h(z)) h(z) run on the whole batch, on
+    restore_feasibility's schedule; a point stops moving once |h| <= _GN_STOP
+    or when h or J_h is no longer finite. A point whose violation of X then
+    exceeds FEASIBILITY_TOL (for instance where the constraint gradients
+    vanish) is projected again from its start by SLSQP.
     """
     neq = len(X.equalities)
     z = np.array(pts, dtype=float)
-    for _ in range(40):
+    for _ in range(_GN_STEPS):
         vals, jac = X.compiled.jet(z)
         h, J = vals[:, :neq], jac[:, :neq]
-        moving = ((np.abs(h).max(axis=1, initial=0.0) > 1e-13)
+        moving = ((np.abs(h).max(axis=1, initial=0.0) > _GN_STOP)
                   & np.isfinite(h).all(axis=1) & np.isfinite(J).all(axis=(1, 2)))
         if not moving.any():
             break
         z[moving] -= (np.linalg.pinv(J[moving]) @ h[moving, :, None])[:, :, 0]
-    for i in np.flatnonzero(~(violation_many(X, z) <= tol)):
+    for i in np.flatnonzero(~(violation_many(X, z) <= FEASIBILITY_TOL)):
         z[i] = _project_to_equalities(X, pts[i])
     return z
 
 
-def restore_feasibility(X: SemiAlgebraicSet, x: np.ndarray,
-                        iters: int = 40) -> Optional[np.ndarray]:
+def restore_feasibility(X: SemiAlgebraicSet, x: np.ndarray) -> Optional[np.ndarray]:
     """Gauss-Newton steps onto the violated constraints; None on failure."""
     z = np.asarray(x, dtype=float).copy()
     neq = len(X.equalities)
-    for _ in range(iters):
+    for _ in range(_GN_STEPS):
         vals, jac = X.compiled.jet(z)
         rows = vals < 0.0
         rows[:neq] = True
         if not rows.any():
             return z
         F = vals[rows]
-        if np.abs(F).max() <= 1e-13:
+        if np.abs(F).max() <= _GN_STOP:
             return z
         step, *_ = np.linalg.lstsq(jac[rows], -F, rcond=None)
         if not np.all(np.isfinite(step)):
             return None
         z = z + step
-    return z if violation(X, z) <= 1e-9 else None
+    return z if violation(X, z) <= FEASIBILITY_TOL else None
+
+
+def sampled_extremum(f: Polynomial, X: SemiAlgebraicSet, pool: np.ndarray,
+                     starts: int, maximize: bool):
+    """(value, point): the best of f over a feasible pool of X, polished.
+
+    f is evaluated at every pool point, and local_extremum runs from the
+    `starts` best of them. The value is f at the best feasible point found:
+    never below the true minimum (above the true maximum), and otherwise an
+    estimate.
+    """
+    vals = f.eval_many(pool)
+    order = np.argsort(vals)[::-1] if maximize else np.argsort(vals)
+    best, best_point = float(vals[order[0]]), pool[order[0]]
+    for idx in order[:starts]:
+        polished = local_extremum(f, X, pool[idx], maximize=maximize)
+        if polished is not None and (polished[1] > best if maximize else polished[1] < best):
+            best_point, best = polished
+    return best, np.asarray(best_point, dtype=float)
 
 
 def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
-                   maximize: bool = False, act_tol: float = 1e-6,
-                   iters: int = 120):
+                   maximize: bool = False):
     """Polish a feasible point to a nearby local extremum of f over X.
 
     Phase one is projected-gradient ascent with Gauss-Newton restoration onto
@@ -410,7 +426,7 @@ def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
     def active(z):
         """Mask of the active constraint rows at z, and their Jacobian."""
         vals, jac = X.compiled.jet(z)
-        on = np.abs(vals) <= act_tol
+        on = np.abs(vals) <= _ACTIVE_TOL
         on[:neq] = True
         return on, jac[on]
 
@@ -430,7 +446,7 @@ def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
     # above `rejected` repeat rejected points bit for bit and are skipped.
     outcomes = {x0.tobytes(): (x, best_v)}
     rejected = np.inf
-    for _ in range(iters):
+    for _ in range(_POLISH_ITERS):
         g = gradient(best_x)
         on, J = active(best_x)
         direction = g
@@ -453,7 +469,7 @@ def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
                 key = trial.tobytes()
                 if key not in outcomes:
                     cand = restore_feasibility(X, trial)
-                    feasible = cand is not None and violation(X, cand) <= 1e-9
+                    feasible = cand is not None and violation(X, cand) <= FEASIBILITY_TOL
                     outcomes[key] = (cand, value(cand) if feasible else -np.inf)
                 cand, v = outcomes[key]
                 if v > best_v + 1e-16:
@@ -490,7 +506,7 @@ def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
                 break
             z = z + delta[:X.n]
             lam = lam + delta[X.n:]
-        if violation(X, z) <= 1e-9 and value(z) > best_v:
+        if violation(X, z) <= FEASIBILITY_TOL and value(z) > best_v:
             best_x, best_v = z, value(z)
 
     f_val = best_v if maximize else -best_v

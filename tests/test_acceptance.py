@@ -254,9 +254,9 @@ def test_criterion_4_hierarchy_ladders():
     opts = SolveOptions(tol=1e-9)
     for name, X, f, levels in _catalog_problems():
         fmin = hierarchy.estimate_minimum(f, X, seed=1)
-        report_t = hierarchy.run_ladder(f, X, "T", levels, opts, tol=tol)
+        report_t = hierarchy.run_ladder(f, X, "T", levels, opts)
         report_r = hierarchy.run_ladder(f, X, "R", levels, opts,
-                                        sides=("moment",), tol=tol)
+                                        sides=("moment",))
         assert not report_t.monotonicity_violations, name
         assert not report_r.monotonicity_violations, name
         mlb_t = {res.level: res.value for res in report_t.results if res.side == "moment"}

@@ -174,6 +174,22 @@ def test_cli_rejects_a_bad_tolerance(tmp_path, capsys, tol):
     assert "tol must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k, directions, message", [
+    ("2", "0", "at least one direction"),
+    ("-1", "3", "truncation order k >= 0"),
+])
+def test_cli_rejects_bad_distance_options(tmp_path, capsys, k, directions, message):
+    # refused before any solve: no direction, or a negative order, measures nothing
+    path = write_problem(tmp_path, SPHERE_PROBLEM)
+    out_dir = tmp_path / "out"
+    code = main(["--out-dir", str(out_dir), "distance", "--problem", str(path),
+                 "--certificate", "T", "--levels", "1..2", "--k", k,
+                 "--directions", directions])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
     # -1 - x^2 >= 0 is empty: the moment relaxation is infeasible at level 1
     doc = {"objective": [[[1], 1.0]],

@@ -279,6 +279,16 @@ def test_harmonic_constant_bound_examples():
     assert harmonic_constant_bound(PROD2, 2) == pytest.approx(2.0, abs=1e-6)
 
 
+def test_harmonic_constant_bound_needs_no_slsqp(monkeypatch):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize called")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+    assert harmonic_constant_bound(PROD2, 2) == pytest.approx(2.0, abs=1e-6)
+
+
 def test_component_bound_by_harmonic_constant():
     kb = orthonormal_basis(PROD2, 2)
     bound = harmonic_constant_bound(PROD2, 2)

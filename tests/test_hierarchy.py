@@ -177,6 +177,13 @@ def test_estimate_minimum_ball():
     assert estimate_maximum(X_VAR, BALL1, seed=1) == pytest.approx(1.0, abs=1e-7)
 
 
+def test_estimate_maximum_returns_its_point():
+    value, point = estimate_maximum(X_VAR, BALL1, seed=1, return_point=True)
+    assert value == pytest.approx(1.0, abs=1e-7)
+    np.testing.assert_allclose(point, [1.0], atol=1e-7)
+    assert value == estimate_maximum(X_VAR, BALL1, seed=1)
+
+
 def test_estimate_minimum_sphere():
     f = Polynomial.variable(2, 1)
     assert estimate_minimum(f, SPHERE, seed=2) == pytest.approx(-1.0, abs=1e-6)

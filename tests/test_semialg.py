@@ -4,11 +4,13 @@ import pytest
 from momentlab import semialg
 from momentlab.polycore import Polynomial, eval_poly, monomial_basis
 from momentlab.semialg import (
+    FEASIBILITY_TOL,
     SemiAlgebraicSet,
     SimpleSetProduct,
     archimedean_augment,
     make_catalog_set,
     rejection_sample,
+    sampled_extremum,
     violation,
     violation_many,
 )
@@ -153,7 +155,7 @@ def test_batched_projection_onto_sphere(n, monkeypatch):
     rng = np.random.default_rng(n)
     pts = np.vstack([np.zeros(n), rng.uniform(-1.0, 1.0, size=(40, n)), np.zeros(n)])
     starts = _count_fallbacks(monkeypatch)
-    z = semialg._project_batch(S, pts, 1e-9)
+    z = semialg._project_batch(S, pts)
     # the gradient of 1 - |x|^2 vanishes only at the origin: Gauss-Newton
     # cannot move those rows, so they alone go to SLSQP
     assert len(starts) == 2
@@ -177,7 +179,7 @@ def test_batched_projection_falls_back_for_violated_inequalities(monkeypatch):
                             box=(-np.ones(2), np.ones(2)), name="half circle")
     pts = np.array([[0.3, -0.5], [0.2, 0.6], [-0.8, -0.1], [0.5, 0.5]])
     starts = _count_fallbacks(monkeypatch)
-    z = semialg._project_batch(half, pts, 1e-9)
+    z = semialg._project_batch(half, pts)
     np.testing.assert_array_equal(np.array(starts), pts[[0, 2]])
     assert np.all(violation_many(half, z) <= 1e-9)
     np.testing.assert_allclose(z[[0, 2]], [[1.0, 0.0], [-1.0, 0.0]], atol=1e-7)
@@ -218,3 +220,26 @@ def test_local_extremum_restores_each_point_once(kind, params, monkeypatch):
                 assert semialg.local_extremum(f, X, x0, maximize=maximize) is not None
                 assert len(restored) > 1
                 assert len(set(restored)) == len(restored)
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+def test_sampled_extremum_of_a_linear_form_on_the_circle(maximize):
+    S = make_catalog_set("sphere", n=2, R=1.0)
+    c = np.array([0.6, -1.7])
+    f = Polynomial(2, {(1, 0): c[0], (0, 1): c[1]})
+    value, point = sampled_extremum(f, S, rejection_sample(S, 64, seed=5), 4, maximize)
+    sign = 1.0 if maximize else -1.0
+    assert value == pytest.approx(sign * np.linalg.norm(c), abs=1e-9)
+    assert violation(S, point) <= FEASIBILITY_TOL
+    assert f(point) == pytest.approx(value, abs=1e-12)
+
+
+def test_sampled_extremum_without_starts_is_the_pool_best():
+    S = make_catalog_set("sphere", n=2, R=1.0)
+    f = Polynomial(2, {(1, 0): 1.0, (1, 1): 2.0})
+    pool = rejection_sample(S, 64, seed=6)
+    vals = f.eval_many(pool)
+    for maximize, best in ((True, vals.max()), (False, vals.min())):
+        value, point = sampled_extremum(f, S, pool, 0, maximize)
+        assert value == best
+        assert any(np.array_equal(point, row) for row in pool)
