@@ -203,9 +203,9 @@ class ExperimentConfig:
         if not self.levels:
             raise ProblemFormatError("level range must be nonempty")
         if self.with_distance:
-            if self.k is None or self.k < 0:
+            if self.k is None or self.k < 1:
                 raise ProblemFormatError(
-                    f"distance runs need a truncation order k >= 0, got {self.k}")
+                    f"distance runs need a truncation order k >= 1, got {self.k}")
             if self.directions < 1:
                 raise ProblemFormatError(
                     f"distance runs need at least one direction, got {self.directions}")
@@ -253,7 +253,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
             ladder_rows.append([res.level, res.certificate, res.side,
                                 f"{res.value:.12g}", f"{res.gap:.6g}",
                                 res.status, f"{seconds:.3f}", config.seed])
-            if res.side == "moment":
+            if res.side == "moment" and res.status == "optimal":
                 bounds[(cert, res.level)] = res.value
         failures.extend(report.monotonicity_violations + report.status_notes)
     ladder_csv = out / "ladder.csv"

@@ -6,6 +6,12 @@ of the moment Gram matrix in graded-lex order, product bases are products of
 factor bases, and the graded operator attached to the (optionally perturbed)
 kernel acts diagonally on the per-factor degree decomposition.
 
+The SDP upper bound of a level is a one-row program: its value is the least
+generalized eigenvalue min_J lambda_min(C_J, A_J) of the localizing pencils
+whenever every A_J is positive definite. The solve starts from that exact
+primal-dual pair, computed by Cholesky and a symmetric eigensolver, so ADMM
+only certifies it.
+
 The hypercube basis (product Chebyshev) is included as an extension; the
 product-set rate machinery is stated for balls and simplexes.
 """
@@ -33,7 +39,15 @@ from momentlab.polycore import (
     count_monomials,
     monomial_basis,
 )
-from momentlab.sdpcore import Block, ConicProgram, SolveOptions
+from momentlab.sdpcore import (
+    Block,
+    ConicProgram,
+    Residuals,
+    Solution,
+    SolveOptions,
+    smat,
+    svec,
+)
 from momentlab.semialg import (
     SemiAlgebraicSet,
     SimpleSetProduct,
@@ -443,13 +457,46 @@ def harmonic_constant_bound(X: Union[SimpleSetProduct, ReferenceMeasure], k: int
 # hierarchies of upper bounds
 
 
+def _pencil_start(program: ConicProgram) -> Optional[Solution]:
+    """The exact optimum of a one-row program min sum <C_J, X_J> s.t.
+    sum <A_J, X_J> = 1, X_J psd. Its dual is max t s.t. C_J - t A_J psd for
+    every J, so when every A_J is positive definite the value is the least
+    generalized eigenvalue lambda = min_J lambda_min(C_J, A_J), attained by
+    X_J = v v' / (v' A_J v) for its eigenvector v in the minimizing block and
+    zero elsewhere, with y = [lambda]. None when some A_J has no Cholesky
+    factor."""
+    a = program.A.toarray().ravel()
+    best = None
+    for blk, sl in zip(program.blocks, program.block_slices()):
+        A_J = smat(a[sl], blk.size)
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(A_J))
+        except np.linalg.LinAlgError:
+            return None
+        w, W = np.linalg.eigh(L_inv @ smat(program.c[sl], blk.size) @ L_inv.T)
+        if best is None or w[0] < best[0]:
+            best = (float(w[0]), sl, A_J, L_inv.T @ W[:, 0])
+    lam, sl, A_J, v = best
+    x = np.zeros(program.num_vars)
+    x[sl] = svec(np.outer(v, v) / float(v @ A_J @ v))
+    return Solution(status="optimal", primal_value=lam, dual_value=lam,
+                    blocks=program.unpack(x), x=x, y=np.array([lam]),
+                    residuals=Residuals(0.0, 0.0, 0.0), iterations=0)
+
+
 def upper_bound_sdp(f: Polynomial, X: SemiAlgebraicSet, certificate: str, r: int,
                     measure, opts: Optional[SolveOptions] = None):
     """ub(f, Q(X))_r or ub(f, T(X))_r: the least f-moment of a certificate
     density q against the reference measure, normalizing its mass to one.
 
-    Objective and normalization reduce to localizing-type matrices of the
-    reference moment sequence with weights f * g_J and g_J.
+    Objective and normalization reduce to localizing-type matrices C_J and
+    A_J of the reference moment sequence with weights f * g_J and g_J, one
+    PSD block per product g_J. With its single row the program is a
+    generalized eigenvalue problem: when every A_J is positive definite the
+    bound is min_J lambda_min(C_J, A_J) (the measure-based upper hierarchy of
+    Lasserre, 2011). The solve starts from that exact primal-dual pair, so
+    ADMM only certifies it under its usual stopping rule; when some A_J is
+    singular or indefinite it starts cold.
     """
     if certificate not in ("Q", "T"):
         raise ValueError("upper bounds use certificate Q or T")
@@ -471,7 +518,7 @@ def upper_bound_sdp(f: Polynomial, X: SemiAlgebraicSet, certificate: str, r: int
     program = ConicProgram(tuple(blocks), np.concatenate(cvec),
                            sp.csr_matrix(np.concatenate(arow)[None, :]),
                            np.array([1.0]))
-    sol = sdpcore.solve(program, opts)
+    sol = sdpcore.solve(program, opts, _pencil_start(program))
     return sol.primal_value, sol
 
 

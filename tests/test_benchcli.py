@@ -150,6 +150,30 @@ def test_run_experiment_lemma_rows(tmp_path):
         assert line.split(",")[6] == "0"
 
 
+def test_run_experiment_lemma_rows_skip_capped_levels(tmp_path, monkeypatch):
+    # a max_iters value bounds nothing, so its level gets no lemma row
+    real = benchcli.hierarchy.run_ladder
+
+    def capped_at_two(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.results = [dataclasses.replace(res, status="max_iters") if res.level == 2
+                          else res for res in report.results]
+        return report
+
+    monkeypatch.setattr(benchcli.hierarchy, "run_ladder", capped_at_two)
+    path = write_problem(tmp_path, BALL_PROBLEM)
+    config = ExperimentConfig(problem=str(path), certificates=("T",),
+                              levels=(1, 2), sides=("moment",), k=2,
+                              directions=4, seed=5, tol=1e-8,
+                              out_dir=str(tmp_path / "out"), with_distance=True)
+    bundle = run_experiment(config)
+    lines = bundle.lemma_csv.read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[1].split(",")[:2] == ["1", "T"]
+    ladder = bundle.ladder_csv.read_text()
+    assert "max_iters" in ladder
+
+
 def test_cli_solve_and_exit_codes(tmp_path, capsys):
     path = write_problem(tmp_path, BALL_PROBLEM)
     code = main(["solve", "--problem", str(path), "--certificate", "Q",
@@ -176,10 +200,12 @@ def test_cli_rejects_a_bad_tolerance(tmp_path, capsys, tol):
 
 @pytest.mark.parametrize("k, directions, message", [
     ("2", "0", "at least one direction"),
-    ("-1", "3", "truncation order k >= 0"),
+    ("-1", "3", "truncation order k >= 1"),
+    ("0", "3", "truncation order k >= 1"),
 ])
 def test_cli_rejects_bad_distance_options(tmp_path, capsys, k, directions, message):
-    # refused before any solve: no direction, or a negative order, measures nothing
+    # refused before any solve: no direction, or an order below one, measures
+    # nothing (at k = 0 every series is a vacuous zero)
     path = write_problem(tmp_path, SPHERE_PROBLEM)
     out_dir = tmp_path / "out"
     code = main(["--out-dir", str(out_dir), "distance", "--problem", str(path),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import integrate
 
+from momentlab import cdkernel, sdpcore
 from momentlab.cdkernel import (
     IllConditionedGramError,
     KernelWeights,
@@ -22,7 +24,7 @@ from momentlab.cdkernel import (
 from momentlab.momentkit import riesz_apply
 from momentlab.polycore import Polynomial, monomial_basis
 from momentlab.sdpcore import SolveOptions
-from momentlab.semialg import SimpleSetProduct, make_catalog_set
+from momentlab.semialg import SemiAlgebraicSet, SimpleSetProduct, make_catalog_set
 
 def coeff_dist(p, q):
     diff = p - q
@@ -369,3 +371,70 @@ def test_upper_bound_series_sandwich():
     for prev, cur in zip(values, values[1:]):
         assert cur <= prev + 2e-9
     assert all(v >= -1.0 - 1e-8 for v in values)
+
+
+# ----------------------------------------------------------------------------
+# the eigenpair start of upper_bound_sdp
+
+
+def _localizing_gram(y, weight, t):
+    """[L_y(weight * m_i * m_j)] over the monomials m of degree <= t."""
+    monos = [Polynomial.monomial(y.n, a) for a in monomial_basis(y.n, t).exponents]
+    return np.array([[riesz_apply(y, weight * p * q) for q in monos] for p in monos])
+
+
+def test_upper_bound_sdp_certifies_the_pencil_value():
+    # one-row program: the bound is min_J lambda_min(C_J, A_J), and started
+    # there the solver stops at its first residual check
+    mb = monomial_basis(2, 4)
+    f = Polynomial.from_vector(mb, np.random.default_rng(3).normal(size=len(mb)))
+    X = make_catalog_set("ball", n=2, R=1.0)
+    mu = ReferenceMeasure("ball", 2, 1.0)
+    r = 4
+    value, sol = upper_bound_sdp(f, X, "Q", r, mu, SolveOptions())
+    assert sol.status == "optimal"
+    assert sol.iterations <= sdpcore.CHECK_EVERY
+
+    y = moment_sequence(mu, 2 * r + f.degree)
+    g = X.inequalities[0]
+    lam = min(scipy.linalg.eigh(_localizing_gram(y, f * w, t), _localizing_gram(y, w, t),
+                                eigvals_only=True)[0]
+              for w, t in ((Polynomial.constant(2, 1.0), r), (g, r - 1)))
+    assert abs(value - lam) <= 1e-9 * (1.0 + abs(lam))
+
+
+def test_upper_bound_sdp_simplex_case_reaches_optimal():
+    # the objective the ladder caps at max_iters; its upper bounds converge
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    f = x1 ** 3 - x1 * x2 + x2 ** 4 + 0.3 * x2
+    X = make_catalog_set("simplex", n=2, K=1.0)
+    mu = ReferenceMeasure("simplex", 2, 1.0)
+    v2, sol2 = upper_bound_sdp(f, X, "T", 2, mu, SolveOptions())
+    v3, sol3 = upper_bound_sdp(f, X, "T", 3, mu, SolveOptions())
+    assert sol2.status == sol3.status == "optimal"
+    assert v3 <= v2 + 1e-9
+    g = np.linspace(0.0, 1.0, 201)
+    grid = np.array([(a, b) for a in g for b in g if a + b <= 1.0])
+    assert v3 >= f.eval_many(grid).min() - 1e-9
+
+
+def test_upper_bound_sdp_singular_weight_starts_cold(monkeypatch):
+    # on [0, 1] the weight x has an indefinite localizing matrix under the
+    # ball measure of [-1, 1]: no Cholesky factor, so the solve starts cold
+    seen = []
+    real = sdpcore.solve
+
+    def recording(program, opts=None, warm=None):
+        seen.append((program, warm))
+        return real(program, opts, warm)
+
+    monkeypatch.setattr(cdkernel.sdpcore, "solve", recording)
+    x = Polynomial.variable(1, 0)
+    X = SemiAlgebraicSet(1, inequalities=(x, 1 - x * x))
+    opts = SolveOptions(tol=1e-9)
+    value, sol = upper_bound_sdp(x, X, "Q", 2, BALL1, opts)
+    (program, warm), = seen
+    assert warm is None
+    cold = real(program, opts)
+    assert value == cold.primal_value
+    assert sol.iterations == cold.iterations
