@@ -49,6 +49,7 @@ from momentlab.sdpcore import (
     svec,
 )
 from momentlab.semialg import (
+    FEASIBILITY_TOL,
     SemiAlgebraicSet,
     SimpleSetProduct,
     make_catalog_set,
@@ -254,39 +255,21 @@ def orthonormal_basis(measure, D: int) -> KernelBasis:
     cap = _DEGREE_CAP_1D if all(mu.n == 1 for mu in measures) else _DEGREE_CAP_ND
     if D > cap:
         warnings.warn(f"basis degree {D} beyond the default conditioning cap {cap}")
-    factor_cs = [_factor_coefficients(mu, D) for mu in measures]
-    factor_bases = [monomial_basis(mu.n, D) for mu in measures]
-
     joint = monomial_basis(n, D)
-    s = len(joint)
-    coeffs = np.zeros((s, s))
-    profiles = []
-    for row, alpha in enumerate(joint.exponents):
-        offset = 0
-        parts = []
-        for mu, fb, fc in zip(measures, factor_bases, factor_cs):
-            part = tuple(alpha[offset:offset + mu.n])
-            parts.append((mu, fb, fc, part, offset))
-            offset += mu.n
-        profiles.append(tuple(sum(part) for _, _, _, part, _ in parts))
-        # product of factor polynomials, written on the joint monomials
-        terms = {tuple([0] * n): 1.0}
-        for mu, fb, fc, part, off in parts:
-            vec = fc[fb.index(part)]
-            new_terms: dict = {}
-            for idx in np.nonzero(vec)[0]:
-                beta = fb.monomial(int(idx))
-                for key, val in terms.items():
-                    nk = list(key)
-                    for t, e in enumerate(beta):
-                        nk[off + t] += e
-                    nk = tuple(nk)
-                    new_terms[nk] = new_terms.get(nk, 0.0) + val * vec[idx]
-            terms = new_terms
-        for key, val in terms.items():
-            coeffs[row, joint.index(key)] = val
+    coeffs = np.ones((len(joint), len(joint)))
+    degrees = []
+    offset = 0
+    for mu in measures:
+        # P_alpha is the product of the factors' P_alpha_i, alpha_i the factor's
+        # block of alpha, so its coefficient of x^beta is the product of their
+        # coefficients of x^beta_i
+        part = joint.exponent_array[:, offset:offset + mu.n]
+        idx = monomial_basis(mu.n, D).positions(part)
+        coeffs = coeffs * _factor_coefficients(mu, D)[np.ix_(idx, idx)]
+        degrees.append(part.sum(axis=1).tolist())
+        offset += mu.n
     return KernelBasis(measures=measures, degree=D, basis=joint,
-                       coeffs=coeffs, profiles=tuple(profiles))
+                       coeffs=coeffs, profiles=tuple(zip(*degrees)))
 
 
 # ----------------------------------------------------------------------------
@@ -367,20 +350,29 @@ def kernel_eval(basis: KernelBasis, x, y, degree=None,
     return float(np.sum(lam[mask] * px[mask] * py[mask]))
 
 
-def graded_decompose(basis: KernelBasis, f: Polynomial, k: Optional[int] = None) -> dict:
+def graded_decompose(basis: KernelBasis, f: Polynomial) -> dict:
     """Split f into its eigenspace components, keyed by per-factor degree
-    profile; components sum back to f."""
-    if k is not None and f.degree > k:
-        raise ValueError(f"deg f = {f.degree} exceeds requested bound {k}")
+    profile in the order the basis first meets them; components sum back to f."""
     coords = basis.coordinates(f)
-    out: dict = {}
-    for i, profile in enumerate(basis.profiles):
-        if coords[i] != 0.0:
-            vec = np.zeros_like(coords)
-            vec[i] = coords[i]
-            out.setdefault(profile, np.zeros_like(coords))
-            out[profile] += vec
-    return {p: basis.from_coordinates(v) for p, v in out.items()}
+    profiles = basis.profiles
+    present = dict.fromkeys(p for p, c in zip(profiles, coords) if c != 0.0)
+    return {p: basis.from_coordinates(np.where([q == p for q in profiles], coords, 0.0))
+            for p in present}
+
+
+def _scale_coordinates(basis: KernelBasis, weights: Optional[KernelWeights],
+                       coords: np.ndarray, invert: bool = False) -> np.ndarray:
+    """Row i of coords (P coordinates, one column per polynomial) times the
+    eigenvalue of profile i, or divided by it when invert is set."""
+    lam = _profile_weights(basis, weights)[:, None]
+    if weights is not None and np.any(
+            coords[basis.total_degrees() > weights.kernel_degree] != 0.0):
+        raise ValueError("polynomial degree exceeds the kernel degree of the weights")
+    if not invert:
+        return coords * lam
+    if np.any(lam == 0.0):
+        raise ZeroDivisionError("zero eigenvalue in weight schedule")
+    return coords / lam
 
 
 def operator_apply(basis: KernelBasis, weights: Optional[KernelWeights],
@@ -388,34 +380,16 @@ def operator_apply(basis: KernelBasis, weights: Optional[KernelWeights],
     """Apply the kernel operator: scale each eigencomponent of f by the product
     of its per-factor weights (inverse scaling when invert is set). With the
     all-ones schedule the operator is the identity."""
-    coords = basis.coordinates(f)
-    lam = _profile_weights(basis, weights)
-    if weights is not None:
-        deg_cap = weights.kernel_degree
-        active = basis.total_degrees() <= deg_cap
-        if np.any(~active & (coords != 0.0)):
-            raise ValueError("polynomial degree exceeds the kernel degree of the weights")
-    if invert:
-        if np.any(lam == 0.0):
-            raise ZeroDivisionError("zero eigenvalue in weight schedule")
-        coords = coords / lam
-    else:
-        coords = coords * lam
-    return basis.from_coordinates(coords)
+    coords = _scale_coordinates(basis, weights, basis.coordinates(f)[:, None], invert)
+    return basis.from_coordinates(coords[:, 0])
 
 
-def operator_matrix(basis: KernelBasis, weights: Optional[KernelWeights],
-                    max_degree: Optional[int] = None) -> np.ndarray:
-    """Matrix of the operator on the monomial basis up to max_degree."""
-    deg = basis.degree if max_degree is None else max_degree
-    cols = count_monomials(basis.n, deg)
-    M = np.zeros((cols, cols))
-    joint = monomial_basis(basis.n, deg)
-    for j in range(cols):
-        mono = Polynomial.monomial(basis.n, joint.monomial(j))
-        image = operator_apply(basis, weights, mono)
-        M[:, j] = image.coefficient_vector(joint)
-    return M
+def operator_matrix(basis: KernelBasis, weights: Optional[KernelWeights]) -> np.ndarray:
+    """Matrix C' Lambda C^{-T} of the operator on the monomial coefficients of
+    the basis degree, C = basis.coeffs."""
+    C = basis.coeffs
+    inv_t = sla.solve_triangular(C.T, np.eye(len(C)), lower=False)
+    return C.T @ _scale_coordinates(basis, weights, inv_t)
 
 
 # ----------------------------------------------------------------------------
@@ -430,7 +404,7 @@ def _factor_grid(mu: ReferenceMeasure, density: int, seed: int) -> np.ndarray:
     else:
         rng = np.random.default_rng(seed)
         pts = rng.uniform(lo, hi, size=(min(density ** 2, 8192), mu.n))
-    return pts[violation_many(dom, pts) <= 1e-12]
+    return pts[violation_many(dom, pts) <= FEASIBILITY_TOL]
 
 
 def harmonic_constant_bound(X: Union[SimpleSetProduct, ReferenceMeasure], k: int,
@@ -456,26 +430,40 @@ def harmonic_constant_bound(X: Union[SimpleSetProduct, ReferenceMeasure], k: int
 # ----------------------------------------------------------------------------
 # hierarchies of upper bounds
 
+# A localizing matrix that fails Cholesky is indefinite, not merely singular,
+# when its least eigenvalue is below -_PSD_TOL times its norm.
+_PSD_TOL = 1e-10
 
-def _pencil_start(program: ConicProgram) -> Optional[Solution]:
+
+def _pencil_start(program: ConicProgram, weights: Sequence[Polynomial]) -> Optional[Solution]:
     """The exact optimum of a one-row program min sum <C_J, X_J> s.t.
-    sum <A_J, X_J> = 1, X_J psd. Its dual is max t s.t. C_J - t A_J psd for
-    every J, so when every A_J is positive definite the value is the least
-    generalized eigenvalue lambda = min_J lambda_min(C_J, A_J), attained by
-    X_J = v v' / (v' A_J v) for its eigenvector v in the minimizing block and
-    zero elsewhere, with y = [lambda]. None when some A_J has no Cholesky
-    factor."""
+    sum <A_J, X_J> = 1, X_J psd, A_J the localizing matrix of weights[J]. Its
+    dual is max t s.t. C_J - t A_J psd for every J, so when every A_J is
+    positive definite the value is the least generalized eigenvalue
+    lambda = min_J lambda_min(C_J, A_J), attained by X_J = v v' / (v' A_J v)
+    for its eigenvector v in the minimizing block and zero elsewhere, with
+    y = [lambda]. None when some A_J is singular. An indefinite A_J means the
+    measure charges points where its weight is negative, so the program bounds
+    nothing (it can be unbounded below): ValueError."""
     a = program.A.toarray().ravel()
-    best = None
-    for blk, sl in zip(program.blocks, program.block_slices()):
+    best, singular = None, False
+    for blk, sl, weight in zip(program.blocks, program.block_slices(), weights):
         A_J = smat(a[sl], blk.size)
         try:
             L_inv = np.linalg.inv(np.linalg.cholesky(A_J))
         except np.linalg.LinAlgError:
-            return None
+            low = float(np.linalg.eigvalsh(A_J)[0])
+            if low < -_PSD_TOL * np.linalg.norm(A_J, 2):
+                raise ValueError(f"the reference measure does not live on the set: the "
+                                 f"localizing matrix of the weight {weight} has least "
+                                 f"eigenvalue {low:.3g}") from None
+            singular = True
+            continue
         w, W = np.linalg.eigh(L_inv @ smat(program.c[sl], blk.size) @ L_inv.T)
         if best is None or w[0] < best[0]:
             best = (float(w[0]), sl, A_J, L_inv.T @ W[:, 0])
+    if singular:
+        return None
     lam, sl, A_J, v = best
     x = np.zeros(program.num_vars)
     x[sl] = svec(np.outer(v, v) / float(v @ A_J @ v))
@@ -496,7 +484,8 @@ def upper_bound_sdp(f: Polynomial, X: SemiAlgebraicSet, certificate: str, r: int
     bound is min_J lambda_min(C_J, A_J) (the measure-based upper hierarchy of
     Lasserre, 2011). The solve starts from that exact primal-dual pair, so
     ADMM only certifies it under its usual stopping rule; when some A_J is
-    singular or indefinite it starts cold.
+    singular it starts cold. An indefinite A_J, which comes from a measure
+    that charges points outside X, raises ValueError.
     """
     if certificate not in ("Q", "T"):
         raise ValueError("upper bounds use certificate Q or T")
@@ -518,7 +507,7 @@ def upper_bound_sdp(f: Polynomial, X: SemiAlgebraicSet, certificate: str, r: int
     program = ConicProgram(tuple(blocks), np.concatenate(cvec),
                            sp.csr_matrix(np.concatenate(arow)[None, :]),
                            np.array([1.0]))
-    sol = sdpcore.solve(program, opts, _pencil_start(program))
+    sol = sdpcore.solve(program, opts, _pencil_start(program, [s.weight for s in specs]))
     return sol.primal_value, sol
 
 

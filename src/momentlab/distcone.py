@@ -10,6 +10,7 @@ estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,10 +27,18 @@ from momentlab.semialg import (
     _project_batch,
     _slsqp_constraints,
     rejection_sample,
+    restore_feasibility,
     sampled_extremum,
     violation,
     violation_many,
 )
+
+# project_to_moment_set: at most _PROJECTION_ITERS accelerated gradient steps,
+# stopping once the KKT residual is at most _PROJECTION_KKT_TOL.
+_PROJECTION_ITERS = 20000
+_PROJECTION_KKT_TOL = 1e-8
+_LOJASIEWICZ_SHELL = (1e-4, 1e-1)  # lojasiewicz_fit: violations of the fitted samples
+_CQC_ACTIVE_TOL = 1e-7  # cqc_check: g is active where |g(x)| is at most this
 
 
 class SamplerStarvationError(RuntimeError):
@@ -139,12 +148,13 @@ def _simplex_project(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def project_to_moment_set(y: TruncatedSequence, sample: MomentConeSample,
-                          max_iters: int = 20000, kkt_tol: float = 1e-8) -> ProjectionResult:
+def project_to_moment_set(y: TruncatedSequence, sample: MomentConeSample) -> ProjectionResult:
     """min over simplex weights w of |y - V' w|, by accelerated projected
-    gradient. The distance upper-bounds the distance to the sampled hull's
-    convex hull exactly and estimates the distance to the moment body from
-    above as the sample is refined."""
+    gradient: at most _PROJECTION_ITERS steps, stopping once the KKT residual,
+    checked every 25 steps, is at most _PROJECTION_KKT_TOL. The distance
+    upper-bounds the distance to the sampled hull's convex hull exactly and
+    estimates the distance to the moment body from above as the sample is
+    refined."""
     if sample.order != y.order:
         raise ValueError("sample and sequence orders differ")
     V = sample.vectors.T  # (s, N)
@@ -156,17 +166,17 @@ def project_to_moment_set(y: TruncatedSequence, sample: MomentConeSample,
     t = 1.0
     res = np.inf
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, _PROJECTION_ITERS + 1):
         beta = w + ((t - 1.0) / (t + 2.0)) * (w - wp)
         grad = V.T @ (V @ beta - target)
         wn = _simplex_project(beta - grad / L)
         wp, w = w, wn
         t += 1.0
-        if it % 25 == 0 or it == max_iters:
+        if it % 25 == 0 or it == _PROJECTION_ITERS:
             grad_w = V.T @ (V @ w - target)
             fixed = _simplex_project(w - grad_w / L)
             res = float(np.linalg.norm(fixed - w) * L)
-            if res <= kkt_tol:
+            if res <= _PROJECTION_KKT_TOL:
                 break
     proj = V @ w
     return ProjectionResult(target=target, projected=proj,
@@ -306,13 +316,11 @@ def distance_to_set(X: SemiAlgebraicSet, x: np.ndarray, starts: int = 8,
     """
     from scipy.optimize import minimize
 
-    from momentlab.semialg import restore_feasibility as _restore_feasibility
-
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
     cons = _slsqp_constraints(X)
     best = np.inf
-    restored = _restore_feasibility(X, x)
+    restored = restore_feasibility(X, x)
     if restored is not None:
         best = float(np.linalg.norm(restored - x))
     scale = max(1.0, float(np.linalg.norm(x)))
@@ -340,10 +348,10 @@ class LojasiewiczFit:
 
 
 def lojasiewicz_fit(X: SemiAlgebraicSet, sample_box, count: int = 300,
-                    seed: int = 0, shell=(1e-4, 1e-1),
-                    starts: int = 8) -> LojasiewiczFit:
+                    seed: int = 0, starts: int = 8) -> LojasiewiczFit:
     """Regress log d(x, X) on log violation(x) over exterior samples inside the
-    shell violation in [1e-4, 1e-1]; the slope estimates the exponent."""
+    shell _LOJASIEWICZ_SHELL = [1e-4, 1e-1] of violations; the slope estimates
+    the exponent."""
     lo, hi = np.asarray(sample_box[0], dtype=float), np.asarray(sample_box[1], dtype=float)
     rng = np.random.default_rng(seed)
     exterior = []
@@ -351,7 +359,7 @@ def lojasiewicz_fit(X: SemiAlgebraicSet, sample_box, count: int = 300,
     while len(exterior) < count and tries < 60:
         pts = rng.uniform(lo, hi, size=(4 * count, X.n))
         v = violation_many(X, pts)
-        mask = (v >= shell[0]) & (v <= shell[1])
+        mask = (v >= _LOJASIEWICZ_SHELL[0]) & (v <= _LOJASIEWICZ_SHELL[1])
         exterior.extend(pts[mask])
         tries += 1
     if len(exterior) < 50:
@@ -383,8 +391,6 @@ def pseudo_moment_radius(R: float, n: int, k: int) -> float:
     if k % 2 != 0:
         raise ValueError("the radius bound is stated for even truncation orders")
     ell = k // 2
-    import math
-
     return float(np.sqrt(math.comb(n + ell, n)) * sum(R ** (2 * i) for i in range(ell + 1)))
 
 
@@ -409,10 +415,10 @@ class CQCReport:
     points_checked: int
 
 
-def cqc_check(X: SemiAlgebraicSet, count: int = 64, seed: int = 0,
-              active_tol: float = 1e-7) -> CQCReport:
+def cqc_check(X: SemiAlgebraicSet, count: int = 64, seed: int = 0) -> CQCReport:
     """Sample boundary points and report the smallest singular value of the
-    active-gradient matrix; values below 1e-6 flag near-degeneracy."""
+    matrix of gradients of the constraints active there (|g_j| at most
+    _CQC_ACTIVE_TOL); values below 1e-6 flag near-degeneracy."""
     if X.equalities:
         raise ValueError("constraint qualification check covers inequality-only sets")
     from scipy.optimize import minimize
@@ -436,7 +442,7 @@ def cqc_check(X: SemiAlgebraicSet, count: int = 64, seed: int = 0,
             if x is None or violation(X, x) > 1e-7:
                 continue
             vals, jac = X.compiled.jet(x)
-            active = np.abs(vals) <= active_tol
+            active = np.abs(vals) <= _CQC_ACTIVE_TOL
             if not active.any():
                 continue
             J = jac[active]

@@ -23,7 +23,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from momentlab import sdpcore
-from momentlab.momentkit import localizing_operator, preordering_products, shift_operator
+from momentlab.momentkit import (
+    TruncatedSequence,
+    localizing_operator,
+    preordering_products,
+    shift_operator,
+)
 from momentlab.polycore import Polynomial, count_monomials, half_degree, monomial_basis
 from momentlab.sdpcore import Block, ConicProgram, Solution, SolveOptions
 from momentlab.semialg import (
@@ -83,8 +88,6 @@ class Relaxation:
         return replace(self, program=self.program.with_objective(c), objective=f)
 
     def pseudo_moments(self, sol: Solution):
-        from momentlab.momentkit import TruncatedSequence
-
         if self.y_slice is None:
             raise ValueError("not a moment-side relaxation")
         return TruncatedSequence(self.domain.n, 2 * self.level, sol.x[self.y_slice])

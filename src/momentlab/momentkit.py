@@ -139,23 +139,12 @@ def riesz_apply(y: TruncatedSequence, f: Polynomial) -> float:
     return float(sum(c * y.values[basis.index(a)] for a, c in f.terms.items()))
 
 
-def _grlex_index(n: int, order: int, exponents: np.ndarray) -> np.ndarray:
-    """Position of each exponent row in monomial_basis(n, order); every row must
-    have degree <= order."""
-    radix = (order + 1) ** np.arange(n, dtype=np.int64)
-    codes = monomial_basis(n, order).exponent_array @ radix
-    sorter = np.argsort(codes)
-    return sorter[np.searchsorted(codes, exponents @ radix, sorter=sorter)]
-
-
 @lru_cache(maxsize=None)
 def _pair_index(n: int, t: int) -> np.ndarray:
     """Read-only table P with P[i, j] the position of alpha_i + alpha_j in the
     graded-lex basis, alpha ranging over monomial_basis(n, t)."""
     expo = monomial_basis(n, t).exponent_array
-    s = len(expo)
-    P = _grlex_index(n, 2 * t, (expo[:, None, :] + expo[None, :, :]).reshape(-1, n))
-    P = P.reshape(s, s)
+    P = monomial_basis(n, 2 * t).positions(expo[:, None, :] + expo[None, :, :])
     P.flags.writeable = False
     return P
 
@@ -165,11 +154,11 @@ def _shift_rows(g: Polynomial, deltas: np.ndarray, weights: np.ndarray,
     """Row k holds weights[k] * l_y(g x^deltas[k]) as a linear form in y."""
     gammas = np.array(list(g.terms), dtype=np.int64).reshape(-1, g.n)
     coeffs = np.fromiter(g.terms.values(), dtype=float, count=len(gammas))
-    cols = _grlex_index(g.n, order, (deltas[:, None, :] + gammas[None, :, :]).reshape(-1, g.n))
+    basis = monomial_basis(g.n, order)
+    cols = basis.positions(deltas[:, None, :] + gammas[None, :, :]).ravel()
     rows = np.repeat(np.arange(len(deltas)), len(gammas))
     vals = (weights[:, None] * coeffs[None, :]).ravel()
-    return sp.csr_matrix((vals, (rows, cols)),
-                         shape=(len(deltas), count_monomials(g.n, order)))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(deltas), len(basis)))
 
 
 def shift_operator(g: Polynomial, d: int, order: int) -> sp.csr_matrix:
@@ -223,22 +212,25 @@ def localizing_matrix(y: TruncatedSequence, g: Polynomial, r: int) -> np.ndarray
 # ----------------------------------------------------------------------------
 # preordering products
 
+# T and R enumerate all 2^m products of m inequalities; they refuse m above this.
+_MAX_GENERATORS = 6
 
-def preordering_products(X: SemiAlgebraicSet, r: int, kind: str = "T",
-                         max_generators: int = 6) -> list:
+
+def preordering_products(X: SemiAlgebraicSet, r: int, kind: str = "T") -> list:
     """Localizing specs of the level-r relaxation with certificate kind T, Q or R.
 
     T and R enumerate all products g_J over subsets J of the inequalities whose
-    half degree fits below r (the empty product gives the moment matrix); Q uses
-    only the singletons. Equalities bind as zero localizing matrices for T and Q
-    and as the scalar conditions l_y(h_i^2) = 0 for R.
+    half degree fits below r (the empty product gives the moment matrix), and
+    refuse more than _MAX_GENERATORS inequalities; Q uses only the singletons.
+    Equalities bind as zero localizing matrices for T and Q and as the scalar
+    conditions l_y(h_i^2) = 0 for R.
     """
     if kind not in ("T", "Q", "R"):
         raise ValueError(f"unknown certificate kind {kind!r}")
     gs = X.inequalities
-    if kind in ("T", "R") and len(gs) > max_generators:
+    if kind in ("T", "R") and len(gs) > _MAX_GENERATORS:
         raise ValueError(f"{len(gs)} inequality generators exceed the product cap "
-                         f"{max_generators} for Schmudgen-type enumeration")
+                         f"{_MAX_GENERATORS} for Schmudgen-type enumeration")
     if r < X.max_half_degree:
         raise ValueError(f"level r={r} below max half-degree {X.max_half_degree}")
 
@@ -312,11 +304,8 @@ def project_dimension(y: TruncatedSequence, n: int) -> TruncatedSequence:
     """psi_k: keep the coordinates whose trailing exponent block vanishes."""
     if not 1 <= n < y.n:
         raise ValueError(f"target dimension {n} must be below source dimension {y.n}")
-    src = y.basis
-    tgt = monomial_basis(n, y.order)
-    zeros = tuple([0] * (y.n - n))
-    vals = np.array([y.values[src.index(a + zeros)] for a in tgt.exponents])
-    return TruncatedSequence(n, y.order, vals)
+    padded = np.pad(monomial_basis(n, y.order).exponent_array, ((0, 0), (0, y.n - n)))
+    return TruncatedSequence(n, y.order, y.values[y.basis.positions(padded)])
 
 
 # ----------------------------------------------------------------------------

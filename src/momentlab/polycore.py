@@ -57,6 +57,15 @@ class MonomialBasis:
         except KeyError:
             raise KeyError(f"monomial {key} outside basis of order {self.order}") from None
 
+    def positions(self, exponents: np.ndarray) -> np.ndarray:
+        """Position of each exponent row (last axis of length n) in this basis;
+        every row must have degree <= order. Rows are matched by their code in
+        base order + 1, which is unique since no exponent exceeds order."""
+        radix = (self.order + 1) ** np.arange(self.n, dtype=np.int64)
+        codes = self.exponent_array @ radix
+        sorter = np.argsort(codes)
+        return sorter[np.searchsorted(codes, exponents @ radix, sorter=sorter)]
+
     @property
     def exponent_array(self) -> np.ndarray:
         return _basis_exponent_array(self.n, self.order)

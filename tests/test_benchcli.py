@@ -281,6 +281,16 @@ def test_cli_upper_single_and_series(tmp_path, capsys):
     assert float(first[2]) == pytest.approx(-1.0, abs=1e-7)
 
 
+def test_cli_upper_refuses_a_measure_off_the_set(tmp_path, capsys):
+    # X = [0, 1] with the ball measure of [-1, 1]: no upper bound, exit 2
+    doc = {"objective": [[[1], 1.0]],
+           "set": {"n": 1, "inequalities": [[[[1], 1.0]], [[[0], 1.0], [[2], -1.0]]]}}
+    path = write_problem(tmp_path, doc)
+    code = main(["upper", "--problem", str(path), "--level", "2", "--measure", "ball"])
+    assert code == 2
+    assert "does not live on the set" in capsys.readouterr().err
+
+
 def test_cli_upper_series_flags_a_capped_level(tmp_path, capsys, monkeypatch):
     # a capped solve's value is no upper bound: the row keeps its status, the
     # level gets a note and the command exits 3 after writing the file

@@ -33,6 +33,7 @@ def coeff_dist(p, q):
 
 BALL1 = ReferenceMeasure("ball", 1, 1.0)
 PROD2 = SimpleSetProduct((("ball", 1, 1.0), ("ball", 1, 1.0)))
+PROD3 = SimpleSetProduct((("ball", 1, 1.0), ("simplex", 2, 1.0), ("hypercube", 1, 1.0)))
 
 
 # ----------------------------------------------------------------------------
@@ -123,7 +124,7 @@ def test_chebyshev_basis_coefficients():
 
 def test_orthonormality_independent_route():
     # Gram recomputed through polynomial products and the exact moment oracle
-    for measure, D in [(BALL1, 8), (PROD2, 4)]:
+    for measure, D in [(BALL1, 8), (PROD2, 4), (PROD3, 3)]:
         kb = orthonormal_basis(measure, D)
         y = moment_sequence(kb.measures, 2 * D)
         s = len(kb.basis)
@@ -234,12 +235,12 @@ def test_graded_decompose_examples():
 
 
 def test_graded_components_sum_back():
-    kb = orthonormal_basis(PROD2, 4)
     rng = np.random.default_rng(3)
-    mb = monomial_basis(2, 4)
-    f = Polynomial.from_vector(mb, rng.normal(size=len(mb)))
-    total = sum(graded_decompose(kb, f).values(), Polynomial.zero(2))
-    assert coeff_dist(total, f) < 1e-10
+    for product, D in [(PROD2, 4), (PROD3, 3)]:
+        kb = orthonormal_basis(product, D)
+        f = Polynomial.from_vector(kb.basis, rng.normal(size=len(kb.basis)))
+        total = sum(graded_decompose(kb, f).values(), Polynomial.zero(kb.n))
+        assert coeff_dist(total, f) < 1e-10
 
 
 def test_weights_validation_and_diagnostics():
@@ -419,8 +420,8 @@ def test_upper_bound_sdp_simplex_case_reaches_optimal():
 
 
 def test_upper_bound_sdp_singular_weight_starts_cold(monkeypatch):
-    # on [0, 1] the weight x has an indefinite localizing matrix under the
-    # ball measure of [-1, 1]: no Cholesky factor, so the solve starts cold
+    # the zero weight has a zero localizing matrix: positive semidefinite but
+    # with no Cholesky factor, so the solve starts cold
     seen = []
     real = sdpcore.solve
 
@@ -430,7 +431,7 @@ def test_upper_bound_sdp_singular_weight_starts_cold(monkeypatch):
 
     monkeypatch.setattr(cdkernel.sdpcore, "solve", recording)
     x = Polynomial.variable(1, 0)
-    X = SemiAlgebraicSet(1, inequalities=(x, 1 - x * x))
+    X = SemiAlgebraicSet(1, inequalities=(Polynomial.zero(1), 1 - x * x))
     opts = SolveOptions(tol=1e-9)
     value, sol = upper_bound_sdp(x, X, "Q", 2, BALL1, opts)
     (program, warm), = seen
@@ -438,3 +439,15 @@ def test_upper_bound_sdp_singular_weight_starts_cold(monkeypatch):
     cold = real(program, opts)
     assert value == cold.primal_value
     assert sol.iterations == cold.iterations
+    assert sol.status == "optimal"
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_upper_bound_sdp_refuses_a_measure_off_the_set(sign):
+    # on [0, 1] the weight x has an indefinite localizing matrix under the
+    # ball measure of [-1, 1]: f = x would read -0.866 < min f = 0 as an
+    # "optimal" bound, and f = -x is unbounded below
+    x = Polynomial.variable(1, 0)
+    X = SemiAlgebraicSet(1, inequalities=(x, 1 - x * x))
+    with pytest.raises(ValueError, match=r"weight 1\*x1 has least eigenvalue -0\.5"):
+        upper_bound_sdp(sign * x, X, "Q", 2, BALL1, SolveOptions(tol=1e-9))

@@ -43,6 +43,7 @@ def test_index_round_trip(n, r):
     b = enumerate_monomials(n, r)
     for i in range(len(b)):
         assert b.index(b.monomial(i)) == i
+    assert np.array_equal(b.positions(b.exponent_array), np.arange(len(b)))
 
 
 def test_graded_order_is_total():
