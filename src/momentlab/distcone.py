@@ -38,6 +38,7 @@ from momentlab.semialg import (
 _PROJECTION_ITERS = 20000
 _PROJECTION_KKT_TOL = 1e-8
 _LOJASIEWICZ_SHELL = (1e-4, 1e-1)  # lojasiewicz_fit: violations of the fitted samples
+_LOJASIEWICZ_MIN_POINTS = 50  # lojasiewicz_fit: fewest exterior samples
 _CQC_ACTIVE_TOL = 1e-7  # cqc_check: g is active where |g(x)| is at most this
 
 
@@ -307,36 +308,29 @@ def hausdorff_lower_bound(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
 # Lojasiewicz exponent fitting
 
 
-def distance_to_set(X: SemiAlgebraicSet, x: np.ndarray, starts: int = 8,
-                    seed: int = 0) -> float:
-    """d(x, X) by multistart projected descent; documented estimate.
+def distance_to_set(X: SemiAlgebraicSet, x: np.ndarray,
+                    pool: Optional[np.ndarray] = None) -> float:
+    """d(x, X) by sample-and-polish; a documented estimate.
 
-    A Gauss-Newton restoration point seeds the search and caps the result, so a
-    wandering local solve can never report a wildly pessimistic distance.
+    sampled_extremum maximizes -|z - x|^2 over x's Gauss-Newton restoration
+    and the rows of `pool` (points of X) and polishes the best; the result is
+    |z - x| at the polished point, or inf with no candidate. Where the
+    constraint gradients vanish on X, points passing the FEASIBILITY_TOL test
+    can lie outside X: near the tip of the cusp {x2^2 <= x1^3, x1 <= 1}
+    distances read up to 0.74% below a dense-curve reference, and on
+    {x^2 = 0} up to 3.2e-7 below |x|.
     """
-    from scipy.optimize import minimize
-
-    rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
-    cons = _slsqp_constraints(X)
-    best = np.inf
     restored = restore_feasibility(X, x)
+    candidates = np.reshape([] if pool is None else pool, (-1, X.n))
     if restored is not None:
-        best = float(np.linalg.norm(restored - x))
-    scale = max(1.0, float(np.linalg.norm(x)))
-    initial = [] if restored is None else [restored]
-    initial.append(x)
-    for s in range(starts):
-        if s < len(initial):
-            start = initial[s]
-        else:
-            start = x + rng.normal(scale=0.1 * scale, size=x.size)
-        res = minimize(lambda z: float(np.sum((z - x) ** 2)), start,
-                       jac=lambda z: 2.0 * (z - x), constraints=cons,
-                       method="SLSQP", options={"maxiter": 200, "ftol": 1e-16})
-        if res.x is not None and violation(X, res.x) <= FEASIBILITY_TOL:
-            best = min(best, float(np.linalg.norm(res.x - x)))
-    return best
+        candidates = np.vstack([restored, candidates])
+    if not len(candidates):
+        return np.inf
+    f = -sum(((Polynomial.variable(X.n, i) - x[i]) ** 2 for i in range(X.n)),
+             Polynomial.zero(X.n))
+    _, nearest = sampled_extremum(f, X, candidates, 1, maximize=True)
+    return float(np.linalg.norm(nearest - x))
 
 
 @dataclass
@@ -348,27 +342,32 @@ class LojasiewiczFit:
 
 
 def lojasiewicz_fit(X: SemiAlgebraicSet, sample_box, count: int = 300,
-                    seed: int = 0, starts: int = 8) -> LojasiewiczFit:
-    """Regress log d(x, X) on log violation(x) over exterior samples inside the
-    shell _LOJASIEWICZ_SHELL = [1e-4, 1e-1] of violations; the slope estimates
-    the exponent."""
+                    seed: int = 0) -> LojasiewiczFit:
+    """Regress log d(x, X) on log violation(x) over up to `count` (at least
+    50) exterior samples in the shell _LOJASIEWICZ_SHELL = [1e-4, 1e-1] of
+    violations; the slope estimates the exponent. Every distance_to_set call
+    shares one pool: the feasible box draws and the exterior restorations."""
+    if count < _LOJASIEWICZ_MIN_POINTS:
+        raise ValueError(f"count must be at least {_LOJASIEWICZ_MIN_POINTS}, got {count}")
     lo, hi = np.asarray(sample_box[0], dtype=float), np.asarray(sample_box[1], dtype=float)
     rng = np.random.default_rng(seed)
-    exterior = []
+    exterior, feasible = [], []
     tries = 0
     while len(exterior) < count and tries < 60:
         pts = rng.uniform(lo, hi, size=(4 * count, X.n))
         v = violation_many(X, pts)
         mask = (v >= _LOJASIEWICZ_SHELL[0]) & (v <= _LOJASIEWICZ_SHELL[1])
         exterior.extend(pts[mask])
+        feasible.extend(pts[v <= FEASIBILITY_TOL])
         tries += 1
-    if len(exterior) < 50:
+    if len(exterior) < _LOJASIEWICZ_MIN_POINTS:
         raise InsufficientExteriorSamples(
             f"only {len(exterior)} exterior points in the violation shell")
     exterior = np.array(exterior[:count])
     v = violation_many(X, exterior)
-    d = np.array([distance_to_set(X, x, starts=starts, seed=seed + i)
-                  for i, x in enumerate(exterior)])
+    restored = [z for z in (restore_feasibility(X, x) for x in exterior) if z is not None]
+    pool = np.array(feasible + restored).reshape(-1, X.n)
+    d = np.array([distance_to_set(X, x, pool) for x in exterior])
     keep = np.isfinite(d) & (d > 0) & (v > 0)
     logv, logd = np.log(v[keep]), np.log(d[keep])
     slope, intercept = np.polyfit(logv, logd, 1)

@@ -285,7 +285,7 @@ def test_criterion_5_lojasiewicz_fits():
                                 b=[1.0, 1.0, 0.0, 0.0])
     fit_p = distcone.lojasiewicz_fit(
         polytope, (np.array([-0.6, -0.6]), np.array([1.6, 1.6])),
-        count=150, seed=0, starts=4)
+        count=150, seed=0)
     assert 0.85 <= fit_p.exponent <= 1.15
 
     double_root = make_catalog_set("custom", n=1,
@@ -293,14 +293,13 @@ def test_criterion_5_lojasiewicz_fits():
                                    box=(np.array([-1.0]), np.array([1.0])),
                                    name="x^2=0")
     fit_d = distcone.lojasiewicz_fit(
-        double_root, (np.array([-1.0]), np.array([1.0])), count=150, seed=1,
-        starts=4)
+        double_root, (np.array([-1.0]), np.array([1.0])), count=150, seed=1)
     assert 0.4 <= fit_d.exponent <= 0.6
 
     sphere = make_catalog_set("sphere", n=2, R=1.0)
     fit_s = distcone.lojasiewicz_fit(
         sphere, (np.array([-1.5, -1.5]), np.array([1.5, 1.5])), count=150,
-        seed=2, starts=4)
+        seed=2)
     assert 0.85 <= fit_s.exponent <= 1.15
     assert time.perf_counter() - start < 60.0
 

@@ -261,6 +261,16 @@ def test_cli_lojfit(tmp_path, capsys):
     assert 0.8 < exponent < 1.2
 
 
+@pytest.mark.parametrize("count", ["30", "-5"])
+def test_cli_rejects_a_small_lojfit_count(tmp_path, capsys, count):
+    # refused before any draw: the fit needs at least 50 exterior points, so
+    # a smaller count is an input error, not a sampling failure
+    path = write_problem(tmp_path, SPHERE_PROBLEM)
+    code = main(["lojfit", "--problem", str(path), "--count", count])
+    assert code == 2
+    assert f"count must be at least 50, got {count}" in capsys.readouterr().err
+
+
 def test_cli_upper_single_and_series(tmp_path, capsys):
     path = write_problem(tmp_path, BALL_PROBLEM)
     code = main(["upper", "--problem", str(path), "--level", "1"])

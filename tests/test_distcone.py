@@ -139,7 +139,7 @@ def test_hausdorff_refuses_non_optimal_solve():
 def test_lojasiewicz_interval():
     X = make_catalog_set("polytope", A=[[-1.0], [1.0]], b=[0.0, 1.0])
     fit = lojasiewicz_fit(X, (np.array([-0.5]), np.array([1.5])), count=120,
-                          seed=0, starts=4)
+                          seed=0)
     assert fit.exponent == pytest.approx(1.0, abs=0.05)
     assert fit.r_squared > 0.99
 
@@ -149,13 +149,13 @@ def test_lojasiewicz_double_root():
                            equalities=[Polynomial(1, {(2,): 1.0})],
                            box=(np.array([-1.0]), np.array([1.0])), name="x2=0")
     fit = lojasiewicz_fit(Xsq, (np.array([-1.0]), np.array([1.0])), count=120,
-                          seed=1, starts=4)
+                          seed=1)
     assert fit.exponent == pytest.approx(0.5, abs=0.05)
 
 
 def test_lojasiewicz_sphere():
     fit = lojasiewicz_fit(SPHERE, (np.array([-1.5, -1.5]), np.array([1.5, 1.5])),
-                          count=150, seed=2, starts=4)
+                          count=150, seed=2)
     assert fit.exponent == pytest.approx(1.0, abs=0.05)
 
 
@@ -167,10 +167,50 @@ def test_lojasiewicz_needs_exterior_points():
         lojasiewicz_fit(whole_line, (np.array([-1.0]), np.array([1.0])), count=60)
 
 
-def test_distance_to_set_interval():
-    X = make_catalog_set("polytope", A=[[-1.0], [1.0]], b=[0.0, 1.0])
-    assert distance_to_set(X, np.array([-0.3]), starts=4) == pytest.approx(0.3, abs=1e-6)
-    assert distance_to_set(X, np.array([1.4]), starts=4) == pytest.approx(0.4, abs=1e-6)
+ANNULUS = make_catalog_set(
+    "custom", n=2, name="annulus",
+    inequalities=[Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}),
+                  Polynomial(2, {(2, 0): -1.0, (0, 2): -1.0, (0, 0): 4.0})],
+    box=(np.array([-2.0, -2.0]), np.array([2.0, 2.0])))
+INTERVAL = make_catalog_set("polytope", A=[[-1.0], [1.0]], b=[0.0, 1.0])
+UNIT_SQUARE = make_catalog_set("polytope",
+                               A=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                               b=[1.0, 1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("X, x, expected", [
+    (INTERVAL, [-0.3], 0.3),
+    (INTERVAL, [1.4], 0.4),
+    (SPHERE, [0.3, -0.4], 0.5),
+    (SPHERE, [1.2, 0.9], 0.5),
+    (make_catalog_set("ball", n=3, R=1.0), [1.0, -2.0, 2.0], 2.0),
+    (make_catalog_set("ball", n=3, R=1.0), [0.6006, 0.0, 0.8008], 1e-3),
+    (ANNULUS, [0.3, 0.4], 0.5),
+    (ANNULUS, [-1.8, 2.4], 1.0),
+    (UNIT_SQUARE, [1.3, -0.4], 0.5),
+    (UNIT_SQUARE, [0.5, 1.02], 0.02),
+], ids=["interval-left", "interval-right", "circle-inside", "circle-outside",
+        "ball3-far", "ball3-near", "annulus-hole", "annulus-outside",
+        "square-corner", "square-edge"])
+def test_distance_to_set_closed_form(X, x, expected):
+    # |x| - 1 off the unit ball, ||x| - 1| off the circle, the distance to the
+    # nearer circle off the annulus 1 <= |x| <= 2, and the box distance
+    assert distance_to_set(X, np.array(x)) == pytest.approx(expected, abs=1e-7)
+
+
+@pytest.mark.parametrize("X, box", [
+    (SPHERE, ([-1.5, -1.5], [1.5, 1.5])),
+    (UNIT_SQUARE, ([-0.6, -0.6], [1.6, 1.6])),
+], ids=["circle", "unit-square"])
+def test_lojasiewicz_fit_needs_no_slsqp(monkeypatch, X, box):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize called")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+    fit = lojasiewicz_fit(X, (np.array(box[0]), np.array(box[1])), count=80, seed=0)
+    assert fit.points_used == 80
 
 
 def test_lipschitz_bound_examples():
