@@ -347,6 +347,9 @@ def _auto_measure(X: SemiAlgebraicSet, metadata: dict, choice: str):
         scale = doc.get("R", doc.get("K", 1.0)) if choice == "auto" else 1.0
         return ReferenceMeasure(kind, X.n, scale)
     if kind == "box_product":
+        if "factors" not in doc:
+            raise ProblemFormatError("measure 'box_product' needs a box_product set "
+                                     "with 'factors'")
         return SimpleSetProduct(tuple(tuple(f) for f in doc["factors"]))
     raise ProblemFormatError(f"no reference measure for set kind {kind!r}")
 

@@ -1,16 +1,16 @@
 """Christoffel-Darboux kernels on simple sets and their products.
 
 Reference measures come with closed-form normalized moments (exact dyadic
-ratios of Gamma values), orthonormal bases are built by Cholesky factorization
-of the moment Gram matrix in graded-lex order, product bases are products of
-factor bases, and the graded operator attached to the (optionally perturbed)
-kernel acts diagonally on the per-factor degree decomposition.
+ratios of Gamma values) and positive cubature rules, the finitely many atoms
+of Tchakaloff's theorem. Every orthonormal polynomial is computed from a rule
+by graded-lex Arnoldi on its nodes ("Vandermonde with Arnoldi"; Brubeck,
+Nakatsukasa & Trefethen, 2021), product bases are products of factor bases,
+and the graded operator attached to the (optionally perturbed) kernel acts
+diagonally on the per-factor degree decomposition.
 
-The SDP upper bound of a level is a one-row program: its value is the least
-generalized eigenvalue min_J lambda_min(C_J, A_J) of the localizing pencils
-whenever every A_J is positive definite. The solve starts from that exact
-primal-dual pair, computed by Cholesky and a symmetric eigensolver, so ADMM
-only certifies it.
+The SDP upper bound of a level is a one-row program whose value is the least
+eigenvalue of its objective blocks in those bases. The solve starts from that
+exact primal-dual pair, so ADMM only certifies it.
 
 The hypercube basis (product Chebyshev) is included as an extension; the
 product-set rate machinery is stated for balls and simplexes.
@@ -27,27 +27,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from momentlab import sdpcore
-from momentlab.momentkit import (
-    TruncatedSequence,
-    localizing_operator,
-    moment_matrix,
-    preordering_products,
-)
-from momentlab.polycore import (
-    MonomialBasis,
-    Polynomial,
-    count_monomials,
-    monomial_basis,
-)
-from momentlab.sdpcore import (
-    Block,
-    ConicProgram,
-    Residuals,
-    Solution,
-    SolveOptions,
-    smat,
-    svec,
-)
+from momentlab.momentkit import TruncatedSequence, preordering_products
+from momentlab.polycore import MonomialBasis, Polynomial, monomial_basis
+from momentlab.sdpcore import Block, ConicProgram, Residuals, Solution, SolveOptions, svec
 from momentlab.semialg import (
     FEASIBILITY_TOL,
     SemiAlgebraicSet,
@@ -56,14 +38,6 @@ from momentlab.semialg import (
     sampled_extremum,
     violation_many,
 )
-
-
-class IllConditionedGramError(RuntimeError):
-    def __init__(self, degree: int, min_eig: float):
-        self.degree = degree
-        self.min_eig = min_eig
-        super().__init__(f"moment Gram matrix loses positive definiteness at "
-                         f"degree {degree} (min eigenvalue {min_eig:.3e})")
 
 
 # ----------------------------------------------------------------------------
@@ -83,6 +57,34 @@ def _rising(base: float, steps: int) -> float:
     for t in range(steps):
         out *= base + t
     return out
+
+
+def _tensor(rules: Sequence[tuple]) -> tuple:
+    """Product rule of (nodes, weights) pairs, coordinates in factor order."""
+    nodes, weights = np.zeros((1, 0)), np.ones(1)
+    for x, w in rules:
+        nodes = np.hstack([np.repeat(nodes, len(w), axis=0), np.tile(x, (len(weights), 1))])
+        weights = np.outer(weights, w).ravel()
+    return nodes, weights
+
+
+def _sphere_rule(n: int, degree: int) -> tuple:
+    """Rule of the uniform measure on the unit sphere S^n in R^(n+1), exact to
+    `degree`: equispaced half-step angles on S^1, then for j = 2..n the point
+    (sqrt(1 - z^2) u, z) of S^j, u on S^(j-1) and z Gauss-Gegenbauer for the
+    density of z, ∝ (1 - z^2)^a with a = (j-2)/2. Integrating u^alpha leaves
+    a polynomial of degree <= `degree` in z."""
+    m = degree + 1
+    theta = 2 * np.pi * (np.arange(m) + 0.5) / m
+    nodes, weights = np.stack([np.cos(theta), np.sin(theta)], axis=1), np.full(m, 1.0 / m)
+    k = np.arange(1, degree // 2 + 1)
+    for a in np.arange(n - 1) / 2:  # S^j for j = 2..n
+        # Golub-Welsch on the monic recurrence z p_k = p_(k+1) + beta_k p_(k-1)
+        beta = k * (k + 2 * a) / ((2 * k + 2 * a - 1) * (2 * k + 2 * a + 1))
+        z, V = np.linalg.eigh(np.diag(np.sqrt(beta), 1) + np.diag(np.sqrt(beta), -1))
+        nodes, weights = _tensor([(nodes, weights), (z[:, None], V[0] ** 2)])
+        nodes[:, :-1] *= np.sqrt(1 - nodes[:, -1:] ** 2)
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,22 @@ class ReferenceMeasure:
                 out *= (2 * t + 1) / (2 * t + 2)
         return out
 
+    def cubature(self, degree: int) -> tuple:
+        """(nodes, weights): points of the domain and positive weights summing
+        to one, exact for every polynomial of degree <= `degree`. The ball
+        measure is the uniform measure on S^n projected to its first n
+        coordinates; the simplex measure is their squares (so the sphere rule
+        must be exact to 2 * degree); the hypercube's rule is a tensor product."""
+        if degree < 0:
+            raise ValueError(f"cubature degree must be >= 0, got {degree}")
+        if self.kind == "hypercube":
+            return _tensor([ReferenceMeasure("ball", 1, self.scale).cubature(degree)] * self.n)
+        if self.kind == "ball":
+            nodes, weights = _sphere_rule(self.n, degree)
+            return self.scale * nodes[:, :self.n], weights
+        nodes, weights = _sphere_rule(self.n, 2 * degree)
+        return self.scale * nodes[:, :self.n] ** 2, weights
+
     def domain(self) -> SemiAlgebraicSet:
         if self.kind == "simplex":
             return make_catalog_set("simplex", n=self.n, K=self.scale)
@@ -175,33 +193,30 @@ _DEGREE_CAP_1D = 16
 _DEGREE_CAP_ND = 8
 
 
-def _factor_coefficients(mu: ReferenceMeasure, D: int) -> np.ndarray:
-    """Lower-triangular coefficient matrix of the orthonormal basis of one
-    factor, rows indexed like monomial_basis(mu.n, D)."""
-    G = moment_matrix(moment_sequence(mu, 2 * D), D)
-    s = len(G)
-    d = 1.0 / np.sqrt(np.diag(G))
-    Geq = G * np.outer(d, d)
-    w = np.linalg.eigvalsh(Geq)
-    if w[0] <= 1e-10:
-        # report the first degree at which definiteness is lost
-        for deg in range(1, D + 1):
-            sd = count_monomials(mu.n, deg)
-            sub = Geq[:sd, :sd]
-            if np.linalg.eigvalsh(sub)[0] <= 1e-10:
-                raise IllConditionedGramError(deg, float(w[0]))
-        raise IllConditionedGramError(D, float(w[0]))
-    L = np.linalg.cholesky(Geq)
-    C = sla.solve_triangular(L, np.diag(d), lower=True)
-    # one refinement pass keeps orthonormality near machine precision even
-    # when the monomial Gram is badly conditioned
-    for _ in range(2):
-        gram_p = C @ G @ C.T
-        err = np.abs(gram_p - np.eye(s)).max()
-        if err < 1e-14:
-            break
-        C = sla.solve_triangular(np.linalg.cholesky(gram_p), C, lower=True)
-    return C
+def _orthonormal(nodes: np.ndarray, weights: np.ndarray, D: int) -> tuple:
+    """Orthonormal polynomials to degree D of sum_k weights[k] delta(nodes[k])
+    by graded-lex Arnoldi: q_alpha = x_i q_(alpha - e_i), i the first variable
+    of alpha, orthogonalized twice against the earlier q's. Returns (Q, C):
+    Q[k, a] = q_a(nodes[k]), so Q' diag(weights) Q = I, and row a of C holds
+    q_a's coefficients on monomial_basis(n, D). C is lower triangular with a
+    positive diagonal: under a rule exact to 2D, the Cholesky basis."""
+    basis = monomial_basis(nodes.shape[1], D)
+    expo, unit = basis.exponent_array, np.eye(nodes.shape[1], dtype=np.int64)
+    lower = int(np.sum(expo.sum(axis=1) < D))  # x_i maps these rows into the basis
+    shift = [basis.positions(expo[:lower] + e) for e in unit]
+    Q, C = np.zeros((len(weights), len(expo))), np.zeros((len(expo), len(expo)))
+    Q[:, 0] = C[0, 0] = 1.0 / np.sqrt(weights.sum())
+    for a in range(1, len(expo)):
+        i = np.flatnonzero(expo[a])[0]
+        p = basis.positions(expo[a] - unit[i])
+        q, c = nodes[:, i] * Q[:, p], np.zeros(len(expo))
+        c[shift[i]] = C[p, :lower]
+        for _ in range(2):
+            h = Q[:, :a].T @ (weights * q)
+            q, c = q - Q[:, :a] @ h, c - h @ C[:a]
+        norm = np.sqrt(weights @ q ** 2)
+        Q[:, a], C[a] = q / norm, c / norm
+    return Q, C
 
 
 @dataclass(frozen=True)
@@ -248,8 +263,9 @@ class KernelBasis:
 
 
 def orthonormal_basis(measure, D: int) -> KernelBasis:
-    """Graded orthonormal basis to degree D, by Cholesky per factor and products
-    across factors."""
+    """Graded orthonormal basis to degree D: per factor, the Arnoldi basis of
+    a rule exact to 2D, which integrates every product of two basis
+    polynomials exactly; across factors, products of factor polynomials."""
     measures = measures_for(measure)
     n = sum(mu.n for mu in measures)
     cap = _DEGREE_CAP_1D if all(mu.n == 1 for mu in measures) else _DEGREE_CAP_ND
@@ -265,7 +281,7 @@ def orthonormal_basis(measure, D: int) -> KernelBasis:
         # coefficients of x^beta_i
         part = joint.exponent_array[:, offset:offset + mu.n]
         idx = monomial_basis(mu.n, D).positions(part)
-        coeffs = coeffs * _factor_coefficients(mu, D)[np.ix_(idx, idx)]
+        coeffs = coeffs * _orthonormal(*mu.cubature(2 * D), D)[1][np.ix_(idx, idx)]
         degrees.append(part.sum(axis=1).tolist())
         offset += mu.n
     return KernelBasis(measures=measures, degree=D, basis=joint,
@@ -396,19 +412,22 @@ def operator_matrix(basis: KernelBasis, weights: Optional[KernelWeights]) -> np.
 # harmonic constant bound (diagonal kernel maximization per factor)
 
 
-def _factor_grid(mu: ReferenceMeasure, density: int, seed: int) -> np.ndarray:
+_GRID_DENSITY = 2001  # harmonic_constant_bound's grid points on an interval
+_GRID_SEED = 0  # and the seed of its uniform draws in a box
+
+
+def _factor_grid(mu: ReferenceMeasure) -> np.ndarray:
     dom = mu.domain()
     lo, hi = dom.bounding_box()
     if mu.n == 1:
-        pts = np.linspace(lo[0], hi[0], density)[:, None]
+        pts = np.linspace(lo[0], hi[0], _GRID_DENSITY)[:, None]
     else:
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(lo, hi, size=(min(density ** 2, 8192), mu.n))
+        rng = np.random.default_rng(_GRID_SEED)
+        pts = rng.uniform(lo, hi, size=(min(_GRID_DENSITY ** 2, 8192), mu.n))
     return pts[violation_many(dom, pts) <= FEASIBILITY_TOL]
 
 
-def harmonic_constant_bound(X: Union[SimpleSetProduct, ReferenceMeasure], k: int,
-                            density: int = 2001, seed: int = 0) -> float:
+def harmonic_constant_bound(X: Union[SimpleSetProduct, ReferenceMeasure], k: int) -> float:
     """Upper bound on the harmonic constant: sqrt of product over factors of
     tau(X_i, k) = max_{j<=k} max_x C^(j)(x, x). Each max_x is taken by
     sampled_extremum on the diagonal sum_{deg P_i = j} P_i^2, over a dense
@@ -416,7 +435,7 @@ def harmonic_constant_bound(X: Union[SimpleSetProduct, ReferenceMeasure], k: int
     product = 1.0
     for mu in measures_for(X):
         fb = orthonormal_basis(mu, k)
-        grid = _factor_grid(mu, density, seed)
+        grid = _factor_grid(mu)
         dom, total = mu.domain(), fb.total_degrees()
         tau = 0.0
         for j in range(k + 1):
@@ -430,62 +449,20 @@ def harmonic_constant_bound(X: Union[SimpleSetProduct, ReferenceMeasure], k: int
 # ----------------------------------------------------------------------------
 # hierarchies of upper bounds
 
-# A localizing matrix that fails Cholesky is indefinite, not merely singular,
-# when its least eigenvalue is below -_PSD_TOL times its norm.
-_PSD_TOL = 1e-10
-
-
-def _pencil_start(program: ConicProgram, weights: Sequence[Polynomial]) -> Optional[Solution]:
-    """The exact optimum of a one-row program min sum <C_J, X_J> s.t.
-    sum <A_J, X_J> = 1, X_J psd, A_J the localizing matrix of weights[J]. Its
-    dual is max t s.t. C_J - t A_J psd for every J, so when every A_J is
-    positive definite the value is the least generalized eigenvalue
-    lambda = min_J lambda_min(C_J, A_J), attained by X_J = v v' / (v' A_J v)
-    for its eigenvector v in the minimizing block and zero elsewhere, with
-    y = [lambda]. None when some A_J is singular. An indefinite A_J means the
-    measure charges points where its weight is negative, so the program bounds
-    nothing (it can be unbounded below): ValueError."""
-    a = program.A.toarray().ravel()
-    best, singular = None, False
-    for blk, sl, weight in zip(program.blocks, program.block_slices(), weights):
-        A_J = smat(a[sl], blk.size)
-        try:
-            L_inv = np.linalg.inv(np.linalg.cholesky(A_J))
-        except np.linalg.LinAlgError:
-            low = float(np.linalg.eigvalsh(A_J)[0])
-            if low < -_PSD_TOL * np.linalg.norm(A_J, 2):
-                raise ValueError(f"the reference measure does not live on the set: the "
-                                 f"localizing matrix of the weight {weight} has least "
-                                 f"eigenvalue {low:.3g}") from None
-            singular = True
-            continue
-        w, W = np.linalg.eigh(L_inv @ smat(program.c[sl], blk.size) @ L_inv.T)
-        if best is None or w[0] < best[0]:
-            best = (float(w[0]), sl, A_J, L_inv.T @ W[:, 0])
-    if singular:
-        return None
-    lam, sl, A_J, v = best
-    x = np.zeros(program.num_vars)
-    x[sl] = svec(np.outer(v, v) / float(v @ A_J @ v))
-    return Solution(status="optimal", primal_value=lam, dual_value=lam,
-                    blocks=program.unpack(x), x=x, y=np.array([lam]),
-                    residuals=Residuals(0.0, 0.0, 0.0), iterations=0)
-
-
 def upper_bound_sdp(f: Polynomial, X: SemiAlgebraicSet, certificate: str, r: int,
                     measure, opts: Optional[SolveOptions] = None):
     """ub(f, Q(X))_r or ub(f, T(X))_r: the least f-moment of a certificate
-    density q against the reference measure, normalizing its mass to one.
+    density q = sum_J g_J sigma_J against the reference measure, normalizing
+    its mass to one (the measure-based upper hierarchy of Lasserre, 2011).
 
-    Objective and normalization reduce to localizing-type matrices C_J and
-    A_J of the reference moment sequence with weights f * g_J and g_J, one
-    PSD block per product g_J. With its single row the program is a
-    generalized eigenvalue problem: when every A_J is positive definite the
-    bound is min_J lambda_min(C_J, A_J) (the measure-based upper hierarchy of
-    Lasserre, 2011). The solve starts from that exact primal-dual pair, so
-    ADMM only certifies it under its usual stopping rule; when some A_J is
-    singular it starts cold. An indefinite A_J, which comes from a measure
-    that charges points outside X, raises ValueError.
+    Every moment the program reads has degree <= 2r + deg f, so it is the
+    same program for the discrete measure nu of a rule exact to that degree.
+    When every node lies in X, q nu is a probability measure on X, so the
+    value bounds min_X f from above; a node outside X (by more than
+    FEASIBILITY_TOL) raises ValueError. In the orthonormal basis of g_J nu
+    the normalization block of g_J is the identity (a g_J vanishing at every
+    node gets no block), so the value is min_J lambda_min(C_J). The solve
+    starts from that exact primal-dual pair, and ADMM only certifies it.
     """
     if certificate not in ("Q", "T"):
         raise ValueError("upper bounds use certificate Q or T")
@@ -496,18 +473,31 @@ def upper_bound_sdp(f: Polynomial, X: SemiAlgebraicSet, certificate: str, r: int
         raise ValueError("measure dimension does not match the set")
     specs = [s for s in preordering_products(X, r, kind=certificate)
              if s.constraint_kind == "psd"]
-    y_mu = moment_sequence(measures, 2 * r + f.degree)
-
-    def packed(g, t):  # svec M_t(g y_mu)
-        return localizing_operator(g, t, y_mu.order) @ y_mu.values
-
-    blocks = [Block("psd", count_monomials(X.n, spec.matrix_order)) for spec in specs]
-    cvec = [packed(f * spec.weight, spec.matrix_order) for spec in specs]
-    arow = [packed(spec.weight, spec.matrix_order) for spec in specs]
-    program = ConicProgram(tuple(blocks), np.concatenate(cvec),
-                           sp.csr_matrix(np.concatenate(arow)[None, :]),
-                           np.array([1.0]))
-    sol = sdpcore.solve(program, opts, _pencil_start(program, [s.weight for s in specs]))
+    nodes, weights = _tensor([mu.cubature(2 * r + f.degree) for mu in measures])
+    off = violation_many(X, nodes)
+    worst = int(np.argmax(off))
+    if off[worst] > FEASIBILITY_TOL:
+        raise ValueError(f"the reference measure does not live on the set: its cubature "
+                         f"node {nodes[worst]} violates the set by {off[worst]:.3g}")
+    fx = f.eval_many(nodes)
+    gram = []
+    for spec in specs:
+        gw = weights * spec.weight.eval_many(nodes)
+        if np.any(gw != 0.0):
+            Q, _ = _orthonormal(nodes, gw, spec.matrix_order)
+            gram.append(Q.T @ ((gw * fx)[:, None] * Q))
+    arow = np.concatenate([svec(np.eye(len(C))) for C in gram])
+    program = ConicProgram(tuple(Block("psd", len(C)) for C in gram),
+                           np.concatenate([svec(C) for C in gram]),
+                           sp.csr_matrix(arow[None, :]), np.array([1.0]))
+    # dual max t s.t. C_J - t I psd; primal v v' for the least eigenpair
+    lam, J, v = min((w[0], J, V[:, 0]) for J, (w, V) in enumerate(map(np.linalg.eigh, gram)))
+    x = np.zeros(program.num_vars)
+    x[program.block_slices()[J]] = svec(np.outer(v, v))
+    start = Solution(status="optimal", primal_value=float(lam), dual_value=float(lam),
+                     blocks=program.unpack(x), x=x, y=np.array([lam]),
+                     residuals=Residuals(0.0, 0.0, 0.0), iterations=0)
+    sol = sdpcore.solve(program, opts, start)
     return sol.primal_value, sol
 
 

@@ -301,6 +301,15 @@ def test_cli_upper_refuses_a_measure_off_the_set(tmp_path, capsys):
     assert "does not live on the set" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("measure", ["box_product", "sphere"])
+def test_cli_upper_refuses_a_measure_the_set_does_not_describe(tmp_path, capsys, measure):
+    # a ball problem names no product factors, and no sphere measure exists
+    path = write_problem(tmp_path, BALL_PROBLEM)
+    code = main(["upper", "--problem", str(path), "--level", "1", "--measure", measure])
+    assert code == 2
+    assert f"'{measure}'" in capsys.readouterr().err
+
+
 def test_cli_upper_series_flags_a_capped_level(tmp_path, capsys, monkeypatch):
     # a capped solve's value is no upper bound: the row keeps its status, the
     # level gets a note and the command exits 3 after writing the file

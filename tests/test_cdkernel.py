@@ -5,7 +5,6 @@ from scipy import integrate
 
 from momentlab import cdkernel, sdpcore
 from momentlab.cdkernel import (
-    IllConditionedGramError,
     KernelWeights,
     ReferenceMeasure,
     graded_decompose,
@@ -24,7 +23,13 @@ from momentlab.cdkernel import (
 from momentlab.momentkit import riesz_apply
 from momentlab.polycore import Polynomial, monomial_basis
 from momentlab.sdpcore import SolveOptions
-from momentlab.semialg import SemiAlgebraicSet, SimpleSetProduct, make_catalog_set
+from momentlab.semialg import (
+    FEASIBILITY_TOL,
+    SemiAlgebraicSet,
+    SimpleSetProduct,
+    make_catalog_set,
+    violation_many,
+)
 
 def coeff_dist(p, q):
     diff = p - q
@@ -102,6 +107,38 @@ def test_scaled_moments():
     assert reference_moments("simplex", 1, 3.0, (1,)) == pytest.approx(1.5)
 
 
+def _check_cubature(measures, d, nodes, weights, domain):
+    assert np.all(weights > 0.0)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.all(violation_many(domain, nodes) <= FEASIBILITY_TOL)
+    mb = monomial_basis(nodes.shape[1], d)
+    got = weights @ mb.evaluate(nodes)
+    want = np.array([joint_moment(measures, a) for a in mb.exponents])
+    # relative error; a zero moment is measured against the largest monomial
+    # value on the domain, the scale to the power |alpha|
+    scale = max(mu.scale for mu in measures) ** mb.exponent_array.sum(axis=1)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.where(want != 0.0, np.abs(want), scale))
+
+
+@pytest.mark.parametrize("kind", ["ball", "simplex", "hypercube"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_cubature_reproduces_the_moments(kind, n, scale):
+    mu = ReferenceMeasure(kind, n, scale)
+    for d in (0, 1, 4, 9):
+        _check_cubature((mu,), d, *mu.cubature(d), mu.domain())
+    with pytest.raises(ValueError):
+        mu.cubature(-1)
+
+
+def test_product_cubature_reproduces_the_joint_moments():
+    product = SimpleSetProduct((("ball", 1, 1.0), ("simplex", 2, 1.0)))
+    measures = cdkernel.measures_for(product)
+    for d in (0, 1, 4, 9):
+        nodes, weights = cdkernel._tensor([mu.cubature(d) for mu in measures])
+        _check_cubature(measures, d, nodes, weights, product.as_semialgebraic())
+
+
 def test_unsupported_kind():
     with pytest.raises(ValueError):
         ReferenceMeasure("sphere", 2, 1.0)
@@ -149,15 +186,15 @@ def test_product_basis_element():
     assert kb.profiles[idx] == (1, 1)
 
 
-def test_gram_failure_reports_degree():
-    class Degenerate(ReferenceMeasure):
-        def moment(self, alpha):  # moments of a Dirac at 0.5: rank-1 Gram
-            return 0.5 ** sum(alpha)
-
-    bad = Degenerate("ball", 1, 1.0)
-    with pytest.raises(IllConditionedGramError) as err:
-        orthonormal_basis(bad, 3)
-    assert err.value.degree == 1
+@pytest.mark.parametrize("measure, D", [(BALL1, 16), (ReferenceMeasure("simplex", 1, 1.0), 10),
+                                        (ReferenceMeasure("simplex", 2, 1.0), 8)])
+def test_orthonormal_basis_past_the_gram_failure_degrees(measure, D):
+    # a Cholesky factor of the monomial moment Gram matrix fails at these
+    # degrees; the Arnoldi basis stays orthonormal under an exact rule
+    kb = orthonormal_basis(measure, D)
+    nodes, weights = measure.cubature(2 * D)
+    P = kb.eval_rows(nodes)
+    assert np.abs(P.T @ (weights[:, None] * P) - np.eye(len(kb.basis))).max() < 1e-8
 
 
 # ----------------------------------------------------------------------------
@@ -353,7 +390,7 @@ def test_joint_moment_products():
 def test_harmonic_constant_bound_multid_factor():
     disk = SimpleSetProduct((("ball", 2, 1.0),))
     assert harmonic_constant_bound(disk, 0) == pytest.approx(1.0)
-    val = harmonic_constant_bound(disk, 2, density=60, seed=1)
+    val = harmonic_constant_bound(disk, 2)
     # degree-1 component alone reaches 3 on the boundary, so the bound
     # is at least sqrt(3)
     assert val >= np.sqrt(3.0) - 1e-6
@@ -419,35 +456,87 @@ def test_upper_bound_sdp_simplex_case_reaches_optimal():
     assert v3 >= f.eval_many(grid).min() - 1e-9
 
 
-def test_upper_bound_sdp_singular_weight_starts_cold(monkeypatch):
-    # the zero weight has a zero localizing matrix: positive semidefinite but
-    # with no Cholesky factor, so the solve starts cold
-    seen = []
-    real = sdpcore.solve
-
-    def recording(program, opts=None, warm=None):
-        seen.append((program, warm))
-        return real(program, opts, warm)
-
-    monkeypatch.setattr(cdkernel.sdpcore, "solve", recording)
+def test_upper_bound_sdp_drops_a_vanishing_weight():
+    # the zero weight has a zero localizing matrix and gets no block; the
+    # bound is the one on {1 - x^2 >= 0}, certified at the first check
     x = Polynomial.variable(1, 0)
     X = SemiAlgebraicSet(1, inequalities=(Polynomial.zero(1), 1 - x * x))
     opts = SolveOptions(tol=1e-9)
     value, sol = upper_bound_sdp(x, X, "Q", 2, BALL1, opts)
-    (program, warm), = seen
-    assert warm is None
-    cold = real(program, opts)
-    assert value == cold.primal_value
-    assert sol.iterations == cold.iterations
     assert sol.status == "optimal"
+    assert sol.iterations <= sdpcore.CHECK_EVERY
+    plain, _ = upper_bound_sdp(x, make_catalog_set("ball", n=1, R=1.0), "Q", 2, BALL1, opts)
+    assert abs(value - plain) <= 1e-12
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_upper_bound_sdp_refuses_a_measure_off_the_set(sign):
-    # on [0, 1] the weight x has an indefinite localizing matrix under the
-    # ball measure of [-1, 1]: f = x would read -0.866 < min f = 0 as an
-    # "optimal" bound, and f = -x is unbounded below
-    x = Polynomial.variable(1, 0)
-    X = SemiAlgebraicSet(1, inequalities=(x, 1 - x * x))
-    with pytest.raises(ValueError, match=r"weight 1\*x1 has least eigenvalue -0\.5"):
-        upper_bound_sdp(sign * x, X, "Q", 2, BALL1, SolveOptions(tol=1e-9))
+x1 = Polynomial.variable(1, 0)
+
+
+ON_SET = r"node \[-?[0-9.]+\] violates the set by [0-9.]+"
+
+
+@pytest.mark.parametrize("f, gs, levels, message", [
+    # on [0, 1] the weight x is negative where the ball measure of [-1, 1]
+    # charges: f = x would read -0.866 < min f = 0 as an "optimal" bound,
+    # and f = -x is unbounded below
+    pytest.param(x1, (x1, 1 - x1 * x1), (2,),
+                 r"node \[-0\.8660254\] violates the set by 0\.866", id="1.0"),
+    pytest.param(-x1, (x1, 1 - x1 * x1), (2,),
+                 r"node \[-0\.8660254\] violates the set by 0\.866", id="-1.0"),
+    # every localizing matrix stays positive definite at low levels here, and
+    # the moment route read -0.75 < min f = -0.64, -0.530 < -0.512 and
+    # -0.854 < -0.81 as optimal bounds
+    pytest.param(-x1 * x1, (0.64 - x1 * x1,), range(1, 6), ON_SET, id="neg-square-on-0.8"),
+    pytest.param(x1 ** 3, (0.64 - x1 * x1,), range(1, 6), ON_SET, id="cube-on-0.8"),
+    pytest.param(-x1 * x1, (0.81 - x1 * x1,), range(1, 6), ON_SET, id="neg-square-on-0.9"),
+])
+def test_upper_bound_sdp_refuses_a_measure_off_the_set(f, gs, levels, message):
+    X = SemiAlgebraicSet(1, inequalities=gs)
+    for r in levels:
+        with pytest.raises(ValueError, match=message):
+            upper_bound_sdp(f, X, "Q", r, BALL1, SolveOptions(tol=1e-9))
+
+
+# ----------------------------------------------------------------------------
+# upper-bound series with known values
+
+
+def test_upper_bound_series_chebyshev_interval():
+    # f = x on [-1, 1] with the Chebyshev measure: ub_r is the least root of
+    # T_(r+1), -cos(pi / (2r + 2))
+    X = make_catalog_set("ball", n=1, R=1.0)
+    for r in range(1, 31):
+        value, sol = upper_bound_sdp(x1, X, "Q", r, BALL1, SolveOptions())
+        assert sol.status == "optimal"
+        assert abs(value + np.cos(np.pi / (2 * r + 2))) <= 1e-10
+
+
+def test_upper_bound_series_disk():
+    # f = x1 on the unit disk: the ball measure's marginal is uniform on
+    # [-1, 1], so ub_r is the least root of the Legendre polynomial P_(r+1)
+    f = Polynomial.variable(2, 0)
+    X = make_catalog_set("ball", n=2, R=1.0)
+    mu = ReferenceMeasure("ball", 2, 1.0)
+    for r in range(1, 13):
+        value, sol = upper_bound_sdp(f, X, "Q", r, mu, SolveOptions())
+        assert sol.status == "optimal"
+        assert abs(value + np.polynomial.legendre.leggauss(r + 1)[0].max()) <= 1e-10
+
+
+def test_upper_bound_series_simplex():
+    # f = x1 on the 2-simplex (min 0) with Q: no closed form; the levels
+    # r <= 6 are the values the monomial pencil computed before it lost digits
+    f = Polynomial.variable(2, 0)
+    X = make_catalog_set("simplex", n=2, K=1.0)
+    mu = ReferenceMeasure("simplex", 2, 1.0)
+    known = [0.115587109997, 0.056939115967, 0.033648268068, 0.022163568807,
+             0.015683406604, 0.011675871909]
+    values = []
+    for r in range(1, 17):
+        value, sol = upper_bound_sdp(f, X, "Q", r, mu, SolveOptions())
+        assert sol.status == "optimal"
+        assert sol.iterations <= sdpcore.CHECK_EVERY
+        values.append(value)
+    assert np.all(np.diff(values) <= 0.0)
+    assert min(values) >= 0.0
+    assert np.abs(np.array(values[:6]) - known).max() <= 1e-9
