@@ -219,6 +219,9 @@ class ExperimentBundle:
     rate_fits: dict
     failures: list
     exact: list = field(default_factory=list)  # certificates whose series is zero
+    # a ladder or distance solve raised or stopped short of `optimal`; the
+    # monotonicity and rate-fit lines in `failures` do not set it
+    solver_failed: bool = False
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -237,6 +240,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
     out.mkdir(parents=True, exist_ok=True)
     opts = SolveOptions(tol=config.tol)
     failures = []
+    solver_failed = False
 
     ladder_rows = []
     bounds = {}
@@ -247,6 +251,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
                                           max_psd_size=config.max_psd_size)
         except Exception as err:  # per-task failures recorded, run continues
             failures.append(f"ladder {cert}: {err}")
+            solver_failed = True
             continue
         for res in report.results:
             seconds = res.seconds if config.record_timings else 0.0
@@ -256,6 +261,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
             if res.side == "moment" and res.status == "optimal":
                 bounds[(cert, res.level)] = res.value
         failures.extend(report.monotonicity_violations + report.status_notes)
+        solver_failed = solver_failed or bool(report.status_notes)
     ladder_csv = out / "ladder.csv"
     _write_csv(ladder_csv, ["level", "certificate", "side", "bound", "gap",
                             "status", "seconds", "seed"], ladder_rows)
@@ -288,6 +294,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
                         support=support)
                 except Exception as err:
                     failures.append(f"distance {cert} r={r}: {err}")
+                    solver_failed = True
                     continue
                 distance_rows.append([r, cert, f"{val:.12g}", config.directions,
                                       config.seed])
@@ -326,7 +333,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
 
     return ExperimentBundle(ladder_csv=ladder_csv, distance_csv=distance_csv,
                             lemma_csv=lemma_csv, rate_fits=rate_fits,
-                            failures=failures, exact=exact)
+                            failures=failures, exact=exact,
+                            solver_failed=solver_failed)
 
 
 # ----------------------------------------------------------------------------
@@ -432,7 +440,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"wrote {bundle.ladder_csv}")
             for line in bundle.failures:
                 print(f"note: {line}", file=sys.stderr)
-            if any("ladder" in line for line in bundle.failures):
+            if bundle.solver_failed:
                 raise SolverFailure("ladder failures recorded")
         elif args.command == "upper":
             f, X, metadata = parse_problem(args.problem)
@@ -494,7 +502,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"{cert}: slope {fit.slope:.4f} "
                       f"(empirical exponent {fit.empirical_exponent:.4f}, "
                       f"R^2 {fit.r_squared:.4f})")
-            if any(line.startswith("distance ") for line in bundle.failures):
+            if bundle.solver_failed:
                 raise SolverFailure("distance failures recorded")
         elif args.command == "lojfit":
             _, X, _ = parse_problem(args.problem)

@@ -25,7 +25,6 @@ from momentlab.semialg import (
     FEASIBILITY_TOL,
     SemiAlgebraicSet,
     _project_batch,
-    _slsqp_constraints,
     rejection_sample,
     restore_feasibility,
     sampled_extremum,
@@ -417,11 +416,16 @@ class CQCReport:
 def cqc_check(X: SemiAlgebraicSet, count: int = 64, seed: int = 0) -> CQCReport:
     """Sample boundary points and report the smallest singular value of the
     matrix of gradients of the constraints active there (|g_j| at most
-    _CQC_ACTIVE_TOL); values below 1e-6 flag near-degeneracy."""
+    _CQC_ACTIVE_TOL); values below 1e-6 flag near-degeneracy.
+
+    Each point is the Gauss-Newton restoration of a box draw onto {g_j = 0}
+    with the other inequalities kept, so it may also land where two
+    constraints meet. Restoration stops once |g_j| <= 1e-13 (_GN_STOP), not
+    at g_j = 0: at a double root, such as {x^2 >= 0, -x^2 >= 0}, the
+    smallest singular value reads up to 2 sqrt(2) sqrt(1e-13) ~ 8.9e-7
+    rather than zero, which is still below the 1e-6 threshold."""
     if X.equalities:
         raise ValueError("constraint qualification check covers inequality-only sets")
-    from scipy.optimize import minimize
-
     rng = np.random.default_rng(seed)
     lo, hi = X.bounding_box()
     min_sv = np.inf
@@ -431,13 +435,8 @@ def cqc_check(X: SemiAlgebraicSet, count: int = 64, seed: int = 0) -> CQCReport:
         # g_j held at zero, the other inequalities kept
         surface = SemiAlgebraicSet(n=X.n, equalities=(g,), inequalities=tuple(
             q for i, q in enumerate(X.inequalities) if i != j))
-        cons = _slsqp_constraints(surface)
         for _ in range(per_constraint):
-            x0 = rng.uniform(lo, hi, size=X.n)
-            res = minimize(lambda z: float(np.sum((z - x0) ** 2)), x0,
-                           jac=lambda z: 2.0 * (z - x0), constraints=cons,
-                           method="SLSQP", options={"maxiter": 120, "ftol": 1e-14})
-            x = res.x
+            x = restore_feasibility(surface, rng.uniform(lo, hi, size=X.n))
             if x is None or violation(X, x) > 1e-7:
                 continue
             vals, jac = X.compiled.jet(x)

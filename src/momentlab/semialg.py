@@ -320,8 +320,10 @@ def rejection_sample(X: SemiAlgebraicSet, count: int, seed: int = 0) -> np.ndarr
     Plain rejection almost never hits a variety, so on sets with equalities
     each batch of box points is first projected onto the zero set (see
     _project_batch). A point is kept when its violation is at most
-    FEASIBILITY_TOL; after 200000 box draws without `count` kept points,
-    RuntimeError reports starvation. The result is a function of `seed`.
+    FEASIBILITY_TOL, so a projection that fails, or that lands outside an
+    inequality, costs a draw and nothing else; after 200000 box draws without
+    `count` kept points, RuntimeError reports starvation. The result is a
+    function of `seed`.
     """
     rng = np.random.default_rng(seed)
     lo, hi = X.bounding_box()
@@ -345,9 +347,10 @@ def _project_batch(X: SemiAlgebraicSet, pts: np.ndarray) -> np.ndarray:
 
     Gauss-Newton steps z <- z - pinv(J_h(z)) h(z) run on the whole batch, on
     restore_feasibility's schedule; a point stops moving once |h| <= _GN_STOP
-    or when h or J_h is no longer finite. A point whose violation of X then
-    exceeds FEASIBILITY_TOL (for instance where the constraint gradients
-    vanish) is projected again from its start by SLSQP.
+    or when h or J_h is no longer finite. The inequalities play no part: a
+    point left off X (where the constraint gradients vanish, or on the zero
+    set but outside an inequality) is returned where it stopped, and callers
+    reject it by its violation.
     """
     neq = len(X.equalities)
     z = np.array(pts, dtype=float)
@@ -359,8 +362,6 @@ def _project_batch(X: SemiAlgebraicSet, pts: np.ndarray) -> np.ndarray:
         if not moving.any():
             break
         z[moving] -= (np.linalg.pinv(J[moving]) @ h[moving, :, None])[:, :, 0]
-    for i in np.flatnonzero(~(violation_many(X, z) <= FEASIBILITY_TOL)):
-        z[i] = _project_to_equalities(X, pts[i])
     return z
 
 
@@ -512,25 +513,3 @@ def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
     f_val = best_v if maximize else -best_v
     return best_x, f_val
 
-
-def _slsqp_constraints(X: SemiAlgebraicSet) -> list:
-    """X's equalities and inequalities as SLSQP constraint dicts, with
-    Jacobians, on the compiled evaluator."""
-    compiled, neq = X.compiled, len(X.equalities)
-    cons = []
-    if X.equalities:
-        cons.append({"type": "eq", "fun": lambda z: compiled(z)[:neq],
-                     "jac": lambda z: compiled.jet(z)[1][:neq]})
-    if X.inequalities:
-        cons.append({"type": "ineq", "fun": lambda z: compiled(z)[neq:],
-                     "jac": lambda z: compiled.jet(z)[1][neq:]})
-    return cons
-
-
-def _project_to_equalities(X: SemiAlgebraicSet, x0: np.ndarray) -> np.ndarray:
-    from scipy.optimize import minimize
-
-    res = minimize(lambda z: np.sum((z - x0) ** 2), x0, jac=lambda z: 2 * (z - x0),
-                   constraints=_slsqp_constraints(X), method="SLSQP",
-                   options={"maxiter": 120, "ftol": 1e-14})
-    return res.x

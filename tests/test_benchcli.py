@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from momentlab import benchcli
+from momentlab import benchcli, hierarchy
 from momentlab.benchcli import (
     ExperimentConfig,
     ProblemFormatError,
@@ -331,6 +331,37 @@ def test_cli_upper_series_flags_a_capped_level(tmp_path, capsys, monkeypatch):
     notes = [line for line in err.splitlines() if line.startswith("note: ")]
     assert len(notes) == 1
     assert "upper level 2: solver status 'max_iters'" in notes[0]
+
+
+@pytest.mark.parametrize("command, csv, sides", [
+    (["ladder"], "ladder.csv", ["moment", "sos"]),
+    (["distance", "--k", "2", "--directions", "2"], "distance.csv", ["moment"]),
+], ids=["ladder", "distance"])
+def test_cli_ladder_and_distance_flag_a_capped_level(tmp_path, capsys, monkeypatch,
+                                                     command, csv, sides):
+    # a capped ladder row bounds nothing: it keeps its status, gets a note,
+    # and the command exits 3 after writing its files
+    real = hierarchy.solve_relaxation
+
+    def capped_at_level_2(rel, opts=None):
+        value, sol = real(rel, opts)
+        return value, (dataclasses.replace(sol, status="max_iters") if rel.level == 2 else sol)
+
+    monkeypatch.setattr(hierarchy, "solve_relaxation", capped_at_level_2)
+    path = write_problem(tmp_path, BALL_PROBLEM)
+    out_dir = tmp_path / "out"
+    code = main(["--out-dir", str(out_dir), command[0], "--problem", str(path),
+                 "--certificate", "T", "--levels", "1..3"] + command[1:])
+    assert code == 3
+    assert (out_dir / csv).exists()
+    lines = (out_dir / "ladder.csv").read_text().splitlines()
+    statuses = [line.split(",")[5] for line in lines[1:]]
+    assert statuses == [s for r in (1, 2, 3) for s in
+                        ["max_iters" if r == 2 else "optimal"] * len(sides)]
+    notes = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("note: ")]
+    assert [note.split(" stopped")[0] for note in notes] == [
+        f"note: T/{side}: level 2" for side in sides]
 
 
 @pytest.mark.parametrize("command", [["ladder"], ["distance", "--k", "2", "--directions", "2"]])

@@ -19,12 +19,16 @@ from momentlab.distcone import (
 from momentlab.momentkit import TruncatedSequence
 from momentlab.polycore import Polynomial
 from momentlab.sdpcore import SolveOptions
-from momentlab.semialg import make_catalog_set, violation_many
+from momentlab.semialg import SemiAlgebraicSet, make_catalog_set, rejection_sample, violation_many
 
 BALL1 = make_catalog_set("ball", n=1, R=1.0)
 SPHERE = make_catalog_set("sphere", n=2, R=1.0)
 ORIGIN = make_catalog_set("custom", n=1, equalities=[Polynomial.variable(1, 0)],
                           box=(np.array([-1.0]), np.array([1.0])), name="origin")
+SIMPLEX2 = make_catalog_set("simplex", n=2, K=1.0)
+DEGENERATE = make_catalog_set("custom", n=1, inequalities=[Polynomial(1, {(2,): 1.0}),
+                                                           Polynomial(1, {(2,): -1.0})],
+                              box=(np.array([-1.0]), np.array([1.0])), name="degenerate")
 TIGHT = SolveOptions(tol=1e-9)
 
 
@@ -245,19 +249,53 @@ def test_cqc_ball_and_simplex():
     rep = cqc_check(BALL1, count=16, seed=0)
     assert rep.holds_on_sample
     assert rep.min_singular_value > 1.0  # gradient -2x has norm 2 on the boundary
-    simplex = make_catalog_set("simplex", n=2, K=1.0)
-    rep2 = cqc_check(simplex, count=24, seed=1)
+    rep2 = cqc_check(SIMPLEX2, count=24, seed=1)
     assert rep2.holds_on_sample
 
 
 def test_cqc_degenerate():
-    x2 = Polynomial(1, {(2,): 1.0})
-    degenerate = make_catalog_set("custom", n=1, inequalities=[x2, -1.0 * x2],
-                                  box=(np.array([-1.0]), np.array([1.0])),
-                                  name="degenerate")
-    rep = cqc_check(degenerate, count=8, seed=2)
+    rep = cqc_check(DEGENERATE, count=8, seed=2)
     assert not rep.holds_on_sample
     assert rep.min_singular_value <= 1e-6
+
+
+_X, _Y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+_DISK = 1.0 - _X * _X - _Y * _Y
+
+
+@pytest.mark.parametrize("inequalities, holds", [
+    ([_DISK, _Y - 1.0], False),
+    ([2.0 * _X - _X * _X - _Y * _Y, -2.0 * _X - _X * _X - _Y * _Y], False),
+    ([_DISK, _Y - 0.5], True),
+], ids=["disk-tangent-line", "tangent-disks", "cut-disk"])
+def test_cqc_where_two_constraints_meet(inequalities, holds):
+    # the only points of the first two sets are tangency points, where the
+    # active gradients are parallel; the cut disk meets its chord at corners
+    # (+-sqrt(3)/2, 1/2), where the gradients (-sqrt(3), -1) and (0, 1) have
+    # smallest singular value 0.835
+    X = make_catalog_set("custom", n=2, inequalities=inequalities,
+                         box=(-np.ones(2), np.ones(2)))
+    rep = cqc_check(X, count=16, seed=0)
+    assert rep.holds_on_sample == holds
+    if holds:
+        assert rep.min_singular_value == pytest.approx(0.835, abs=1e-3)
+    else:
+        assert rep.min_singular_value <= 1e-6
+
+
+def test_cqc_check_needs_no_slsqp(monkeypatch):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize called")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+    assert cqc_check(BALL1, count=16, seed=0).holds_on_sample
+    assert cqc_check(SIMPLEX2, count=24, seed=1).holds_on_sample
+    assert not cqc_check(DEGENERATE, count=8, seed=2).holds_on_sample
+    half = SemiAlgebraicSet(n=2, equalities=SPHERE.equalities, inequalities=(_Y,),
+                            box=(-np.ones(2), np.ones(2)), name="half circle")
+    assert rejection_sample(half, 1000, seed=0).shape == (1000, 2)
 
 
 def test_cqc_rejects_equalities():

@@ -136,53 +136,33 @@ def test_rejection_sampler_on_sphere():
     assert np.all(np.abs(np.sum(pts**2, axis=1) - 1.0) < 1e-7)
 
 
-def _count_fallbacks(monkeypatch):
-    """Record the start point of every SLSQP fallback projection."""
-    starts = []
-    slsqp = semialg._project_to_equalities
-
-    def counted(X, x0):
-        starts.append(np.array(x0))
-        return slsqp(X, x0)
-
-    monkeypatch.setattr(semialg, "_project_to_equalities", counted)
-    return starts
-
-
 @pytest.mark.parametrize("n", [2, 3])
-def test_batched_projection_onto_sphere(n, monkeypatch):
+def test_batched_projection_onto_sphere(n):
     S = make_catalog_set("sphere", n=n, R=1.0)
     rng = np.random.default_rng(n)
     pts = np.vstack([np.zeros(n), rng.uniform(-1.0, 1.0, size=(40, n)), np.zeros(n)])
-    starts = _count_fallbacks(monkeypatch)
     z = semialg._project_batch(S, pts)
-    # the gradient of 1 - |x|^2 vanishes only at the origin: Gauss-Newton
-    # cannot move those rows, so they alone go to SLSQP
-    assert len(starts) == 2
-    assert not np.any(starts)
     viol = violation_many(S, z)
     inner = slice(1, -1)
     assert np.all(viol[inner] <= 1e-9)
     # on the sphere the Gauss-Newton step is radial: it lands on the nearest point
     radial = pts[inner] / np.linalg.norm(pts[inner], axis=1, keepdims=True)
     np.testing.assert_allclose(z[inner], radial, atol=1e-12)
-    # SLSQP cannot move the origin either; the sampler rejects such rows
+    # the gradient of 1 - |x|^2 vanishes at the origin: Gauss-Newton cannot
+    # move those rows, and the sampler rejects them
     assert viol[0] > 1e-9 and viol[-1] > 1e-9
 
 
-def test_batched_projection_falls_back_for_violated_inequalities(monkeypatch):
-    # upper half circle: Gauss-Newton lands points of the lower half on the
-    # circle but outside x2 >= 0, and SLSQP projects them with the inequality
+def test_rejection_sampler_half_circle_has_no_endpoint_pile_up():
+    # upper half circle: projection onto the circle ignores x2 >= 0, so the
+    # points it lands on the lower half are rejected, not moved to (+-1, 0)
     circle = make_catalog_set("sphere", n=2, R=1.0)
     half = SemiAlgebraicSet(n=2, equalities=circle.equalities,
                             inequalities=(Polynomial.variable(2, 1),),
                             box=(-np.ones(2), np.ones(2)), name="half circle")
-    pts = np.array([[0.3, -0.5], [0.2, 0.6], [-0.8, -0.1], [0.5, 0.5]])
-    starts = _count_fallbacks(monkeypatch)
-    z = semialg._project_batch(half, pts)
-    np.testing.assert_array_equal(np.array(starts), pts[[0, 2]])
-    assert np.all(violation_many(half, z) <= 1e-9)
-    np.testing.assert_allclose(z[[0, 2]], [[1.0, 0.0], [-1.0, 0.0]], atol=1e-7)
+    pts = rejection_sample(half, 1000, seed=0)
+    assert np.all(violation_many(half, pts) <= 1e-9)
+    assert not np.any(pts[:, 1] < 1e-6)
 
 
 @pytest.mark.parametrize("n", [2, 3])
