@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -19,7 +20,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from momentlab import distcone, hierarchy
-from momentlab.cdkernel import ReferenceMeasure, kernel_eval, orthonormal_basis, upper_bound_sdp
+from momentlab.cdkernel import (
+    ReferenceMeasure,
+    kernel_eval,
+    orthonormal_basis,
+    upper_bound_kernel,
+    upper_bound_sdp,
+)
 from momentlab.polycore import Polynomial, l1_norm
 from momentlab.sdpcore import SolveOptions
 from momentlab.semialg import (
@@ -452,15 +459,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if sol.status != "optimal":
                     raise SolverFailure(f"solver returned {sol.status}")
             else:
-                import time as _time
-
-                from momentlab.cdkernel import upper_bound_kernel
-
                 _, x_star = hierarchy.estimate_minimum(f, X, seed=args.seed,
                                                        return_point=True)
                 rows, notes = [], []
                 for r in _parse_levels(args.levels):
-                    t0 = _time.perf_counter()
+                    t0 = time.perf_counter()
                     ub1, sol = upper_bound_sdp(f, X, args.certificate, r,
                                                measure, opts)
                     if sol.status != "optimal":
@@ -471,7 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     except ValueError:
                         ub2 = float("nan")
                     rows.append([r, f"{ub1:.12g}", f"{ub2:.12g}", args.measure,
-                                 f"{_time.perf_counter() - t0:.3f}", sol.status])
+                                 f"{time.perf_counter() - t0:.3f}", sol.status])
                 out = Path(args.out_dir)
                 out.mkdir(parents=True, exist_ok=True)
                 _write_csv(out / "upper.csv",

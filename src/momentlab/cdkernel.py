@@ -27,6 +27,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from momentlab import sdpcore
+from momentlab.hierarchy import build_sos_relaxation, solve_relaxation
 from momentlab.momentkit import TruncatedSequence, preordering_products
 from momentlab.polycore import MonomialBasis, Polynomial, monomial_basis
 from momentlab.sdpcore import Block, ConicProgram, Residuals, Solution, SolveOptions, svec
@@ -35,6 +36,7 @@ from momentlab.semialg import (
     SemiAlgebraicSet,
     SimpleSetProduct,
     make_catalog_set,
+    rejection_sample,
     sampled_extremum,
     violation_many,
 )
@@ -366,12 +368,21 @@ def kernel_eval(basis: KernelBasis, x, y, degree=None,
     return float(np.sum(lam[mask] * px[mask] * py[mask]))
 
 
+# graded_decompose drops a profile whose coordinates are all at most this
+# times the largest one: Arnoldi's inner products of odd functions over a
+# symmetric rule come out near 1e-17, not 0.
+_ROUNDOFF_SHARE = 1e-12
+
+
 def graded_decompose(basis: KernelBasis, f: Polynomial) -> dict:
     """Split f into its eigenspace components, keyed by per-factor degree
-    profile in the order the basis first meets them; components sum back to f."""
+    profile in the order the basis first meets them. A profile whose
+    coordinates are round-off (see _ROUNDOFF_SHARE) gets no component, so
+    the components sum back to f within round-off."""
     coords = basis.coordinates(f)
     profiles = basis.profiles
-    present = dict.fromkeys(p for p, c in zip(profiles, coords) if c != 0.0)
+    floor = _ROUNDOFF_SHARE * np.abs(coords).max(initial=0.0)
+    present = dict.fromkeys(p for p, c in zip(profiles, coords) if abs(c) > floor)
     return {p: basis.from_coordinates(np.where([q == p for q in profiles], coords, 0.0))
             for p in present}
 
@@ -413,18 +424,17 @@ def operator_matrix(basis: KernelBasis, weights: Optional[KernelWeights]) -> np.
 
 
 _GRID_DENSITY = 2001  # harmonic_constant_bound's grid points on an interval
-_GRID_SEED = 0  # and the seed of its uniform draws in a box
+_GRID_POINTS = 8192  # and its rejection_sample points on a factor with n >= 2
+_GRID_SEED = 0  # with this seed
 
 
 def _factor_grid(mu: ReferenceMeasure) -> np.ndarray:
     dom = mu.domain()
-    lo, hi = dom.bounding_box()
     if mu.n == 1:
-        pts = np.linspace(lo[0], hi[0], _GRID_DENSITY)[:, None]
-    else:
-        rng = np.random.default_rng(_GRID_SEED)
-        pts = rng.uniform(lo, hi, size=(min(_GRID_DENSITY ** 2, 8192), mu.n))
-    return pts[violation_many(dom, pts) <= FEASIBILITY_TOL]
+        # the end points, where the diagonal of the kernel peaks, are on the grid
+        lo, hi = dom.bounding_box()
+        return np.linspace(lo[0], hi[0], _GRID_DENSITY)[:, None]
+    return rejection_sample(dom, _GRID_POINTS, _GRID_SEED)
 
 
 def harmonic_constant_bound(X: Union[SimpleSetProduct, ReferenceMeasure], k: int) -> float:
@@ -518,8 +528,6 @@ def kernel_slice_certificate(basis: KernelBasis, weights: Optional[KernelWeights
     """Optional expensive check: does the kernel slice C(., y) belong to the
     level-r preordering of X? Answered through one SOS feasibility solve;
     returns (membership flag, margin c*), membership meaning c* >= -tol."""
-    from momentlab.hierarchy import build_sos_relaxation, solve_relaxation
-
     y_point = np.asarray(y_point, dtype=float)
     rows = basis.eval_rows(y_point[None, :])[0]
     lam = _profile_weights(basis, weights)

@@ -23,6 +23,7 @@ from momentlab.polycore import Polynomial, count_monomials, monomial_basis
 from momentlab.sdpcore import SolveOptions
 from momentlab.semialg import (
     FEASIBILITY_TOL,
+    POOL_SIZE,
     SemiAlgebraicSet,
     _project_batch,
     rejection_sample,
@@ -188,26 +189,13 @@ def project_to_moment_set(y: TruncatedSequence, sample: MomentConeSample) -> Pro
 # support gaps and Hausdorff lower bounds
 
 
-def _feasible_pool(X: SemiAlgebraicSet, seed: int, size: int = 4096) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    lo, hi = X.bounding_box()
-    pts = rng.uniform(lo, hi, size=(size, X.n))
-    keep = pts[violation_many(X, pts) <= FEASIBILITY_TOL]
-    # about `size` feasible points: a set of positive volume keeps its share
-    # of the box draw and samples the rest; a variety, which box points miss,
-    # samples them all. A sparser pool leaves gaps (over 10 degrees on the
-    # circle at 256 points) where the global maximum's basin can get none of
-    # the four polish starts of the support estimate.
-    sampled = rejection_sample(X, max(64, size - len(keep)), seed=seed + 1)
-    return np.vstack([keep, sampled]) if keep.size else sampled
-
-
 def support_gap(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
                 c: np.ndarray, opts: Optional[SolveOptions] = None,
                 pool: Optional[np.ndarray] = None, seed: int = 0) -> float:
     """h_pseudo(c) - h_moment(c): the pseudo-moment support function (one SDP)
     minus the sampled moment support function. Dividing by |c| lower-bounds the
-    Hausdorff distance d_k.
+    Hausdorff distance d_k. The sampled value polishes the 4 best points of
+    `pool`, by default rejection_sample(X, POOL_SIZE, seed).
 
     The SDP must reach status `optimal`; otherwise NonOptimalSolveError names
     r and the status."""
@@ -224,7 +212,7 @@ def support_gap(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
         raise NonOptimalSolveError(f"r={r}: solver status {sol.status!r}")
     h_pseudo = -value
     if pool is None:
-        pool = _feasible_pool(X, seed)
+        pool = rejection_sample(X, POOL_SIZE, seed)
     h_moment = sampled_extremum(p, X, pool, 4, maximize=True)[0]
     return h_pseudo - h_moment
 
@@ -245,8 +233,9 @@ def sampled_support(X: SemiAlgebraicSet, k: int, directions: int,
                     seed: int) -> SampledSupport:
     """Draw `directions` unit directions (one N(0, I) draw each from
     default_rng(seed), normalized) and estimate X's moment support function
-    in each over one feasible pool. It depends on neither the certificate
-    nor the level, so a distance series computes it once."""
+    in each over one pool, rejection_sample(X, POOL_SIZE, seed), whose 4
+    best points per direction are polished. It depends on neither the
+    certificate nor the level, so a distance series computes it once."""
     if directions < 1:
         raise ValueError("need at least one direction")
     rng = np.random.default_rng(seed)
@@ -255,7 +244,7 @@ def sampled_support(X: SemiAlgebraicSet, k: int, directions: int,
     for d in range(directions):
         c = rng.normal(size=s)
         dirs[d] = c / np.linalg.norm(c)
-    pool = _feasible_pool(X, seed)
+    pool = rejection_sample(X, POOL_SIZE, seed)
     basis = monomial_basis(X.n, k)
     h_moment = np.array([sampled_extremum(Polynomial.from_vector(basis, c), X, pool, 4,
                                           maximize=True)[0] for c in dirs])

@@ -31,13 +31,7 @@ from momentlab.momentkit import (
 )
 from momentlab.polycore import Polynomial, count_monomials, half_degree, monomial_basis
 from momentlab.sdpcore import Block, ConicProgram, Solution, SolveOptions
-from momentlab.semialg import (
-    FEASIBILITY_TOL,
-    SemiAlgebraicSet,
-    rejection_sample,
-    sampled_extremum,
-    violation_many,
-)
+from momentlab.semialg import POOL_SIZE, SemiAlgebraicSet, rejection_sample, sampled_extremum
 
 
 class LevelTooLowError(ValueError):
@@ -331,23 +325,14 @@ def estimate_minimum(f: Polynomial, X: SemiAlgebraicSet, seed: int = 0,
     """Sample-and-polish upper estimate of min f over X; with `return_point`,
     (value, point).
 
-    The pool is the feasible share of 4096 uniform draws in X's bounding box
-    plus 32 rejection_sample points; sampled_extremum polishes its 8 best.
-    The value is f at the best feasible point found, so it upper-bounds the
-    true minimum; it is documented as an estimate.
+    The pool is rejection_sample(X, POOL_SIZE, seed), the pool the support
+    values of X read with the same seed; sampled_extremum polishes its 8
+    best. The value is f at the best feasible point found, so it
+    upper-bounds the true minimum; it is documented as an estimate.
+    RuntimeError reports a set the sampler finds no point of.
     """
-    rng = np.random.default_rng(seed)
-    lo, hi = X.bounding_box()
-    pts = rng.uniform(lo, hi, size=(4096, X.n))
-    keep = pts[violation_many(X, pts) <= FEASIBILITY_TOL]
-    try:
-        sampled = rejection_sample(X, 32, seed=seed + 1)
-        keep = np.vstack([keep, sampled]) if keep.size else sampled
-    except RuntimeError:
-        pass
-    if keep.size == 0:
-        raise RuntimeError(f"could not find feasible points of {X.name}")
-    best, point = sampled_extremum(f, X, keep, 8, maximize=False)
+    pool = rejection_sample(X, POOL_SIZE, seed)
+    best, point = sampled_extremum(f, X, pool, 8, maximize=False)
     return (best, point) if return_point else best
 
 

@@ -23,6 +23,9 @@ FEASIBILITY_TOL = 1e-9
 _GN_STEPS = 40
 _GN_STOP = 1e-13
 _MAX_DRAWS = 200000  # box points rejection_sample draws before it gives up
+# Points in a pool of support values or reference minima; at 256 the circle's
+# pool left 10-degree gaps where a maximizer's basin got no polish start.
+POOL_SIZE = 4096
 _ACTIVE_TOL = 1e-6  # local_extremum: g is active where |g(x)| is at most this
 _POLISH_ITERS = 120  # local_extremum: most projected-gradient steps
 
@@ -315,30 +318,33 @@ _CATALOG = {
 
 
 def rejection_sample(X: SemiAlgebraicSet, count: int, seed: int = 0) -> np.ndarray:
-    """Sample `count` points of X by rejection in the bounding box.
+    """Sample up to `count` points of X by rejection in the bounding box; the
+    one sampler behind every pool of points of X.
 
     Plain rejection almost never hits a variety, so on sets with equalities
     each batch of box points is first projected onto the zero set (see
     _project_batch). A point is kept when its violation is at most
     FEASIBILITY_TOL, so a projection that fails, or that lands outside an
-    inequality, costs a draw and nothing else; after 200000 box draws without
-    `count` kept points, RuntimeError reports starvation. The result is a
-    function of `seed`.
+    inequality, costs a draw and nothing else. Batches continue one stream of
+    draws and each point is projected on its own, so a smaller `count` only
+    truncates the result. After _MAX_DRAWS box draws the points kept so far
+    are returned, fewer than `count` on a set the box rarely hits (the
+    5-simplex keeps about 1700); RuntimeError reports starvation only when
+    none was kept. The result is a function of `seed`.
     """
     rng = np.random.default_rng(seed)
     lo, hi = X.bounding_box()
     kept = []
     tries = 0
-    batch = max(4 * count, 256)
     while len(kept) < count and tries < _MAX_DRAWS:
+        batch = max(count - len(kept), 256)
         pts = rng.uniform(lo, hi, size=(batch, X.n))
         tries += batch
         if X.equalities:
             pts = _project_batch(X, pts)
-        ok = violation_many(X, pts) <= FEASIBILITY_TOL
-        kept.extend(pts[ok])
-    if len(kept) < count:
-        raise RuntimeError(f"sampler starvation: kept {len(kept)}/{count} after {tries} draws")
+        kept.extend(pts[violation_many(X, pts) <= FEASIBILITY_TOL])
+    if not kept:
+        raise RuntimeError(f"sampler starvation: kept 0/{count} after {tries} draws")
     return np.array(kept[:count])
 
 
@@ -439,14 +445,14 @@ def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
 
     best_x, best_v = x, value(x)
     step = 0.1
-    # Each point is restored once per call: `outcomes` maps a trial's bytes
-    # to its restoration and that point's value (-inf when infeasible), and
-    # acceptance is judged against the current best_v. The direction depends
-    # on best_x alone, and a failed search rejects every halving down to
-    # `rejected`; the next one starts a quarter lower, so its trials at or
-    # above `rejected` repeat rejected points bit for bit and are skipped.
+    # The direction depends on best_x alone, so once a line search fails
+    # every later one would retry shorter steps along the same ray: phase
+    # one ends there. Each point is still restored once per call: `outcomes`
+    # maps a trial's bytes to its restoration and that point's value (-inf
+    # when infeasible), judged against the current best_v. It catches trials
+    # within an ulp of best_x, and trials that successive steps along a
+    # straight ray reach twice.
     outcomes = {x0.tobytes(): (x, best_v)}
-    rejected = np.inf
     for _ in range(_POLISH_ITERS):
         g = gradient(best_x)
         on, J = active(best_x)
@@ -465,26 +471,21 @@ def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
         improved = False
         trial_step = step
         for _ in range(30):
-            if trial_step < rejected:
-                trial = best_x + trial_step * direction / max(nrm, 1e-30)
-                key = trial.tobytes()
-                if key not in outcomes:
-                    cand = restore_feasibility(X, trial)
-                    feasible = cand is not None and violation(X, cand) <= FEASIBILITY_TOL
-                    outcomes[key] = (cand, value(cand) if feasible else -np.inf)
-                cand, v = outcomes[key]
-                if v > best_v + 1e-16:
-                    best_x, best_v = cand, v
-                    improved = True
-                    step = trial_step * 1.5
-                    rejected = np.inf
-                    break
-                rejected = trial_step
+            trial = best_x + trial_step * direction / max(nrm, 1e-30)
+            key = trial.tobytes()
+            if key not in outcomes:
+                cand = restore_feasibility(X, trial)
+                feasible = cand is not None and violation(X, cand) <= FEASIBILITY_TOL
+                outcomes[key] = (cand, value(cand) if feasible else -np.inf)
+            cand, v = outcomes[key]
+            if v > best_v + 1e-16:
+                best_x, best_v = cand, v
+                improved = True
+                step = trial_step * 1.5
+                break
             trial_step *= 0.5
         if not improved:
-            if step <= 1e-12:
-                break
-            step *= 0.25
+            break
 
     # KKT Newton refinement on the final active set
     on, J0 = active(best_x)

@@ -271,6 +271,19 @@ def test_graded_decompose_examples():
     assert list(cross) == [(1, 1)]
 
 
+@pytest.mark.parametrize("measure, D, f, profiles", [
+    (BALL1, 2, Polynomial(1, {(2,): 1.0}), {(0,), (2,)}),
+    (ReferenceMeasure("ball", 2, 1.0), 4, Polynomial(2, {(2, 2): 1.0, (1, 0): 1.0}),
+     {(0,), (1,), (2,), (4,)}),
+])
+def test_graded_decompose_has_no_round_off_parts(measure, D, f, profiles):
+    # odd coordinates of an even f come out near 1e-17, not 0; against real
+    # parts of 3.7e-2 or more they are round-off, not components
+    parts = graded_decompose(orthonormal_basis(measure, D), f)
+    assert set(parts) == profiles
+    assert coeff_dist(sum(parts.values(), Polynomial.zero(f.n)), f) < 1e-14
+
+
 def test_graded_components_sum_back():
     rng = np.random.default_rng(3)
     for product, D in [(PROD2, 4), (PROD3, 3)]:

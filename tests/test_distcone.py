@@ -17,9 +17,15 @@ from momentlab.distcone import (
     support_gap,
 )
 from momentlab.momentkit import TruncatedSequence
-from momentlab.polycore import Polynomial
+from momentlab.polycore import Polynomial, monomial_basis
 from momentlab.sdpcore import SolveOptions
-from momentlab.semialg import SemiAlgebraicSet, make_catalog_set, rejection_sample, violation_many
+from momentlab.semialg import (
+    POOL_SIZE,
+    SemiAlgebraicSet,
+    make_catalog_set,
+    rejection_sample,
+    violation_many,
+)
 
 BALL1 = make_catalog_set("ball", n=1, R=1.0)
 SPHERE = make_catalog_set("sphere", n=2, R=1.0)
@@ -123,9 +129,7 @@ def test_hausdorff_single_direction_matches_support_gap():
     rng = np.random.default_rng(seed)
     c = rng.normal(size=3)
     c /= np.linalg.norm(c)
-    from momentlab.distcone import _feasible_pool
-
-    pool = _feasible_pool(BALL1, seed)
+    pool = rejection_sample(BALL1, POOL_SIZE, seed)
     expected = support_gap(BALL1, "T", 2, 2, c, TIGHT, pool=pool)
     got = hausdorff_lower_bound(BALL1, "T", 2, 2, directions=1, seed=seed, opts=TIGHT)
     assert got == pytest.approx(expected, abs=1e-9)
@@ -318,15 +322,12 @@ def test_pseudo_moment_radius():
 
 
 def test_support_pool_covers_the_circle():
-    from momentlab.distcone import _feasible_pool
     from momentlab.semialg import sampled_extremum
-    from momentlab.polycore import monomial_basis
 
-    # box points miss the circle, so the whole pool is sampled on it; seed
-    # 353062898 once gave a 256-point pool whose gap held the maximizer of
-    # direction 11, and the support estimate fell 1.7e-3 short
+    # seed 353062898 once gave a 256-point pool whose gap held the maximizer
+    # of direction 11, and the support estimate fell 1.7e-3 short
     seed = 353062898
-    pool = _feasible_pool(SPHERE, seed)
+    pool = rejection_sample(SPHERE, POOL_SIZE, seed)
     assert pool.shape == (4096, 2)
     assert np.all(violation_many(SPHERE, pool) <= 1e-9)
     angles = np.sort(np.arctan2(pool[:, 1], pool[:, 0]))
@@ -339,6 +340,20 @@ def test_support_pool_covers_the_circle():
         p = Polynomial.from_vector(monomial_basis(2, 2), c / np.linalg.norm(c))
         assert sampled_extremum(p, SPHERE, pool, 4, maximize=True)[0] == pytest.approx(
             p.eval_many(circle).max(), abs=1e-8)
+
+
+@pytest.mark.parametrize("kind, n", [("simplex", 5), ("ball", 8)])
+def test_linear_support_on_the_papers_sets(kind, n):
+    # the box hits these sets with odds 1/120 and about 1/62; the support of
+    # c0 + c'x is max(c0, c0 + max c_i) on the simplex and c0 + |c'| on the ball
+    X = make_catalog_set(kind, n=n)
+    support = sampled_support(X, 1, 4, 0)
+    index = monomial_basis(n, 1).index_of
+    for c, value in zip(support.directions, support.h_moment):
+        c0 = c[index[(0,) * n]]
+        lin = np.array([c[index[tuple(np.eye(n, dtype=int)[i])]] for i in range(n)])
+        exact = c0 + (max(0.0, lin.max()) if kind == "simplex" else np.linalg.norm(lin))
+        assert value == pytest.approx(exact, abs=1e-12)
 
 
 def test_hausdorff_with_shared_support_is_bit_identical():
@@ -368,13 +383,13 @@ def test_distance_series_samples_one_pool(tmp_path, monkeypatch):
     from momentlab.benchcli import ExperimentConfig, run_experiment
 
     pools = []
-    original = distcone._feasible_pool
+    original = distcone.rejection_sample
 
-    def counting(X, seed, *args, **kwargs):
+    def counting(X, count, seed, *args, **kwargs):
         pools.append(seed)
-        return original(X, seed, *args, **kwargs)
+        return original(X, count, seed, *args, **kwargs)
 
-    monkeypatch.setattr(distcone, "_feasible_pool", counting)
+    monkeypatch.setattr(distcone, "rejection_sample", counting)
     path = tmp_path / "ball.json"
     path.write_text(json.dumps({"objective": [[[1], 1.0]],
                                 "set": {"catalog": "ball", "n": 1, "R": 1.0}}))

@@ -175,6 +175,29 @@ def test_rejection_sampler_sphere_count_and_seed(n):
     assert not np.array_equal(pts, rejection_sample(S, 300, seed=12))
 
 
+@pytest.mark.parametrize("X", [make_catalog_set("sphere", n=2), make_catalog_set("simplex", n=2)],
+                         ids=["circle", "simplex2"])
+def test_rejection_sampler_count_only_truncates(X):
+    # batches continue one stream of draws and each point is projected on
+    # its own, so the batch size cannot change which points come first
+    for seed in (0, 5):
+        short = rejection_sample(X, 32, seed)
+        assert short.tobytes() == rejection_sample(X, 300, seed)[:32].tobytes()
+
+
+def test_rejection_sampler_returns_a_shortfall():
+    # the box [0, 1]^6 holds the 6-simplex with odds 1/720: the draw budget
+    # keeps a few hundred points, which are returned rather than refused
+    X = make_catalog_set("simplex", n=6)
+    pts = rejection_sample(X, 4096, seed=0)
+    assert 1 <= len(pts) < 4096
+    assert np.all(violation_many(X, pts) <= FEASIBILITY_TOL)
+    outside = SemiAlgebraicSet(n=1, inequalities=(Polynomial(1, {(1,): 1.0, (0,): -2.0}),),
+                               box=(-np.ones(1), np.ones(1)), name="x >= 2")
+    with pytest.raises(RuntimeError, match="starvation"):
+        rejection_sample(outside, 8, seed=0)
+
+
 @pytest.mark.parametrize("kind, params", [("sphere", {"n": 2}), ("sphere", {"n": 3}),
                                           ("ball", {"n": 3}), ("simplex", {"n": 2})])
 def test_local_extremum_restores_each_point_once(kind, params, monkeypatch):
