@@ -264,14 +264,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
             seconds = res.seconds if config.record_timings else 0.0
             ladder_rows.append([res.level, res.certificate, res.side,
                                 f"{res.value:.12g}", f"{res.gap:.6g}",
-                                res.status, f"{seconds:.3f}", config.seed])
+                                res.status, res.iterations, f"{seconds:.3f}",
+                                config.seed])
             if res.side == "moment" and res.status == "optimal":
                 bounds[(cert, res.level)] = res.value
         failures.extend(report.monotonicity_violations + report.status_notes)
         solver_failed = solver_failed or bool(report.status_notes)
     ladder_csv = out / "ladder.csv"
     _write_csv(ladder_csv, ["level", "certificate", "side", "bound", "gap",
-                            "status", "seconds", "seed"], ladder_rows)
+                            "status", "iterations", "seconds", "seed"], ladder_rows)
 
     distance_csv = None
     lemma_csv = None

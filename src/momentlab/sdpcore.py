@@ -1,26 +1,39 @@
 """Conic solver for equality-constrained programs over PSD cones,
 nonnegative orthants, and free variables.
 
-The solver is operator splitting (ADMM) on
+The solver is operator splitting on
 
     minimize  c'x   subject to  Ax = b,  x in K,
 
-with the splitting x = z: the x-update is an equality-constrained quadratic
-step solved through one sparse LU factorization of A A' with symmetric
-ordering and diagonal pivots (reused across all iterations and penalty
-updates), the z-update projects block-wise onto K, and
-scaled dual updates close the loop. PSD blocks are stored in symmetric-packed
-form with sqrt(2) off-diagonal scaling so the flattening is an isometry and
-dual residuals keep their meaning.
+run as the over-relaxed Douglas–Rachford fixed-point map on one variable w.
+With z = Π_K(w) and u = w − z (the scaled dual), one map evaluation takes
+the equality-constrained quadratic step x from z − u, solved through one
+sparse LU factorization of A A' with symmetric ordering and diagonal pivots
+(reused across all iterations and penalty updates), and returns
+T(w) = w + α(x − z). That is exactly one step of ADMM with the splitting
+x = z: one linear solve and one block-wise projection onto K.
+
+The map is accelerated by type-II Anderson acceleration (Walker & Ni 2011;
+Zhang, O'Donoghue & Boyd 2020): the next point extrapolates the last
+AA_MEMORY accepted iterates, with the least-squares weights read from an
+incrementally updated, Tikhonov-regularized Gram matrix of residual
+differences. An extrapolated point is kept only when its residual
+‖T(w̃) − w̃‖ is at most AA_SAFEGUARD times the accepted iterate's;
+otherwise the plain step T(w) is taken and the memory is cleared, as it is
+on every penalty change. `Solution.iterations` counts map evaluations, so a
+rejected extrapolation costs one, and `Solution.rejected_steps` counts the
+rejections. PSD blocks are stored in symmetric-packed form with sqrt(2)
+off-diagonal scaling so the flattening is an isometry and dual residuals
+keep their meaning.
 
 `solve(program, opts, warm)` takes two options, the tolerance and the
 iteration cap (`SolveOptions`), and optionally a previous Solution to start
-from; the penalty, relaxation and check schedule are the module constants
-below. Sized for desk-scale moment relaxations (PSD blocks up to a few
-hundred); a solve is deterministic given its arguments. The equilibration
-and the factor of A A' read neither c nor b, so a program computes them once
-and keeps them; `ConicProgram.with_objective` hands them to a copy with
-another objective. Distinct calls share nothing else.
+from; the penalty, relaxation, acceleration and check schedule are the
+module constants below. Sized for desk-scale moment relaxations (PSD blocks
+up to a few hundred); a solve is deterministic given its arguments. The
+equilibration and the factor of A A' read neither c nor b, so a program
+computes them once and keeps them; `ConicProgram.with_objective` hands them
+to a copy with another objective. Distinct calls share nothing else.
 """
 
 from __future__ import annotations
@@ -33,14 +46,18 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 _SQRT2 = math.sqrt(2.0)
 
-RHO = 1.0            # initial ADMM penalty, adapted every ADAPT_EVERY iterations
+RHO = 1.0            # initial penalty, adapted every ADAPT_EVERY iterations
 OVER_RELAX = 1.6     # over-relaxation factor of the x-update
-CHECK_EVERY = 25     # iterations between residual checks
-ADAPT_EVERY = 50     # iterations between penalty updates
+CHECK_EVERY = 25     # iterations (map evaluations) between residual checks
+ADAPT_EVERY = 100    # iterations between penalty updates; each change clears the memory
 STALL_WINDOW = 500   # iterations without halving the residual before the ray test
+AA_MEMORY = 20       # differences kept by Anderson acceleration; 10 takes 20k+ on Stengle r=4
+AA_REGULARIZATION = 1e-6  # Tikhonov term on the Gram matrix, times its mean diagonal
+AA_SAFEGUARD = 4.0   # keep an extrapolation whose residual is at most this times the last one
 
 
 # ----------------------------------------------------------------------------
@@ -188,8 +205,9 @@ class Solution:
     x: np.ndarray
     y: np.ndarray
     residuals: Residuals
-    iterations: int
+    iterations: int  # map evaluations, rejected extrapolations included
     certificate_ray: Optional[np.ndarray] = None
+    rejected_steps: int = 0  # extrapolations the safeguard turned down
 
 
 @dataclass(frozen=True)
@@ -314,12 +332,57 @@ def _factor_gram(A: sp.csr_matrix) -> tuple:
 # main solve loop
 
 
+class _Anderson:
+    """Type-II Anderson acceleration of a fixed-point map T with residual
+    g(w) = T(w) − w. Ring buffers hold the last AA_MEMORY differences of g
+    and of T between accepted iterates, and the Gram matrix of the g
+    differences is updated one row per iterate."""
+
+    def __init__(self, n: int):
+        self.dg = np.empty((AA_MEMORY, n))
+        self.dt = np.empty((AA_MEMORY, n))
+        self.gram = np.empty((AA_MEMORY, AA_MEMORY))
+        self.eye = np.eye(AA_MEMORY)
+        self.reset()
+
+    def reset(self) -> None:
+        self.count = 0     # differences held
+        self.head = 0      # slot of the next difference
+        self.last = None   # (g, T(w)) of the previous accepted iterate
+
+    def extrapolate(self, g: np.ndarray, tw: np.ndarray) -> Optional[np.ndarray]:
+        """Record the accepted iterate w by its residual g and image tw = T(w);
+        return tw − ΔT γ with γ = argmin ‖g − ΔG γ‖ (regularized), or None
+        while no difference is held."""
+        if self.last is not None:
+            j = self.head
+            np.subtract(g, self.last[0], out=self.dg[j])
+            np.subtract(tw, self.last[1], out=self.dt[j])
+            self.count = min(self.count + 1, AA_MEMORY)
+            self.head = (j + 1) % AA_MEMORY
+            row = self.dg[:self.count] @ self.dg[j]
+            self.gram[j, :self.count] = row
+            self.gram[:self.count, j] = row
+        self.last = (g, tw)
+        k = self.count
+        if k == 0:
+            return None
+        gram = self.gram[:k, :k]
+        reg = AA_REGULARIZATION * float(gram.trace()) / k
+        if not reg > 0.0:
+            return None
+        # Cholesky through LAPACK directly: a numpy solve's call overhead is
+        # several times the work at this size
+        _, gamma, info = lapack.dposv(gram + reg * self.eye[:k, :k], self.dg[:k] @ g)
+        return tw - gamma @ self.dt[:k] if info == 0 else None
+
+
 def solve(program: ConicProgram, opts: Optional[SolveOptions] = None,
           warm: Optional[Solution] = None) -> Solution:
     """Solve `program`; with `warm`, a solution of a program with the same A,
     start from its primal x and dual y."""
     opts = opts or SolveOptions()
-    m, n = program.num_rows, program.num_vars
+    n = program.num_vars
     cone = _ConeOps(program.blocks, program.block_slices())
 
     A, d_row, d_col, AT, lu = program._scaled_factor
@@ -350,7 +413,20 @@ def solve(program: ConicProgram, opts: Optional[SolveOptions] = None,
         gap = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
         return x_orig, y_orig, pv, dv, Residuals(rp, rd, gap)
 
-    nu = np.zeros(m)
+    def fixed_point_map(w_in):
+        """(T(w_in), z = Π_K(w_in), nu): one projection and one linear solve."""
+        z_in = cone.project(w_in)
+        v = 2.0 * z_in - w_in  # z - u
+        nu_in = lu.solve(A @ (rho * v - c) - rho * b)
+        x = v - (c + AT @ nu_in) / rho
+        return w_in + OVER_RELAX * (x - z_in), z_in, nu_in
+
+    anderson = _Anderson(n)
+    w = w_next = z + u  # accepted iterate, and the point evaluated next
+    plain = None        # T(w) while w_next is an extrapolation of w
+    z_prev = z          # projection of the accepted iterate before w
+    res_norm = math.inf
+    rejected = 0
     best = None
     stall_anchor = math.inf
     stall_count = 0
@@ -358,15 +434,17 @@ def solve(program: ConicProgram, opts: Optional[SolveOptions] = None,
     certificate = None
 
     for it in range(1, opts.max_iters + 1):
-        v = z - u
-        rhs = A @ (rho * v - c) - rho * b
-        nu = lu.solve(rhs)
-        x = v - (c + AT @ nu) / rho
-        x_hat = OVER_RELAX * x + (1.0 - OVER_RELAX) * z
-        z_new = cone.project(x_hat + u)
-        u = u + x_hat - z_new
-        dz = float(np.linalg.norm(z_new - z))
-        z = z_new
+        tw, z_new, nu_new = fixed_point_map(w_next)
+        g = tw - w_next
+        g_norm = float(np.linalg.norm(g))
+        if plain is not None and g_norm > AA_SAFEGUARD * res_norm:
+            rejected += 1
+            anderson.reset()
+            w_next, plain = plain, None
+        else:
+            w, z_prev, z, nu, res_norm = w_next, z, z_new, nu_new, g_norm
+            extrapolated = anderson.extrapolate(g, tw)
+            w_next, plain = (tw, None) if extrapolated is None else (extrapolated, tw)
 
         if it % CHECK_EVERY == 0 or it == opts.max_iters:
             x_orig, y_orig, pv, dv, res = report(z, nu)
@@ -391,18 +469,22 @@ def solve(program: ConicProgram, opts: Optional[SolveOptions] = None,
 
         if it % ADAPT_EVERY == 0:
             rp_s = float(np.linalg.norm(A @ z - b))
-            rd_s = rho * dz
+            rd_s = rho * float(np.linalg.norm(z - z_prev))
+            scale = 1.0
             if rp_s > 10.0 * rd_s and rho < 1e6:
-                rho *= 2.0
-                u /= 2.0
+                scale = 2.0
             elif rd_s > 10.0 * rp_s and rho > 1e-6:
-                rho /= 2.0
-                u *= 2.0
+                scale = 0.5
+            if scale != 1.0:
+                rho *= scale
+                w_next, plain = z + (w - z) / scale, None
+                anderson.reset()
 
     x_orig, y_orig, pv, dv, res = best
     return Solution(status=status, primal_value=pv, dual_value=dv,
                     blocks=program.unpack(x_orig), x=x_orig, y=y_orig,
-                    residuals=res, iterations=it, certificate_ray=certificate)
+                    residuals=res, iterations=it, certificate_ray=certificate,
+                    rejected_steps=rejected)
 
 
 def _infeasibility_ray(program: ConicProgram, cone: _ConeOps,

@@ -109,7 +109,7 @@ def test_run_experiment_sphere_ladder(tmp_path):
     bundle = run_experiment(config)
     assert not bundle.failures
     rows = bundle.ladder_csv.read_text().splitlines()
-    assert rows[0] == "level,certificate,side,bound,gap,status,seconds,seed"
+    assert rows[0] == "level,certificate,side,bound,gap,status,iterations,seconds,seed"
     # all six bounds (3 levels x 2 sides) sit at -1
     for line in rows[1:]:
         fields = line.split(",")

@@ -3,7 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 from momentlab import sdpcore
-from momentlab.hierarchy import LevelTooLowError, build_moment_relaxation, build_sos_relaxation
+from momentlab.hierarchy import (
+    LevelTooLowError,
+    build_moment_relaxation,
+    build_sos_relaxation,
+    solve_relaxation,
+)
 from momentlab.polycore import Polynomial
 from momentlab.sdpcore import (
     Block,
@@ -306,3 +311,60 @@ def test_sparse_factor_solves_the_ball3_moment_gram():
     r = np.random.default_rng(3).normal(size=m)
     reference = np.linalg.solve((A @ AT).toarray(), r)
     assert np.linalg.norm(lu.solve(r) - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
+def test_anderson_gram_tracks_the_ring_buffers():
+    # the Gram matrix is updated one row per iterate; after the ring wraps it
+    # must still equal the Gram matrix of the differences it holds
+    rng = np.random.default_rng(4)
+    anderson = sdpcore._Anderson(6)
+    assert anderson.extrapolate(rng.normal(size=6), rng.normal(size=6)) is None
+    for _ in range(sdpcore.AA_MEMORY + 7):
+        g, tw = rng.normal(size=6), rng.normal(size=6)
+        point = anderson.extrapolate(g, tw)
+        k = anderson.count
+        dg = anderson.dg[:k]
+        assert np.allclose(anderson.gram[:k, :k], dg @ dg.T, rtol=1e-13, atol=1e-13)
+        # the regularized weights are close to the (minimum-norm) least-squares ones
+        gamma = np.linalg.lstsq(dg.T, g, rcond=None)[0]
+        assert np.allclose(point, tw - gamma @ anderson.dt[:k], atol=1e-4)
+    assert anderson.count == sdpcore.AA_MEMORY
+    anderson.reset()
+    assert anderson.extrapolate(rng.normal(size=6), rng.normal(size=6)) is None
+
+
+@pytest.fixture(scope="module")
+def simplex_cubic_solves():
+    # a degenerate level: unaccelerated ADMM stalls on both sides for 100k iterations
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    f = x1 ** 3 - x1 * x2 + x2 ** 4 + 0.3 * x2
+    X = make_catalog_set("simplex", n=2, K=1.0)
+    opts = SolveOptions(tol=1e-7, max_iters=5000)
+    return opts, [solve_relaxation(build(f, X, "Q", 3), opts)
+                  for build in (build_moment_relaxation, build_sos_relaxation)]
+
+
+def test_simplex_cubic_case_is_optimal_within_5000_iterations(simplex_cubic_solves):
+    _, ((moment_value, moment), (sos_value, sos)) = simplex_cubic_solves
+    assert moment.status == "optimal"
+    assert sos.status == "optimal"
+    assert moment_value == pytest.approx(sos_value, abs=1e-5)
+
+
+def test_iterations_count_map_evaluations_within_the_cap(simplex_cubic_solves):
+    opts, solves = simplex_cubic_solves
+    for _, sol in solves:
+        assert 0 <= sol.rejected_steps <= sol.iterations <= opts.max_iters
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_stengle_ladder_is_optimal_at_the_exact_value(r):
+    # Stengle: f = 1 - x^2 on {(1 - x^2)^3 >= 0} = [-1, 1]; the Q bound at
+    # level r is -1/(r(r-2)), reached only in the limit by the minimum 0
+    x = Polynomial.variable(1, 0)
+    X = make_catalog_set("custom", n=1, inequalities=[(1 - x ** 2) ** 3])
+    opts = SolveOptions(tol=1e-7, max_iters=30000)
+    for build in (build_moment_relaxation, build_sos_relaxation):
+        value, sol = solve_relaxation(build(1 - x ** 2, X, "Q", r), opts)
+        assert sol.status == "optimal"
+        assert value == pytest.approx(-1.0 / (r * (r - 2)), abs=1e-5)
