@@ -440,19 +440,17 @@ def _factor_grid(mu: ReferenceMeasure) -> np.ndarray:
 def harmonic_constant_bound(X: Union[SimpleSetProduct, ReferenceMeasure], k: int) -> float:
     """Upper bound on the harmonic constant: sqrt of product over factors of
     tau(X_i, k) = max_{j<=k} max_x C^(j)(x, x). Each max_x is taken by
-    sampled_extremum on the diagonal sum_{deg P_i = j} P_i^2, over a dense
-    grid of the factor with one polish start."""
+    one sampled_extremum call per factor on the k + 1 diagonals
+    sum_{deg P_i = j} P_i^2, over a dense grid of the factor with one
+    polish start each."""
     product = 1.0
     for mu in measures_for(X):
         fb = orthonormal_basis(mu, k)
-        grid = _factor_grid(mu)
-        dom, total = mu.domain(), fb.total_degrees()
-        tau = 0.0
-        for j in range(k + 1):
-            diag = sum((fb.polynomial(i) * fb.polynomial(i) for i in np.flatnonzero(total == j)),
-                       Polynomial.zero(mu.n))
-            tau = max(tau, sampled_extremum(diag, dom, grid, 1, maximize=True)[0])
-        product *= tau
+        total = fb.total_degrees()
+        diags = [sum((fb.polynomial(i) * fb.polynomial(i) for i in np.flatnonzero(total == j)),
+                     Polynomial.zero(mu.n)) for j in range(k + 1)]
+        taus, _ = sampled_extremum(diags, mu.domain(), _factor_grid(mu), 1, maximize=True)
+        product *= max(0.0, *taus)
     return float(np.sqrt(product))
 
 

@@ -29,7 +29,6 @@ from momentlab.semialg import (
     rejection_sample,
     restore_feasibility,
     sampled_extremum,
-    violation,
     violation_many,
 )
 
@@ -213,7 +212,7 @@ def support_gap(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
     h_pseudo = -value
     if pool is None:
         pool = rejection_sample(X, POOL_SIZE, seed)
-    h_moment = sampled_extremum(p, X, pool, 4, maximize=True)[0]
+    h_moment = sampled_extremum([p], X, pool, 4, maximize=True)[0][0]
     return h_pseudo - h_moment
 
 
@@ -233,9 +232,10 @@ def sampled_support(X: SemiAlgebraicSet, k: int, directions: int,
                     seed: int) -> SampledSupport:
     """Draw `directions` unit directions (one N(0, I) draw each from
     default_rng(seed), normalized) and estimate X's moment support function
-    in each over one pool, rejection_sample(X, POOL_SIZE, seed), whose 4
-    best points per direction are polished. It depends on neither the
-    certificate nor the level, so a distance series computes it once."""
+    in each over one pool, rejection_sample(X, POOL_SIZE, seed): one
+    sampled_extremum call polishes the 4 best points of every direction
+    together. It depends on neither the certificate nor the level, so a
+    distance series computes it once."""
     if directions < 1:
         raise ValueError("need at least one direction")
     rng = np.random.default_rng(seed)
@@ -246,8 +246,8 @@ def sampled_support(X: SemiAlgebraicSet, k: int, directions: int,
         dirs[d] = c / np.linalg.norm(c)
     pool = rejection_sample(X, POOL_SIZE, seed)
     basis = monomial_basis(X.n, k)
-    h_moment = np.array([sampled_extremum(Polynomial.from_vector(basis, c), X, pool, 4,
-                                          maximize=True)[0] for c in dirs])
+    h_moment, _ = sampled_extremum([Polynomial.from_vector(basis, c) for c in dirs], X, pool, 4,
+                                   maximize=True)
     return SampledSupport(k=k, seed=seed, directions=dirs, h_moment=h_moment)
 
 
@@ -296,29 +296,30 @@ def hausdorff_lower_bound(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
 # Lojasiewicz exponent fitting
 
 
-def distance_to_set(X: SemiAlgebraicSet, x: np.ndarray,
-                    pool: Optional[np.ndarray] = None) -> float:
-    """d(x, X) by sample-and-polish; a documented estimate.
+def distance_to_set(X: SemiAlgebraicSet, points: np.ndarray,
+                    pool: Optional[np.ndarray] = None) -> np.ndarray:
+    """d(x, X) for each row x of `points` (m, n), by sample-and-polish; a
+    documented estimate.
 
-    sampled_extremum maximizes -|z - x|^2 over x's Gauss-Newton restoration
-    and the rows of `pool` (points of X) and polishes the best; the result is
-    |z - x| at the polished point, or inf with no candidate. Where the
-    constraint gradients vanish on X, points passing the FEASIBILITY_TOL test
-    can lie outside X: near the tip of the cusp {x2^2 <= x1^3, x1 <= 1}
-    distances read up to 0.74% below a dense-curve reference, and on
-    {x^2 = 0} up to 3.2e-7 below |x|.
+    The candidates are the Gauss-Newton restorations of all rows, from one
+    restore_feasibility call, and the rows of `pool` (points of X). One
+    sampled_extremum call maximizes -|z - x|^2 for every x over them and
+    polishes each x's best candidate; a distance is |z - x| at the polished
+    point, or inf with no candidate. Where the constraint gradients vanish
+    on X, points passing the FEASIBILITY_TOL test can lie outside X: near
+    the tip of the cusp {x2^2 <= x1^3, x1 <= 1} distances read up to 0.74%
+    below a dense-curve reference, and on {x^2 = 0} up to 3.2e-7 below |x|.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.array(points, dtype=float).reshape(-1, X.n)
     restored = restore_feasibility(X, x)
-    candidates = np.reshape([] if pool is None else pool, (-1, X.n))
-    if restored is not None:
-        candidates = np.vstack([restored, candidates])
+    candidates = np.vstack([restored[np.isfinite(restored).all(axis=1)],
+                            np.reshape([] if pool is None else pool, (-1, X.n))])
     if not len(candidates):
-        return np.inf
-    f = -sum(((Polynomial.variable(X.n, i) - x[i]) ** 2 for i in range(X.n)),
-             Polynomial.zero(X.n))
-    _, nearest = sampled_extremum(f, X, candidates, 1, maximize=True)
-    return float(np.linalg.norm(nearest - x))
+        return np.full(len(x), np.inf)
+    zs = [Polynomial.variable(X.n, i) for i in range(X.n)]
+    fs = [-sum(((z - xi) ** 2 for z, xi in zip(zs, row)), Polynomial.zero(X.n)) for row in x]
+    _, nearest = sampled_extremum(fs, X, candidates, 1, maximize=True)
+    return np.linalg.norm(nearest - x, axis=1)
 
 
 @dataclass
@@ -333,8 +334,9 @@ def lojasiewicz_fit(X: SemiAlgebraicSet, sample_box, count: int = 300,
                     seed: int = 0) -> LojasiewiczFit:
     """Regress log d(x, X) on log violation(x) over up to `count` (at least
     50) exterior samples in the shell _LOJASIEWICZ_SHELL = [1e-4, 1e-1] of
-    violations; the slope estimates the exponent. Every distance_to_set call
-    shares one pool: the feasible box draws and the exterior restorations."""
+    violations; the slope estimates the exponent. One distance_to_set call
+    measures every exterior sample, over the feasible box draws and the
+    samples' own restorations."""
     if count < _LOJASIEWICZ_MIN_POINTS:
         raise ValueError(f"count must be at least {_LOJASIEWICZ_MIN_POINTS}, got {count}")
     lo, hi = np.asarray(sample_box[0], dtype=float), np.asarray(sample_box[1], dtype=float)
@@ -353,9 +355,7 @@ def lojasiewicz_fit(X: SemiAlgebraicSet, sample_box, count: int = 300,
             f"only {len(exterior)} exterior points in the violation shell")
     exterior = np.array(exterior[:count])
     v = violation_many(X, exterior)
-    restored = [z for z in (restore_feasibility(X, x) for x in exterior) if z is not None]
-    pool = np.array(feasible + restored).reshape(-1, X.n)
-    d = np.array([distance_to_set(X, x, pool) for x in exterior])
+    d = distance_to_set(X, exterior, np.array(feasible))
     keep = np.isfinite(d) & (d > 0) & (v > 0)
     logv, logd = np.log(v[keep]), np.log(d[keep])
     slope, intercept = np.polyfit(logv, logd, 1)
@@ -407,12 +407,13 @@ def cqc_check(X: SemiAlgebraicSet, count: int = 64, seed: int = 0) -> CQCReport:
     matrix of gradients of the constraints active there (|g_j| at most
     _CQC_ACTIVE_TOL); values below 1e-6 flag near-degeneracy.
 
-    Each point is the Gauss-Newton restoration of a box draw onto {g_j = 0}
-    with the other inequalities kept, so it may also land where two
-    constraints meet. Restoration stops once |g_j| <= 1e-13 (_GN_STOP), not
-    at g_j = 0: at a double root, such as {x^2 >= 0, -x^2 >= 0}, the
-    smallest singular value reads up to 2 sqrt(2) sqrt(1e-13) ~ 8.9e-7
-    rather than zero, which is still below the 1e-6 threshold."""
+    The points of constraint j are one restore_feasibility call on a batch
+    of box draws, onto {g_j = 0} with the other inequalities kept, so a
+    point may also land where two constraints meet. Restoration stops once
+    |g_j| <= 1e-13 (_GN_STOP), not at g_j = 0: at a double root, such as
+    {x^2 >= 0, -x^2 >= 0}, the smallest singular value reads up to
+    2 sqrt(2) sqrt(1e-13) ~ 8.9e-7 rather than zero, which is still below
+    the 1e-6 threshold."""
     if X.equalities:
         raise ValueError("constraint qualification check covers inequality-only sets")
     rng = np.random.default_rng(seed)
@@ -424,18 +425,13 @@ def cqc_check(X: SemiAlgebraicSet, count: int = 64, seed: int = 0) -> CQCReport:
         # g_j held at zero, the other inequalities kept
         surface = SemiAlgebraicSet(n=X.n, equalities=(g,), inequalities=tuple(
             q for i, q in enumerate(X.inequalities) if i != j))
-        for _ in range(per_constraint):
-            x = restore_feasibility(surface, rng.uniform(lo, hi, size=X.n))
-            if x is None or violation(X, x) > 1e-7:
-                continue
-            vals, jac = X.compiled.jet(x)
-            active = np.abs(vals) <= _CQC_ACTIVE_TOL
-            if not active.any():
-                continue
-            J = jac[active]
-            sv = np.linalg.svd(J, compute_uv=False)
-            min_sv = min(min_sv, float(sv[-1]))
-            checked += 1
+        pts = restore_feasibility(surface, rng.uniform(lo, hi, size=(per_constraint, X.n)))
+        vals, jac = X.compiled.jet(pts[violation_many(X, pts) <= 1e-7])
+        for active, J in zip(np.abs(vals) <= _CQC_ACTIVE_TOL, jac):
+            if active.any():
+                sv = np.linalg.svd(J[active], compute_uv=False)
+                min_sv = min(min_sv, float(sv[-1]))
+                checked += 1
     if checked == 0:
         raise RuntimeError("no boundary points found for the CQC check")
     return CQCReport(holds_on_sample=bool(min_sv > 1e-6),

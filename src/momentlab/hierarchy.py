@@ -332,8 +332,8 @@ def estimate_minimum(f: Polynomial, X: SemiAlgebraicSet, seed: int = 0,
     RuntimeError reports a set the sampler finds no point of.
     """
     pool = rejection_sample(X, POOL_SIZE, seed)
-    best, point = sampled_extremum(f, X, pool, 8, maximize=False)
-    return (best, point) if return_point else best
+    (best,), (point,) = sampled_extremum([f], X, pool, 8, maximize=False)
+    return (float(best), point) if return_point else float(best)
 
 
 def estimate_maximum(f: Polynomial, X: SemiAlgebraicSet, seed: int = 0,

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 MultiIndex = tuple  # exponent vector, one nonnegative int per variable
+_JET_BLOCK = 1024  # CompiledPoly.jet: most points evaluated at once
 
 
 def count_monomials(n: int, r: int) -> int:
@@ -353,25 +354,58 @@ class CompiledPoly:
             self._tables.append(table)
 
     def monomials(self, x) -> np.ndarray:
-        """x^u for every row u of `exponents`, at a point or a batch."""
+        """x^u for every row u of `exponents`, at a point or a batch: the
+        product over coordinates i of x_i^(u_i), each power x_i^e taken once
+        per point and gathered for every monomial that uses it."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.n,):
             raise ValueError(f"points have dimension {x.shape[-1:]}, expected {self.n}")
-        return (x[..., None, :] ** self.exponents).prod(axis=-1)
+        mono = np.ones(x.shape[:-1] + (len(self.exponents),))
+        for i, e in enumerate(self.exponents.T):
+            mono *= (x[..., i, None] ** np.arange(e.max(initial=0) + 1))[..., e]
+        return mono
 
     def __call__(self, x) -> np.ndarray:
         """Values f_1..f_k."""
-        return self.monomials(x).dot(self._tables[0])
+        return self.jet(x, 0)[0]
 
     def jet(self, x, order: int = 1) -> tuple:
         """(values, Jacobian) or, with order 2, (values, Jacobian, Hessians),
-        all from one monomial evaluation."""
-        mono = self.monomials(x)
-        shape = mono.shape[:-1] + (self.count,)
-        out = [mono.dot(self._tables[0])]
-        for d in range(1, order + 1):
+        all from one monomial evaluation.
+
+        Each point's row of monomials multiplies the tables on its own (a
+        stacked matmul), so a point's outputs do not depend on its
+        batch-mates, bit for bit, and a large batch is taken in blocks of
+        _JET_BLOCK points to keep the monomial arrays small."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2 and len(x) > _JET_BLOCK:
+            out = tuple(np.empty((len(x), self.count) + (self.n,) * d) for d in range(order + 1))
+            for i in range(0, len(x), _JET_BLOCK):
+                for whole, part in zip(out, self.jet(x[i:i + _JET_BLOCK], order)):
+                    whole[i:i + _JET_BLOCK] = part
+            return out
+        mono = self.monomials(x)[..., None, :]
+        shape = mono.shape[:-2] + (self.count,)
+        out = []
+        for d in range(order + 1):
+            out.append(np.matmul(mono, self._tables[d])[..., 0, :].reshape(shape))
             shape += (self.n,)
-            out.append(mono.dot(self._tables[d]).reshape(shape))
+        return tuple(out)
+
+    def jet_each(self, x, which, order: int = 1) -> tuple:
+        """jet of one polynomial per point: f_{which[i]} at x[i] for a batch x
+        of shape (npoints, n). Each point gathers its own polynomial's
+        coefficient columns, so the cost does not grow with the count of
+        compiled polynomials. Outputs have shapes (npoints,), (npoints, n)
+        and, with order 2, (npoints, n, n); as in jet, a point's outputs do
+        not depend on its batch-mates."""
+        mono = self.monomials(x)[:, None, :]
+        which = np.asarray(which, dtype=np.int64)
+        out = []
+        for d in range(order + 1):
+            table = self._tables[d].reshape(-1, self.count, self.n ** d)[:, which]
+            out.append(np.matmul(mono, table.transpose(1, 0, 2))[:, 0].reshape(
+                (len(which),) + (self.n,) * d))
         return tuple(out)
 
 

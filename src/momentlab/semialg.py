@@ -348,169 +348,287 @@ def rejection_sample(X: SemiAlgebraicSet, count: int, seed: int = 0) -> np.ndarr
     return np.array(kept[:count])
 
 
-def _project_batch(X: SemiAlgebraicSet, pts: np.ndarray) -> np.ndarray:
-    """Project a batch of points onto the equalities of X.
+def _svd(A: np.ndarray) -> tuple:
+    """U, the inverted singular values and V^T of a stack of matrices, each
+    inverse set to 0 where np.linalg.lstsq's cutoff drops that value. A zero
+    row of A[i] adds nothing, so a masked-out constraint is a zeroed row."""
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    kept = s > np.finfo(float).eps * max(A.shape[-2:]) * s[..., :1]
+    return u, np.divide(1.0, s, out=np.zeros_like(s), where=kept), vt
 
-    Gauss-Newton steps z <- z - pinv(J_h(z)) h(z) run on the whole batch, on
-    restore_feasibility's schedule; a point stops moving once |h| <= _GN_STOP
-    or when h or J_h is no longer finite. The inequalities play no part: a
-    point left off X (where the constraint gradients vanish, or on the zero
-    set but outside an inequality) is returned where it stopped, and callers
-    reject it by its violation.
-    """
+
+def _apply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] over a stack of matrices a and vectors b."""
+    return (a @ b[..., None])[..., 0]
+
+
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Min-norm least-squares solutions of A[i] x = b[i] over a stack."""
+    u, inv, vt = _svd(A)
+    return _apply(np.swapaxes(vt, -1, -2), inv * _apply(np.swapaxes(u, -1, -2), b))
+
+
+def _gauss_newton(X: SemiAlgebraicSet, z: np.ndarray, inequalities: bool) -> np.ndarray:
+    """Gauss-Newton steps z <- z - pinv(J) F on a batch of points, in place.
+
+    F stacks the equalities of X and, with `inequalities`, the inequalities
+    violated (negative) at the current point; the other rows of F and J are
+    zeroed. A point stops once |F| <= _GN_STOP (status 1), or when F, J or
+    its step is not finite (status -1; it stays where it was); status 0 marks
+    a point still moving after _GN_STEPS steps. Each step evaluates the
+    moving points only; a point's path does not depend on its batch-mates."""
     neq = len(X.equalities)
+    m = neq + len(X.inequalities) if inequalities else neq
+    status = np.zeros(len(z), dtype=np.int8)
+    moving = np.arange(len(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_GN_STEPS):
+            vals, jac = X.compiled.jet(z[moving])
+            F, J = vals[:, :m], jac[:, :m]
+            rows = F < 0.0
+            rows[:, :neq] = True
+            F = np.where(rows, F, 0.0)
+            finite = np.isfinite(vals[:, :m]).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
+            done = np.abs(F).max(axis=1, initial=0.0) <= _GN_STOP
+            status[moving[~finite]] = -1
+            status[moving[finite & done]] = 1
+            go = finite & ~done
+            moving, F, J = moving[go], F[go], J[go] * rows[go, :, None]
+            if not moving.size:
+                break
+            step = _lstsq(J, F)
+            finite = np.isfinite(step).all(axis=1)
+            status[moving[~finite]] = -1
+            moving = moving[finite]
+            z[moving] -= step[finite]
+    return status
+
+
+def _project_batch(X: SemiAlgebraicSet, pts: np.ndarray) -> np.ndarray:
+    """Project a batch of points onto the equalities of X by _gauss_newton.
+
+    The inequalities play no part: a point left off X (where the constraint
+    gradients vanish, or on the zero set but outside an inequality) is
+    returned where it stopped, and callers reject it by its violation.
+    """
     z = np.array(pts, dtype=float)
-    for _ in range(_GN_STEPS):
-        vals, jac = X.compiled.jet(z)
-        h, J = vals[:, :neq], jac[:, :neq]
-        moving = ((np.abs(h).max(axis=1, initial=0.0) > _GN_STOP)
-                  & np.isfinite(h).all(axis=1) & np.isfinite(J).all(axis=(1, 2)))
-        if not moving.any():
-            break
-        z[moving] -= (np.linalg.pinv(J[moving]) @ h[moving, :, None])[:, :, 0]
+    _gauss_newton(X, z, inequalities=False)
     return z
 
 
-def restore_feasibility(X: SemiAlgebraicSet, x: np.ndarray) -> Optional[np.ndarray]:
-    """Gauss-Newton steps onto the violated constraints; None on failure."""
-    z = np.asarray(x, dtype=float).copy()
-    neq = len(X.equalities)
-    for _ in range(_GN_STEPS):
-        vals, jac = X.compiled.jet(z)
-        rows = vals < 0.0
-        rows[:neq] = True
-        if not rows.any():
-            return z
-        F = vals[rows]
-        if np.abs(F).max() <= _GN_STOP:
-            return z
-        step, *_ = np.linalg.lstsq(jac[rows], -F, rcond=None)
-        if not np.all(np.isfinite(step)):
-            return None
-        z = z + step
-    return z if violation(X, z) <= FEASIBILITY_TOL else None
+def restore_feasibility(X: SemiAlgebraicSet, points) -> np.ndarray:
+    """Gauss-Newton restoration of a batch of points (m, n) onto X; a single
+    point (n,) is one row. Each row steps onto the equalities and the
+    inequalities it violates (_gauss_newton). A row that has not stopped
+    after _GN_STEPS steps is kept when its violation is at most
+    FEASIBILITY_TOL, so every finite row returned is a member of X. A failed
+    row, including one whose constraint values or Jacobian are not finite,
+    comes back as NaN."""
+    z = np.array(np.atleast_2d(points), dtype=float)
+    if z.ndim != 2 or z.shape[1] != X.n:
+        raise ValueError(f"points have shape {z.shape}, set has dimension {X.n}")
+    status = _gauss_newton(X, z, inequalities=True)
+    open_ = np.flatnonzero(status == 0)
+    status[open_] = np.where(violation_many(X, z[open_]) <= FEASIBILITY_TOL, 1, -1)
+    z[status < 0] = np.nan
+    return z
 
 
-def sampled_extremum(f: Polynomial, X: SemiAlgebraicSet, pool: np.ndarray,
+def sampled_extremum(fs: Sequence[Polynomial], X: SemiAlgebraicSet, pool: np.ndarray,
                      starts: int, maximize: bool):
-    """(value, point): the best of f over a feasible pool of X, polished.
+    """(values, points): the best of each f in `fs` over a feasible pool of
+    X, polished.
 
-    f is evaluated at every pool point, and local_extremum runs from the
-    `starts` best of them. The value is f at the best feasible point found:
-    never below the true minimum (above the true maximum), and otherwise an
-    estimate.
+    The objectives are compiled together and evaluated at every pool point,
+    and one local_extremum call polishes the `starts` best points of every f
+    together. values[i] is fs[i] at the best feasible point found for it,
+    points[i]: never below the true minimum (above the true maximum), and
+    otherwise an estimate.
     """
-    vals = f.eval_many(pool)
-    order = np.argsort(vals)[::-1] if maximize else np.argsort(vals)
-    best, best_point = float(vals[order[0]]), pool[order[0]]
-    for idx in order[:starts]:
-        polished = local_extremum(f, X, pool[idx], maximize=maximize)
-        if polished is not None and (polished[1] > best if maximize else polished[1] < best):
-            best_point, best = polished
-    return best, np.asarray(best_point, dtype=float)
+    sign = 1.0 if maximize else -1.0
+    vals = CompiledPoly(X.n, fs)(pool)
+    # the best pool point of each f, then its `starts` best
+    top = np.array([(np.argsort(v)[::-1] if maximize else np.argsort(v))[:max(starts, 1)]
+                    for v in vals.T], dtype=np.int64).reshape(len(fs), -1)
+    best, best_points = vals[top[:, 0], np.arange(len(fs))], pool[top[:, 0]]
+    top = top[:, :starts]
+    del vals  # a pool's worth of values per f, not needed by the polish
+    if not top.size:
+        return best, best_points
+    points, values = local_extremum([f for f in fs for _ in range(top.shape[1])],
+                                    X, pool[top.ravel()], maximize)
+    # per f, the first of the pool best and the polished values, in start
+    # order, that no later one beats; a failed polish (NaN) never wins
+    values = np.column_stack([best, values.reshape(top.shape)])
+    points = np.concatenate([best_points[:, None], points.reshape(top.shape + (X.n,))], axis=1)
+    pick = np.argmax(np.where(np.isnan(values), -np.inf, sign * values), axis=1)
+    each = np.arange(len(fs))
+    return values[each, pick], points[each, pick]
 
 
-def local_extremum(f: Polynomial, X: SemiAlgebraicSet, x0: np.ndarray,
+def local_extremum(fs: Sequence[Polynomial], X: SemiAlgebraicSet, starts: np.ndarray,
                    maximize: bool = False):
-    """Polish a feasible point to a nearby local extremum of f over X.
+    """Polish feasible points to nearby local extrema over X: row b of the
+    batch `starts` (B, n) for the objective fs[b], all rows in lockstep.
 
-    Phase one is projected-gradient ascent with Gauss-Newton restoration onto
-    the active constraints; phase two runs Newton on the KKT system of the
-    final active set. Returns (point, value) at a feasible point, or None when
-    restoration fails. Local solvers routinely stop short on curved constraint
-    surfaces; this keeps grid-plus-polish estimates trustworthy to round-off.
+    Phase one is projected-gradient ascent (descent without `maximize`) with
+    Gauss-Newton restoration onto the active constraints; phase two runs
+    Newton on the KKT system of the final active set. Each row follows the
+    rules of a one-point polish; masks keep the rows apart, and a row that
+    finishes drops out. A round restores every live row's trial point in one
+    restore_feasibility call and computes every new search direction in one
+    batched solve. The distinct objectives are compiled once, and each row
+    gathers its own coefficient columns. Returns (points, values): a
+    feasible point per row and its objective value, or NaN where the start's
+    restoration fails. Local solvers routinely stop short on curved
+    constraint surfaces; this keeps grid-plus-polish estimates trustworthy
+    to round-off.
     """
-    p = CompiledPoly(X.n, (f if maximize else -1.0 * f,))
-    x0 = np.asarray(x0, dtype=float)
-    x = restore_feasibility(X, x0)
-    if x is None:
-        return None
+    starts = np.array(np.atleast_2d(starts), dtype=float)
+    objectives: dict = {}
+    which = np.array([objectives.setdefault(f, len(objectives)) for f in fs], dtype=np.int64)
+    if which.shape != starts.shape[:1]:
+        raise ValueError(f"{which.size} objectives for {len(starts)} starts")
+    p = CompiledPoly(X.n, tuple(objectives))
+    sign = 1.0 if maximize else -1.0
     neq = len(X.equalities)
     # rows never released: the equalities, and an inequality that is also an
     # equality (the sphere's redundant ball)
     fixed = np.array([True] * neq + [g in X.equalities for g in X.inequalities], dtype=bool)
 
+    def jet(rows, z, order=1):
+        """The objective of each row, signed so that phase one ascends."""
+        return tuple(sign * t for t in p.jet_each(z, which[rows], order))
+
     def active(z):
-        """Mask of the active constraint rows at z, and their Jacobian."""
+        """Masks of the active constraint rows at z, and the Jacobians."""
         vals, jac = X.compiled.jet(z)
         on = np.abs(vals) <= _ACTIVE_TOL
-        on[:neq] = True
-        return on, jac[on]
+        on[:, :neq] = True
+        return on, jac
 
-    def value(z):
-        return float(p(z)[0])
+    def directions(rows):
+        """The gradient at best_x, projected on the tangent space of the
+        active rows whose multipliers do not release them: a positive
+        multiplier means the ascent direction already points into the
+        feasible side of that inequality. One SVD of the active rows J
+        gives the multipliers pinv(J^T) g and, when no row is released, the
+        projection pinv(J) J g of g on J's row space."""
+        z = best_x[rows]
+        g = jet(rows, z)[1]
+        on, jac = active(z)
+        u, inv, vt = _svd(jac * on[..., None])
+        vg = _apply(vt, g)
+        keep = on & (fixed | (_apply(u, inv * vg) <= 1e-12))
+        tang = _apply(np.swapaxes(vt, 1, 2), (inv > 0) * vg)
+        released = np.flatnonzero((keep != on).any(axis=1))
+        if released.size:
+            Jk = jac[released] * keep[released, :, None]
+            tang[released] = _lstsq(Jk, _apply(Jk, g[released]))
+        return g - tang
 
-    def gradient(z):
-        return p.jet(z)[1][0]
-
-    best_x, best_v = x, value(x)
-    step = 0.1
+    best_x = restore_feasibility(X, starts)
+    ok = np.isfinite(best_x).all(axis=1)
+    best_v = np.full(len(starts), np.nan)
+    if ok.any():
+        best_v[ok] = jet(np.flatnonzero(ok), best_x[ok], 0)[0]
+    step = np.full(len(starts), 0.1)
+    trial_step = np.zeros(len(starts))
+    trials = np.zeros(len(starts), dtype=np.int64)
+    outer = np.zeros(len(starts), dtype=np.int64)
+    direction = np.zeros_like(starts)
+    nrm = np.zeros(len(starts))
     # The direction depends on best_x alone, so once a line search fails
     # every later one would retry shorter steps along the same ray: phase
-    # one ends there. Each point is still restored once per call: `outcomes`
-    # maps a trial's bytes to its restoration and that point's value (-inf
-    # when infeasible), judged against the current best_v. It catches trials
-    # within an ulp of best_x, and trials that successive steps along a
-    # straight ray reach twice.
-    outcomes = {x0.tobytes(): (x, best_v)}
-    for _ in range(_POLISH_ITERS):
-        g = gradient(best_x)
-        on, J = active(best_x)
-        direction = g
-        if on.any():
-            lam, *_ = np.linalg.lstsq(J.T, g, rcond=None)
-            # a positive multiplier means the ascent direction already points
-            # into the feasible side of that inequality: release it
-            keep = fixed[on] | (lam <= 1e-12)
-            if keep.any():
-                tang, *_ = np.linalg.lstsq(J[keep], J[keep] @ g, rcond=None)
-                direction = g - tang
-        nrm = float(np.linalg.norm(direction))
-        if nrm <= 1e-14:
+    # one ends there. Each row still restores a point once: seen[b] maps the
+    # bytes of row b's trials to rows of `tried`, which hold the restoration
+    # and that point's value (-inf when infeasible), judged against the
+    # row's current best_v. It catches trials within an ulp of best_x, and
+    # trials that successive steps along a straight ray reach twice.
+    tried = np.column_stack([best_x[ok], best_v[ok]])
+    seen = [{} for _ in starts]
+    for i, b in enumerate(np.flatnonzero(ok).tolist()):
+        seen[b][starts[b].tobytes()] = i
+    live, fresh = ok.copy(), ok.copy()
+
+    def finish(done):
+        """End phase one for the rows `done`; their trials are not looked up again."""
+        live[done] = False
+        for b in done.tolist():
+            seen[b] = None
+
+    while True:
+        rows = np.flatnonzero(fresh)
+        if rows.size:
+            outer[rows] += 1
+            direction[rows] = directions(rows)
+            nrm[rows] = np.linalg.norm(direction[rows], axis=1)
+            trial_step[rows] = step[rows]
+            trials[rows] = 0
+            finish(rows[nrm[rows] <= 1e-14])
+        rows = np.flatnonzero(live)
+        if not rows.size:
             break
-        improved = False
-        trial_step = step
-        for _ in range(30):
-            trial = best_x + trial_step * direction / max(nrm, 1e-30)
-            key = trial.tobytes()
-            if key not in outcomes:
-                cand = restore_feasibility(X, trial)
-                feasible = cand is not None and violation(X, cand) <= FEASIBILITY_TOL
-                outcomes[key] = (cand, value(cand) if feasible else -np.inf)
-            cand, v = outcomes[key]
-            if v > best_v + 1e-16:
-                best_x, best_v = cand, v
-                improved = True
-                step = trial_step * 1.5
-                break
-            trial_step *= 0.5
-        if not improved:
-            break
+        trial = (best_x[rows] + trial_step[rows, None] * direction[rows]
+                 / np.maximum(nrm[rows], 1e-30)[:, None])
+        keys = [t.tobytes() for t in trial]
+        at = np.array([seen[b].get(key, -1) for b, key in zip(rows.tolist(), keys)])
+        new = np.flatnonzero(at < 0)
+        if new.size:
+            cand = restore_feasibility(X, trial[new])
+            feasible = np.flatnonzero(np.isfinite(cand[:, 0]))
+            v = np.full(len(new), -np.inf)
+            if feasible.size:
+                v[feasible] = jet(rows[new][feasible], cand[feasible], 0)[0]
+            at[new] = len(tried) + np.arange(len(new))
+            for b, i in zip(rows[new].tolist(), new.tolist()):
+                seen[b][keys[i]] = int(at[i])
+            tried = np.concatenate([tried, np.column_stack([cand, v])])
+        v = tried[at, -1]
+        better = v > best_v[rows] + 1e-16
+        up, down = rows[better], rows[~better]
+        best_x[up] = tried[at[better], :-1]
+        best_v[up] = v[better]
+        step[up] = trial_step[up] * 1.5
+        trial_step[down] *= 0.5
+        trials[down] += 1
+        fresh[:] = False
+        fresh[up] = outer[up] < _POLISH_ITERS
+        finish(up[~fresh[up]])
+        finish(down[trials[down] >= 30])
 
     # KKT Newton refinement on the final active set
-    on, J0 = active(best_x)
-    if on.any():
-        m = int(on.sum())
-        lam, *_ = np.linalg.lstsq(J0.T, gradient(best_x), rcond=None)
-        z = best_x.copy()
+    rows = np.flatnonzero(ok)
+    on, jac = active(best_x[rows])
+    has = on.any(axis=1)
+    rows, on = rows[has], on[has]
+    if rows.size:
+        lam = _lstsq(np.swapaxes(jac[has] * on[..., None], 1, 2), jet(rows, best_x[rows])[1])
+        z = best_x[rows]
+        going = np.arange(len(rows))
         for _ in range(12):
-            vals, jac, hess = X.compiled.jet(z, 2)
-            _, gp, Hp = p.jet(z, 2)
-            J = jac[on]
-            F = np.concatenate([gp[0] - J.T @ lam, vals[on]])
-            if np.abs(F).max() <= 1e-13:
+            vals, jac, hess = X.compiled.jet(z[going], 2)
+            _, gp, Hp = jet(rows[going], z[going], 2)
+            J = jac * on[going, :, None]
+            Jt = np.swapaxes(J, 1, 2)
+            F = np.concatenate([gp - (Jt @ lam[going, :, None])[..., 0],
+                                np.where(on[going], vals, 0.0)], axis=1)
+            H = Hp - _apply(np.swapaxes(hess.reshape(len(going), len(fixed), -1), 1, 2),
+                            lam[going]).reshape(Hp.shape)
+            KKT = np.block([[H, -Jt], [J, np.zeros((len(going),) + (on.shape[1],) * 2)]])
+            # a row stops once converged; one whose system is not finite
+            # stops where it is, as a failed solve would
+            solve = ~(np.abs(F).max(axis=1) <= 1e-13) & np.isfinite(KKT).all(axis=(1, 2)) \
+                & np.isfinite(F).all(axis=1)
+            going = going[solve]
+            if not going.size:
                 break
-            H = Hp[0] - np.tensordot(lam, hess[on], axes=1)
-            KKT = np.block([[H, -J.T], [J, np.zeros((m, m))]])
-            try:
-                delta = np.linalg.lstsq(KKT, -F, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                break
-            z = z + delta[:X.n]
-            lam = lam + delta[X.n:]
-        if violation(X, z) <= FEASIBILITY_TOL and value(z) > best_v:
-            best_x, best_v = z, value(z)
+            delta = _lstsq(KKT[solve], -F[solve])
+            z[going] += delta[:, :X.n]
+            lam[going] += delta[:, X.n:]
+        v = jet(rows, z, 0)[0]
+        better = (violation_many(X, z) <= FEASIBILITY_TOL) & (v > best_v[rows])
+        best_x[rows[better]] = z[better]
+        best_v[rows[better]] = v[better]
 
-    f_val = best_v if maximize else -best_v
-    return best_x, f_val
-
+    return best_x, sign * best_v

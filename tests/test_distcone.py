@@ -167,6 +167,23 @@ def test_lojasiewicz_sphere():
     assert fit.exponent == pytest.approx(1.0, abs=0.05)
 
 
+def test_lojasiewicz_fit_on_the_cusp():
+    # {x2^2 <= x1^3, x1 <= 1} on the lojfit command's box (bounding box plus
+    # a quarter of its width plus one on each side). The polish ends near the
+    # tip, where points up to ~1e-3 outside X pass the FEASIBILITY_TOL test,
+    # so the distances there follow round-off: the one-point-at-a-time polish
+    # read 0.4772964153, and moved by up to 1.4e-4 when its exterior points
+    # were scaled by (1 + k eps), k = 1..5. The band is that spread, doubled.
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    cusp = SemiAlgebraicSet(n=2, inequalities=(x1 ** 3 - x2 * x2, 1.0 - x1),
+                            box=(np.array([0.0, -1.0]), np.array([1.0, 1.0])), name="cusp")
+    lo, hi = cusp.bounding_box()
+    margin = 0.25 * (hi - lo + 1.0)
+    fit = lojasiewicz_fit(cusp, (lo - margin, hi + margin), count=64, seed=3)
+    assert fit.points_used == 64
+    assert fit.exponent == pytest.approx(0.47729641534093226, abs=3e-4)
+
+
 def test_lojasiewicz_needs_exterior_points():
     whole_line = make_catalog_set("custom", n=1, inequalities=[],
                                   box=(np.array([-1.0]), np.array([1.0])),
@@ -203,7 +220,7 @@ UNIT_SQUARE = make_catalog_set("polytope",
 def test_distance_to_set_closed_form(X, x, expected):
     # |x| - 1 off the unit ball, ||x| - 1| off the circle, the distance to the
     # nearer circle off the annulus 1 <= |x| <= 2, and the box distance
-    assert distance_to_set(X, np.array(x)) == pytest.approx(expected, abs=1e-7)
+    assert distance_to_set(X, np.array([x]))[0] == pytest.approx(expected, abs=1e-7)
 
 
 @pytest.mark.parametrize("X, box", [
@@ -338,7 +355,7 @@ def test_support_pool_covers_the_circle():
     for _ in range(12):
         c = rng.normal(size=6)
         p = Polynomial.from_vector(monomial_basis(2, 2), c / np.linalg.norm(c))
-        assert sampled_extremum(p, SPHERE, pool, 4, maximize=True)[0] == pytest.approx(
+        assert sampled_extremum([p], SPHERE, pool, 4, maximize=True)[0][0] == pytest.approx(
             p.eval_many(circle).max(), abs=1e-8)
 
 

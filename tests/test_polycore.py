@@ -205,6 +205,26 @@ def test_compiled_poly_matches_symbolic_derivatives(n):
         np.testing.assert_allclose(got, batch[4], rtol=1e-14, atol=1e-14)
 
 
+def test_compiled_poly_points_do_not_depend_on_batch_mates():
+    # a batch longer than one evaluation block: every point's outputs equal
+    # those of the point alone, bit for bit, and jet_each gathers the
+    # polynomial each point asks for
+    rng = np.random.default_rng(5)
+    polys = [_random_polynomial(rng, 2, d) for d in range(5)]
+    compiled = CompiledPoly(2, polys)
+    points = rng.uniform(-1.3, 1.3, size=(2500, 2))
+    whole = compiled.jet(points, 2)
+    which = rng.integers(len(polys), size=len(points))
+    each = compiled.jet_each(points, which, 2)
+    for i in rng.choice(len(points), 40, replace=False):
+        for alone, batch in zip(compiled.jet(points[i], 2), whole):
+            np.testing.assert_array_equal(alone, batch[i])
+        for alone, batch in zip(compiled.jet_each(points[i:i + 1], which[i:i + 1], 2), each):
+            np.testing.assert_array_equal(alone[0], batch[i])
+        for got, full in zip(each, whole):
+            np.testing.assert_allclose(got[i], full[i, which[i]], rtol=1e-14, atol=1e-14)
+
+
 def test_compiled_poly_zero_constant_and_empty():
     zero = CompiledPoly(2, (Polynomial.zero(2), Polynomial.constant(2, 3.0)))
     v, g, H = zero.jet(np.array([0.7, -2.0]), 2)
