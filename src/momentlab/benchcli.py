@@ -350,10 +350,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
 
 
 def _parse_levels(text: str) -> tuple:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(t) for t in text.split(","))
+    lo, sep, hi = text.partition("..")
+    levels = tuple(range(int(lo), int(hi) + 1) if sep else map(int, text.split(",")))
+    if not levels:
+        raise ValueError("level range must be nonempty")
+    return levels
 
 
 def _auto_measure(X: SemiAlgebraicSet, metadata: dict, choice: str):
@@ -517,10 +518,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"exponent {fit.exponent:.4f}  constant {fit.constant:.4g}  "
                   f"R^2 {fit.r_squared:.4f}  points {fit.points_used}")
         elif args.command == "rates":
-            with open(args.input) as fh:
-                reader = csv.DictReader(fh)
-                series = [(float(row[args.x_column]), float(row[args.y_column]))
-                          for row in reader]
+            try:
+                with open(args.input) as fh:
+                    series = [(float(row[args.x_column]), float(row[args.y_column]))
+                              for row in csv.DictReader(fh)]
+            except OSError as err:
+                raise ValueError(f"cannot read {args.input}: {err.strerror}")
+            except KeyError as err:
+                raise ValueError(f"{args.input} has no column {err}")
             fit = fit_rate(series)
             print(f"slope {fit.slope:.6f}  empirical exponent "
                   f"{fit.empirical_exponent:.6f}  R^2 {fit.r_squared:.4f}")

@@ -1,16 +1,15 @@
-"""Empirical geometry of truncated moment bodies.
-
-Inner-approximates the moment body by sampled moment vectors, projects
-candidate sequences onto that hull, lower-bounds the pseudo-moment Hausdorff
-distances through support-function gaps, and fits Lojasiewicz exponents from
-exterior samples. True Hausdorff distances are out of reach (max-of-distance is
-nonconvex); everything here is either a certified lower bound or a documented
-estimate.
-"""
+"""Pseudo-moment versus moment bodies: support gaps, Lojasiewicz fits and a
+constraint-qualification check. Every value is an estimate, and errs thus:
+A support gap h_pseudo(c) - h_X(c) bounds the Hausdorff distance from below
+only if both terms are exact: h_pseudo is one SDP, refused unless `optimal`,
+but the sampled h_X is the best polished c . v_k over points of X, so it can
+only read low, and a gap can read high. distance_to_set (and lojasiewicz_fit on
+it) reads high where the polish misses the nearest point, and low by the
+FEASIBILITY_TOL slack where constraint gradients vanish on X. cqc_check sees
+only its sampled boundary points."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,31 +17,21 @@ import numpy as np
 
 from momentlab import sdpcore
 from momentlab.hierarchy import build_moment_relaxation, solve_relaxation
-from momentlab.momentkit import TruncatedSequence
 from momentlab.polycore import Polynomial, count_monomials, monomial_basis
 from momentlab.sdpcore import SolveOptions
 from momentlab.semialg import (
     FEASIBILITY_TOL,
     POOL_SIZE,
     SemiAlgebraicSet,
-    _project_batch,
     rejection_sample,
     restore_feasibility,
     sampled_extremum,
     violation_many,
 )
 
-# project_to_moment_set: at most _PROJECTION_ITERS accelerated gradient steps,
-# stopping once the KKT residual is at most _PROJECTION_KKT_TOL.
-_PROJECTION_ITERS = 20000
-_PROJECTION_KKT_TOL = 1e-8
 _LOJASIEWICZ_SHELL = (1e-4, 1e-1)  # lojasiewicz_fit: violations of the fitted samples
 _LOJASIEWICZ_MIN_POINTS = 50  # lojasiewicz_fit: fewest exterior samples
 _CQC_ACTIVE_TOL = 1e-7  # cqc_check: g is active where |g(x)| is at most this
-
-
-class SamplerStarvationError(RuntimeError):
-    pass
 
 
 class InsufficientExteriorSamples(RuntimeError):
@@ -55,136 +44,6 @@ class NonOptimalSolveError(RuntimeError):
 
 
 # ----------------------------------------------------------------------------
-# sampling the moment body
-
-
-@dataclass(frozen=True)
-class MomentConeSample:
-    """Finite inner approximation of the truncated moment body of X."""
-
-    order: int
-    atoms: np.ndarray
-    vectors: np.ndarray  # row j is v_k(x_j)
-    provenance: str
-
-    @property
-    def count(self) -> int:
-        return self.atoms.shape[0]
-
-
-def sample_moment_cone(X: SemiAlgebraicSet, k: int, strategy: str = "sobol",
-                       count: int = 256, seed: int = 0) -> MomentConeSample:
-    """Sample atoms of X and their moment vectors v_k under the global order.
-
-    Strategies: `grid` (lattice in the bounding box), `sobol` (scrambled
-    low-discrepancy points), `boundary-biased` (points projected onto active
-    constraint surfaces, required for sets with equalities).
-    """
-    if count < count_monomials(X.n, k):
-        raise ValueError(f"count must be at least s(n,k) = {count_monomials(X.n, k)}")
-    lo, hi = X.bounding_box()
-    rng = np.random.default_rng(seed)
-    if strategy == "grid":
-        per_axis = max(2, int(np.ceil((4 * count) ** (1.0 / X.n))))
-        axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(X.n)]
-        mesh = np.meshgrid(*axes)
-        pool = np.stack([m.ravel() for m in mesh], axis=-1)
-    elif strategy == "sobol":
-        from scipy.stats import qmc
-
-        sampler = qmc.Sobol(d=X.n, scramble=True, seed=seed)
-        unit = sampler.random(max(8 * count, 512))
-        pool = lo + unit * (hi - lo)
-    elif strategy == "boundary-biased":
-        raw = rng.uniform(lo, hi, size=(max(2 * count, 128), X.n))
-        surfaces = list(X.equalities) + list(X.inequalities)
-        parts = []
-        for j, surf in enumerate(surfaces):
-            chunk = raw[j::len(surfaces)]
-            target = SemiAlgebraicSet(n=X.n, inequalities=X.inequalities,
-                                      equalities=X.equalities + (surf,)
-                                      if surf not in X.equalities else X.equalities,
-                                      name="surface", box=X.box or (lo, hi))
-            parts.append(_project_batch(target, chunk))
-        pool = np.vstack(parts)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    if X.equalities and strategy != "boundary-biased":
-        if strategy == "sobol":
-            pool = _project_batch(X, pool[:4 * count])
-        # grids are left untouched: hitting a variety is the caller's business
-    ok = violation_many(X, pool) <= FEASIBILITY_TOL
-    accepted = pool[ok]
-    rate = accepted.shape[0] / pool.shape[0]
-    if accepted.shape[0] == 0 or rate < 1e-4:
-        raise SamplerStarvationError(
-            f"acceptance rate {rate:.2e} sampling {X.name} with {strategy}")
-    atoms = accepted[:count]
-    basis = monomial_basis(X.n, k)
-    return MomentConeSample(order=k, atoms=atoms, vectors=basis.evaluate(atoms),
-                            provenance=f"{strategy}(count={count},seed={seed})")
-
-
-# ----------------------------------------------------------------------------
-# projection onto the sampled hull
-
-
-@dataclass
-class ProjectionResult:
-    target: np.ndarray
-    projected: np.ndarray
-    distance: float
-    weights: np.ndarray
-    kkt_residual: float
-    iterations: int
-
-
-def _simplex_project(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def project_to_moment_set(y: TruncatedSequence, sample: MomentConeSample) -> ProjectionResult:
-    """min over simplex weights w of |y - V' w|, by accelerated projected
-    gradient: at most _PROJECTION_ITERS steps, stopping once the KKT residual,
-    checked every 25 steps, is at most _PROJECTION_KKT_TOL. The distance
-    upper-bounds the distance to the sampled hull's convex hull exactly and
-    estimates the distance to the moment body from above as the sample is
-    refined."""
-    if sample.order != y.order:
-        raise ValueError("sample and sequence orders differ")
-    V = sample.vectors.T  # (s, N)
-    target = y.values
-    N = V.shape[1]
-    L = float(np.linalg.norm(V, 2) ** 2)
-    w = np.full(N, 1.0 / N)
-    wp = w.copy()
-    t = 1.0
-    res = np.inf
-    it = 0
-    for it in range(1, _PROJECTION_ITERS + 1):
-        beta = w + ((t - 1.0) / (t + 2.0)) * (w - wp)
-        grad = V.T @ (V @ beta - target)
-        wn = _simplex_project(beta - grad / L)
-        wp, w = w, wn
-        t += 1.0
-        if it % 25 == 0 or it == _PROJECTION_ITERS:
-            grad_w = V.T @ (V @ w - target)
-            fixed = _simplex_project(w - grad_w / L)
-            res = float(np.linalg.norm(fixed - w) * L)
-            if res <= _PROJECTION_KKT_TOL:
-                break
-    proj = V @ w
-    return ProjectionResult(target=target, projected=proj,
-                            distance=float(np.linalg.norm(proj - target)),
-                            weights=w, kkt_residual=res, iterations=it)
-
-
-# ----------------------------------------------------------------------------
 # support gaps and Hausdorff lower bounds
 
 
@@ -192,9 +51,9 @@ def support_gap(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
                 c: np.ndarray, opts: Optional[SolveOptions] = None,
                 pool: Optional[np.ndarray] = None, seed: int = 0) -> float:
     """h_pseudo(c) - h_moment(c): the pseudo-moment support function (one SDP)
-    minus the sampled moment support function. Dividing by |c| lower-bounds the
-    Hausdorff distance d_k. The sampled value polishes the 4 best points of
-    `pool`, by default rejection_sample(X, POOL_SIZE, seed).
+    minus the sampled moment support function; divided by |c|, an estimate of a
+    lower bound on the Hausdorff distance d_k. The sampled value polishes the 4
+    best points of `pool`, by default rejection_sample(X, POOL_SIZE, seed).
 
     The SDP must reach status `optimal`; otherwise NonOptimalSolveError names
     r and the status."""
@@ -368,31 +227,7 @@ def lojasiewicz_fit(X: SemiAlgebraicSet, sample_box, count: int = 300,
 
 
 # ----------------------------------------------------------------------------
-# Lipschitz bound and constraint qualification
-
-
-def pseudo_moment_radius(R: float, n: int, k: int) -> float:
-    """Radius of a Euclidean ball around the origin containing every level
-    pseudo-moment sequence of the R-ball preordering at truncation k = 2l:
-    sqrt(binom(n+l, n)) * sum_{i<=l} R^{2i}."""
-    if k % 2 != 0:
-        raise ValueError("the radius bound is stated for even truncation orders")
-    ell = k // 2
-    return float(np.sqrt(math.comb(n + ell, n)) * sum(R ** (2 * i) for i in range(ell + 1)))
-
-
-def lipschitz_bound(R: float, k: int, n: int) -> float:
-    """Upper bound on sup over the R-ball of the spectral norm of the Jacobian
-    of v_k, via the entrywise gradient bound |grad x^alpha| <= |alpha| R^(|alpha|-1)
-    aggregated in Frobenius norm."""
-    if R < 0:
-        raise ValueError("R must be nonnegative")
-    total = 0.0
-    for alpha in monomial_basis(n, k).exponents:
-        a = sum(alpha)
-        if a >= 1:
-            total += a * a * (R ** (2 * (a - 1)) if a > 1 or R > 0 else 1.0)
-    return float(np.sqrt(total))
+# constraint qualification
 
 
 @dataclass

@@ -240,6 +240,30 @@ def test_cli_ladder_and_rates(tmp_path, capsys):
     assert "slope -2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--input", "missing.csv"], "cannot read"),
+    (["--input", "series.csv", "--x-column", "level"], "has no column 'level'"),
+    (["--input", "series.csv", "--y-column", "bound"], "has no column 'bound'"),
+], ids=["missing-file", "x-column", "y-column"])
+def test_cli_rates_rejects_bad_input(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "series.csv").write_text("r,lower_bound\n2,0.25\n3,0.111111\n4,0.0625\n")
+    assert main(["rates", *args]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["ladder"], ["distance", "--k", "2"], ["upper"]],
+                         ids=["ladder", "distance", "upper"])
+def test_cli_refuses_an_empty_level_range(tmp_path, capsys, command):
+    path = write_problem(tmp_path, BALL_PROBLEM)
+    out_dir = tmp_path / "out"
+    code = main(["--out-dir", str(out_dir), command[0], "--problem", str(path),
+                 "--levels", "3..1", *command[1:]])
+    assert code == 2
+    assert "error: level range must be nonempty" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_kernel(tmp_path, capsys):
     code = main(["kernel", "--set", "ball", "--n", "1", "--degree", "2",
                  "--eval", "1.0;1.0"])

@@ -4,19 +4,14 @@ import pytest
 from momentlab.distcone import (
     CQCReport,
     InsufficientExteriorSamples,
-    MomentConeSample,
     NonOptimalSolveError,
     cqc_check,
     distance_to_set,
     hausdorff_lower_bound,
-    lipschitz_bound,
     lojasiewicz_fit,
-    project_to_moment_set,
-    sample_moment_cone,
     sampled_support,
     support_gap,
 )
-from momentlab.momentkit import TruncatedSequence
 from momentlab.polycore import Polynomial, monomial_basis
 from momentlab.sdpcore import SolveOptions
 from momentlab.semialg import (
@@ -36,63 +31,6 @@ DEGENERATE = make_catalog_set("custom", n=1, inequalities=[Polynomial(1, {(2,): 
                                                            Polynomial(1, {(2,): -1.0})],
                               box=(np.array([-1.0]), np.array([1.0])), name="degenerate")
 TIGHT = SolveOptions(tol=1e-9)
-
-
-def test_sample_point_set():
-    sample = sample_moment_cone(ORIGIN, 2, strategy="boundary-biased", count=8, seed=0)
-    assert np.allclose(sample.atoms, 0.0, atol=1e-8)
-    assert np.allclose(sample.vectors, np.array([1.0, 0.0, 0.0]), atol=1e-8)
-
-
-def test_sample_grid_ball():
-    sample = sample_moment_cone(BALL1, 2, strategy="grid", count=101, seed=0)
-    assert sample.count == 101
-    x = sample.atoms[:, 0]
-    assert np.allclose(sample.vectors, np.stack([np.ones_like(x), x, x * x], axis=1))
-    assert np.all(np.abs(x) <= 1.0)
-
-
-def test_sample_sphere_boundary():
-    sample = sample_moment_cone(SPHERE, 2, strategy="boundary-biased", count=32, seed=1)
-    assert np.all(violation_many(SPHERE, sample.atoms) <= 1e-8)
-
-
-def test_sample_sobol_members():
-    X = make_catalog_set("simplex", n=2, K=1.0)
-    sample = sample_moment_cone(X, 2, strategy="sobol", count=64, seed=2)
-    assert np.all(violation_many(X, sample.atoms) <= 1e-9)
-
-
-def test_projection_membership_and_outlier():
-    sample = sample_moment_cone(BALL1, 2, strategy="grid", count=201, seed=0)
-    # a genuine moment vector lies in the hull
-    w = np.full(sample.count, 1.0 / sample.count)
-    inside = TruncatedSequence(1, 2, sample.vectors.T @ w)
-    res = project_to_moment_set(inside, sample)
-    assert res.distance <= 1e-7
-    assert res.kkt_residual <= 1e-8
-    # y2 above the maximum of x^2 on the ball keeps distance >= 0.2
-    outlier = TruncatedSequence(1, 2, [1.0, 0.0, 1.2])
-    res2 = project_to_moment_set(outlier, sample)
-    assert res2.distance >= 0.2 - 1e-9
-    assert np.all(res2.weights >= 0)
-    assert res2.weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_projection_refinement_monotone():
-    coarse = sample_moment_cone(BALL1, 2, strategy="grid", count=11, seed=0)
-    fine = sample_moment_cone(BALL1, 2, strategy="grid", count=201, seed=0)
-    y = TruncatedSequence(1, 2, [1.0, 0.3, 0.5])
-    d_coarse = project_to_moment_set(y, coarse).distance
-    d_fine = project_to_moment_set(y, fine).distance
-    assert d_fine <= d_coarse + 1e-10
-
-
-def test_origin_reduced_cone_projection():
-    # the reduced encoding forces y = (1, 0, 0) which is the single moment vector
-    sample = sample_moment_cone(ORIGIN, 2, strategy="boundary-biased", count=8, seed=0)
-    y = TruncatedSequence(1, 2, [1.0, 0.0, 0.0])
-    assert project_to_moment_set(y, sample).distance <= 1e-8
 
 
 def test_support_gap_normalization_direction():
@@ -238,34 +176,6 @@ def test_lojasiewicz_fit_needs_no_slsqp(monkeypatch, X, box):
     assert fit.points_used == 80
 
 
-def test_lipschitz_bound_examples():
-    assert lipschitz_bound(1.0, 1, 1) == pytest.approx(1.0)
-    assert lipschitz_bound(0.0, 3, 1) == pytest.approx(1.0)
-    assert lipschitz_bound(2.0, 2, 1) == pytest.approx(np.sqrt(1.0 + 4.0 * 4.0))
-
-
-def test_lipschitz_bound_dominates_grid():
-    rng = np.random.default_rng(4)
-    for n, k, R in [(1, 2, 2.0), (2, 2, 1.0), (2, 3, 1.5)]:
-        bound = lipschitz_bound(R, k, n)
-        from momentlab.polycore import monomial_basis
-
-        basis = monomial_basis(n, k)
-        worst = 0.0
-        for _ in range(200):
-            x = rng.uniform(-1, 1, size=n)
-            x *= R / max(1.0, np.linalg.norm(x) / 1.0)
-            if np.linalg.norm(x) > R:
-                x *= R / np.linalg.norm(x)
-            J = np.zeros((len(basis), n))
-            for i, alpha in enumerate(basis.exponents):
-                p = Polynomial.monomial(n, alpha)
-                for j in range(n):
-                    J[i, j] = p.diff(j)(x)
-            worst = max(worst, np.linalg.norm(J, 2))
-        assert bound >= worst - 1e-9
-
-
 def test_cqc_ball_and_simplex():
     rep = cqc_check(BALL1, count=16, seed=0)
     assert rep.holds_on_sample
@@ -324,20 +234,6 @@ def test_cqc_rejects_equalities():
         cqc_check(SPHERE)
 
 
-def test_pseudo_moment_radius():
-    # k = 2l = 2, n = 1, R = 1: sqrt(binom(2,1)) * (1 + 1) = 2 sqrt(2)
-    from momentlab.distcone import pseudo_moment_radius
-
-    assert pseudo_moment_radius(1.0, 1, 2) == pytest.approx(2.0 * np.sqrt(2.0))
-    with pytest.raises(ValueError):
-        pseudo_moment_radius(1.0, 1, 3)
-    # true moment vectors of the R-ball stay inside the bound
-    X = make_catalog_set("ball", n=2, R=1.5)
-    sample = sample_moment_cone(X, 4, strategy="sobol", count=64, seed=5)
-    norms = np.linalg.norm(sample.vectors, axis=1)
-    assert norms.max() <= pseudo_moment_radius(1.5, 2, 4) + 1e-9
-
-
 def test_support_pool_covers_the_circle():
     from momentlab.semialg import sampled_extremum
 
@@ -384,7 +280,25 @@ def test_hausdorff_with_shared_support_is_bit_identical():
         assert shared == alone
 
 
-@pytest.mark.parametrize("k, directions, seed, name", [(3, 4, 5, "k"), (2, 3, 5, "directions"),
+@pytest.mark.parametrize("X, certificate, r", [
+    (BALL1, "T", 1),
+    (make_catalog_set("hypercube", n=2), "Q", 1),
+    (SPHERE, "T", 2),
+], ids=["ball1", "square", "circle"])
+def test_hausdorff_lower_bound_is_nondecreasing_in_directions(X, certificate, r):
+    # fewer directions draw a prefix of the same directions and support values,
+    # and the solves of that prefix run in the same order with the same warm
+    # starts, so a larger count maximizes over a superset
+    wide = sampled_support(X, 2, 12, 0)
+    narrow = sampled_support(X, 2, 4, 0)
+    assert np.array_equal(narrow.directions, wide.directions[:4])
+    assert np.array_equal(narrow.h_moment, wide.h_moment[:4])
+    bounds = [hausdorff_lower_bound(X, certificate, r, 2, directions=d, seed=0, opts=TIGHT)
+              for d in (1, 4, 12)]
+    assert bounds[0] <= bounds[1] <= bounds[2]
+
+
+@pytest.mark.parametrize("k, directions, seed, name",[(3, 4, 5, "k"), (2, 3, 5, "directions"),
                                                         (2, 4, 6, "seed")])
 def test_hausdorff_refuses_a_mismatched_support(k, directions, seed, name):
     support = sampled_support(BALL1, 2, 4, 5)

@@ -10,7 +10,6 @@ from momentlab.cdkernel import (
     kernel_slice_certificate,
     orthonormal_basis,
 )
-from momentlab.distcone import SamplerStarvationError, sample_moment_cone
 from momentlab.hierarchy import build_moment_relaxation, solve_relaxation
 from momentlab.momentkit import (
     DiscreteMeasure,
@@ -84,12 +83,6 @@ def test_moment_and_sos_duals_cross():
     sval, ssol = solve_relaxation(srel, TIGHT)
     assert mval == pytest.approx(sval, abs=1e-7)
     assert msol.dual_value == pytest.approx(mval, abs=1e-6)
-
-
-def test_grid_sampler_starves_on_variety():
-    sphere = make_catalog_set("sphere", n=2, R=1.0)
-    with pytest.raises(SamplerStarvationError):
-        sample_moment_cone(sphere, 2, strategy="grid", count=16, seed=0)
 
 
 def test_kernel_slice_certificate_runs():
