@@ -135,6 +135,8 @@ def parse_problem(path):
 
     try:
         doc = json.loads(Path(path).read_text())
+    except OSError as err:
+        raise ProblemFormatError(f"cannot read {path}: {err.strerror or err}")
     except json.JSONDecodeError as err:
         raise ProblemFormatError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}")
     try:
@@ -520,8 +522,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "rates":
             try:
                 with open(args.input) as fh:
-                    series = [(float(row[args.x_column]), float(row[args.y_column]))
-                              for row in csv.DictReader(fh)]
+                    reader = csv.DictReader(fh)
+                    series = []
+                    for row in reader:
+                        # DictReader fills the fields a short row lacks with None
+                        missing = [col for col in (args.x_column, args.y_column)
+                                   if row[col] is None]
+                        if missing:
+                            raise ValueError(f"{args.input} row {reader.line_num}: "
+                                             f"missing value in column {missing[0]!r}")
+                        series.append((float(row[args.x_column]), float(row[args.y_column])))
             except OSError as err:
                 raise ValueError(f"cannot read {args.input}: {err.strerror}")
             except KeyError as err:

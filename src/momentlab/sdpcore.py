@@ -24,16 +24,20 @@ on every penalty change. `Solution.iterations` counts map evaluations, so a
 rejected extrapolation costs one, and `Solution.rejected_steps` counts the
 rejections. PSD blocks are stored in symmetric-packed form with sqrt(2)
 off-diagonal scaling so the flattening is an isometry and dual residuals
-keep their meaning.
+keep their meaning. The projection onto K is one gather, which expands every
+packed PSD block into a full matrix at once, then one LAPACK `dsyevd` call
+per PSD block; only a block with a negative eigenvalue is rebuilt.
 
 `solve(program, opts, warm)` takes two options, the tolerance and the
 iteration cap (`SolveOptions`), and optionally a previous Solution to start
 from; the penalty, relaxation, acceleration and check schedule are the
 module constants below. Sized for desk-scale moment relaxations (PSD blocks
 up to a few hundred); a solve is deterministic given its arguments. The
-equilibration and the factor of A A' read neither c nor b, so a program
-computes them once and keeps them; `ConicProgram.with_objective` hands them
-to a copy with another objective. Distinct calls share nothing else.
+equilibration (Ruiz sweeps on the CSR arrays of A), the factor of A A' and
+the cone plan (the gather index and the per-block layout of the projection)
+read neither c nor b, so a program computes them once and keeps them;
+`ConicProgram.with_objective` hands them to a copy with another objective.
+Distinct calls share nothing else.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ STALL_WINDOW = 500   # iterations without halving the residual before the ray te
 AA_MEMORY = 20       # differences kept by Anderson acceleration; 10 takes 20k+ on Stengle r=4
 AA_REGULARIZATION = 1e-6  # Tikhonov term on the Gram matrix, times its mean diagonal
 AA_SAFEGUARD = 4.0   # keep an extrapolation whose residual is at most this times the last one
+_RUIZ_SWEEPS = 8     # row/column sweeps of the equilibration
 
 
 # ----------------------------------------------------------------------------
@@ -158,10 +163,11 @@ class ConicProgram:
 
     def with_objective(self, c: np.ndarray) -> "ConicProgram":
         """This program with objective c. The copy shares this program's
-        scaling and A A' factor, computed here if they were not yet, so a
-        sweep over objectives equilibrates and factors once."""
+        scaling, A A' factor and cone plan, computed here if they were not
+        yet, so a sweep over objectives equilibrates and factors once."""
         out = ConicProgram(self.blocks, c, self.A, self.b)
         out.__dict__["_scaled_factor"] = self._scaled_factor
+        out.__dict__["_cone"] = self._cone
         return out
 
     @cached_property
@@ -170,6 +176,12 @@ class ConicProgram:
         A_scaled'): what an equilibrated solve needs of A and the blocks."""
         A, d_row, d_col = _equilibrate(self)
         return (A, d_row, d_col, *_factor_gram(A))
+
+    @cached_property
+    def _cone(self) -> "_ConeOps":
+        """The cone layer: gather, weights and per-block plan of the
+        projection onto the blocks and of the dual-cone distance."""
+        return _ConeOps(self.blocks, self.block_slices())
 
     def block_slices(self) -> list:
         out, offset = [], 0
@@ -226,80 +238,109 @@ class SolveOptions:
 
 
 # ----------------------------------------------------------------------------
-# cone operations with precomputed packing indices
+# the cone plan: projection onto K and distance to K*
 
 
 class _ConeOps:
+    """The cone layer of one program, built once. One gather index and one
+    array of inverse weights expand every packed PSD block into a flat buffer
+    of full s×s matrices; each block keeps its size, its range in that buffer,
+    its packed slice, the upper-triangle positions (rows*s + cols) of its
+    packed entries and their inverse weights."""
+
     def __init__(self, blocks: Sequence[Block], slices):
-        self.entries = []
+        self.nonneg = [sl for blk, sl in zip(blocks, slices) if blk.kind == "nonneg"]
+        self.free = [sl for blk, sl in zip(blocks, slices) if blk.kind == "free"]
+        self.psd = []
+        gather, full_inv_w, offset = [], [], 0
         for blk, sl in zip(blocks, slices):
-            if blk.kind == "psd":
-                rows, cols = packed_indices(blk.size)
-                inv_w = 1.0 / packed_weights(blk.size)
-                self.entries.append((blk, sl, rows, cols, inv_w))
-            else:
-                self.entries.append((blk, sl, None, None, None))
+            if blk.kind != "psd":
+                continue
+            s = blk.size
+            rows, cols = packed_indices(s)
+            inv_w = 1.0 / packed_weights(s)
+            pos = np.empty((s, s), dtype=np.intp)
+            pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
+            gather.append(sl.start + pos.ravel())
+            full_inv_w.append(inv_w[pos.ravel()])
+            self.psd.append((s, offset, offset + s * s, sl, rows * s + cols, inv_w))
+            offset += s * s
+        self.gather = np.concatenate(gather) if gather else np.zeros(0, dtype=np.intp)
+        self.full_inv_w = np.concatenate(full_inv_w) if full_inv_w else np.zeros(0)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         out = v.copy()
-        for blk, sl, rows, cols, inv_w in self.entries:
-            if blk.kind == "psd":
-                seg = out[sl] * inv_w
-                M = np.zeros((blk.size, blk.size))
-                M[rows, cols] = seg
-                M[cols, rows] = seg
-                w, V = np.linalg.eigh(M)
-                if w[0] < 0.0:
-                    P = (V * np.maximum(w, 0.0)) @ V.T
-                    out[sl] = P[rows, cols] / inv_w
-            elif blk.kind == "nonneg":
-                np.maximum(out[sl], 0.0, out=out[sl])
+        for sl in self.nonneg:
+            np.maximum(out[sl], 0.0, out=out[sl])
+        F = v[self.gather] * self.full_inv_w
+        for s, a, e, sl, tri, inv_w in self.psd:
+            w, V = _dsyevd(F[a:e].reshape(s, s), 1)
+            if w[0] < 0.0:
+                out[sl] = ((V * np.maximum(w, 0.0)) @ V.T).ravel()[tri] / inv_w
         return out
 
     def dist_dual_cone(self, v: np.ndarray) -> float:
         """Distance-like measure of v to K* (free components must vanish)."""
         worst = 0.0
-        for blk, sl, rows, cols, inv_w in self.entries:
-            seg = v[sl]
-            if blk.kind == "psd":
-                M = np.zeros((blk.size, blk.size))
-                vals = seg * inv_w
-                M[rows, cols] = vals
-                M[cols, rows] = vals
-                w = np.linalg.eigvalsh(M)
-                worst = max(worst, float(np.linalg.norm(np.minimum(w, 0.0))))
-            elif blk.kind == "nonneg":
-                worst = max(worst, float(np.linalg.norm(np.minimum(seg, 0.0))))
-            else:
-                worst = max(worst, float(np.linalg.norm(seg)))
+        for sl in self.nonneg:
+            worst = max(worst, float(np.linalg.norm(np.minimum(v[sl], 0.0))))
+        for sl in self.free:
+            worst = max(worst, float(np.linalg.norm(v[sl])))
+        F = v[self.gather] * self.full_inv_w
+        for s, a, e, _, _, _ in self.psd:
+            w, _ = _dsyevd(F[a:e].reshape(s, s), 0)
+            worst = max(worst, float(np.linalg.norm(np.minimum(w, 0.0))))
         return worst
 
 
-def _equilibrate(program: ConicProgram, iters: int = 8):
-    """Ruiz-style row/column equilibration. Column scaling is per-entry on free
-    and nonneg blocks but uniform on each PSD block, preserving the cone."""
-    A = program.A.tocsc().astype(float)
+def _dsyevd(M: np.ndarray, compute_v: int) -> tuple:
+    """(ascending eigenvalues, eigenvectors when compute_v) of the symmetric
+    matrix M, which is overwritten; raises as np.linalg.eigh does when they
+    do not converge (a NaN entry, say)."""
+    # one direct LAPACK call: numpy's eigh wrapper costs more than the work on
+    # these blocks. M is symmetric, so M.T is a Fortran-ordered view LAPACK
+    # can work in without a copy.
+    w, V, info = lapack.dsyevd(M.T, compute_v=compute_v, lower=1, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w, V
+
+
+def _equilibrate(program: ConicProgram):
+    """Ruiz-style row/column equilibration on the CSR arrays of A. Column
+    scaling is per-entry on free and nonneg blocks but uniform on each PSD
+    block, preserving the cone."""
+    # duplicates summed and explicit zeros dropped, as a sparse product
+    # leaves them, and column indices sorted; the sweeps rescale the entries
+    # and keep this pattern
+    A = program.A.copy()
+    A.sum_duplicates()
+    A.eliminate_zeros()
     m, n = A.shape
+    rows = np.repeat(np.arange(m), np.diff(A.indptr))
+    cols = A.indices
+    data = A.data
     d_row = np.ones(m)
     d_col = np.ones(n)
-    slices = program.block_slices()
-    for _ in range(iters):
-        B = abs(A)
-        rn = np.sqrt(B.max(axis=1).toarray().ravel())
+    psd = [sl for blk, sl in zip(program.blocks, program.block_slices()) if blk.kind == "psd"]
+    for _ in range(_RUIZ_SWEEPS):
+        rn = np.zeros(m)
+        np.maximum.at(rn, rows, np.abs(data))
+        rn = np.sqrt(rn)
         rn[rn == 0] = 1.0
-        A = sp.diags(1.0 / rn) @ A
+        data = data * (1.0 / rn)[rows]
         d_row /= rn
-        B = abs(A)
-        cn = np.sqrt(B.max(axis=0).toarray().ravel())
+        cn = np.zeros(n)
+        np.maximum.at(cn, cols, np.abs(data))
+        cn = np.sqrt(cn)
         cn[cn == 0] = 1.0
-        for blk, sl in zip(program.blocks, slices):
-            if blk.kind == "psd":
-                g = cn[sl]
-                pos = g[g > 0]
-                cn[sl] = np.exp(np.mean(np.log(pos))) if pos.size else 1.0
-        A = A @ sp.diags(1.0 / cn)
+        for sl in psd:
+            g = cn[sl]
+            pos = g[g > 0]
+            cn[sl] = np.exp(np.mean(np.log(pos))) if pos.size else 1.0
+        data = data * (1.0 / cn)[cols]
         d_col /= cn
-    return A.tocsr(), d_row, d_col
+    return sp.csr_matrix((data, cols, A.indptr), shape=(m, n)), d_row, d_col
 
 
 def _factor_gram(A: sp.csr_matrix) -> tuple:
@@ -383,7 +424,7 @@ def solve(program: ConicProgram, opts: Optional[SolveOptions] = None,
     start from its primal x and dual y."""
     opts = opts or SolveOptions()
     n = program.num_vars
-    cone = _ConeOps(program.blocks, program.block_slices())
+    cone = program._cone
 
     A, d_row, d_col, AT, lu = program._scaled_factor
     b = d_row * program.b

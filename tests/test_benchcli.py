@@ -216,6 +216,20 @@ def test_cli_rejects_bad_distance_options(tmp_path, capsys, k, directions, messa
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--level", "1"], ["ladder", "--levels", "1..2"], ["upper", "--levels", "1..2"],
+    ["distance", "--levels", "1..2", "--k", "2"], ["lojfit"],
+], ids=["solve", "ladder", "upper", "distance", "lojfit"])
+def test_cli_reports_a_missing_problem_file(tmp_path, capsys, command):
+    out_dir = tmp_path / "out"
+    missing = tmp_path / "nope.json"
+    code = main(["--out-dir", str(out_dir), command[0], "--problem", str(missing),
+                 *command[1:]])
+    assert code == 2
+    assert f"error: cannot read {missing}: No such file or directory" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
     # -1 - x^2 >= 0 is empty: the moment relaxation is infeasible at level 1
     doc = {"objective": [[[1], 1.0]],
@@ -244,10 +258,12 @@ def test_cli_ladder_and_rates(tmp_path, capsys):
     (["--input", "missing.csv"], "cannot read"),
     (["--input", "series.csv", "--x-column", "level"], "has no column 'level'"),
     (["--input", "series.csv", "--y-column", "bound"], "has no column 'bound'"),
-], ids=["missing-file", "x-column", "y-column"])
+    (["--input", "short.csv"], "short.csv row 3: missing value in column 'lower_bound'"),
+], ids=["missing-file", "x-column", "y-column", "short-row"])
 def test_cli_rates_rejects_bad_input(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "series.csv").write_text("r,lower_bound\n2,0.25\n3,0.111111\n4,0.0625\n")
+    (tmp_path / "short.csv").write_text("r,lower_bound\n2,0.25\n3\n4,0.0625\n")
     assert main(["rates", *args]) == 2
     assert message in capsys.readouterr().err
 

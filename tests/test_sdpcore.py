@@ -14,6 +14,7 @@ from momentlab.sdpcore import (
     Block,
     ConicProgram,
     SolveOptions,
+    packed_indices,
     packed_weights,
     psd_project,
     smat,
@@ -268,6 +269,133 @@ def test_with_objective_equilibrates_once(monkeypatch):
         c[:3] = rng.normal(size=3)
         assert solve(p.with_objective(c), SolveOptions(tol=1e-8)).status == "optimal"
     assert len(calls) == 1
+
+
+def unpacked(seg, size):
+    """The symmetric matrix of a packed block: seg times the inverse
+    weights, filled into both triangles."""
+    rows, cols = packed_indices(size)
+    vals = seg * (1.0 / packed_weights(size))
+    M = np.zeros((size, size))
+    M[rows, cols] = vals
+    M[cols, rows] = vals
+    return M
+
+
+def reference_project(program, v):
+    """Projection onto the blocks one at a time through np.linalg.eigh."""
+    out = v.copy()
+    for blk, sl in zip(program.blocks, program.block_slices()):
+        if blk.kind == "psd":
+            rows, cols = packed_indices(blk.size)
+            w, V = np.linalg.eigh(unpacked(out[sl], blk.size))
+            if w[0] < 0.0:
+                P = (V * np.maximum(w, 0.0)) @ V.T
+                out[sl] = P[rows, cols] / (1.0 / packed_weights(blk.size))
+        elif blk.kind == "nonneg":
+            out[sl] = np.maximum(out[sl], 0.0)
+    return out
+
+
+def reference_dist_dual_cone(program, v):
+    worst = 0.0
+    for blk, sl in zip(program.blocks, program.block_slices()):
+        seg = v[sl]
+        if blk.kind == "psd":
+            w = np.linalg.eigvalsh(unpacked(seg, blk.size))
+            worst = max(worst, float(np.linalg.norm(np.minimum(w, 0.0))))
+        elif blk.kind == "nonneg":
+            worst = max(worst, float(np.linalg.norm(np.minimum(seg, 0.0))))
+        else:
+            worst = max(worst, float(np.linalg.norm(seg)))
+    return worst
+
+
+def mixed_blocks_program():
+    blocks = (Block("free", 2), Block("psd", 1), Block("nonneg", 3), Block("psd", 3),
+              Block("psd", 6), Block("psd", 6), Block("psd", 10))
+    n = sum(blk.scalar_len for blk in blocks)
+    return ConicProgram(blocks, np.zeros(n), sp.csr_matrix(np.ones((1, n))), np.ones(1))
+
+
+def test_cone_plan_projects_as_per_block_eigh():
+    p = mixed_blocks_program()
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        v = rng.normal(size=p.num_vars)
+        assert np.array_equal(p._cone.project(v), reference_project(p, v))
+        assert p._cone.dist_dual_cone(v) == reference_dist_dual_cone(p, v)
+    # PSD blocks already in the cone come back bitwise unchanged, beside
+    # projected ones
+    for trial in range(4):
+        v = rng.normal(size=p.num_vars)
+        inside = []
+        for j, (blk, sl) in enumerate(zip(p.blocks, p.block_slices())):
+            if blk.kind == "psd" and (trial == 0 or j % 2 == 0):
+                B = rng.normal(size=(blk.size, blk.size))
+                v[sl] = svec(B @ B.T + np.eye(blk.size))
+                inside.append(sl)
+        out = p._cone.project(v)
+        assert np.array_equal(out, reference_project(p, v))
+        for sl in inside:
+            assert np.array_equal(out[sl], v[sl])
+        assert p._cone.dist_dual_cone(v) == reference_dist_dual_cone(p, v)
+
+
+def test_cone_plan_raises_on_a_nan_block():
+    blocks = (Block("free", 1), Block("psd", 3))
+    p = ConicProgram(blocks, np.zeros(7), sp.csr_matrix(np.ones((1, 7))), np.ones(1))
+    v = np.arange(7.0)
+    v[3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        p._cone.project(v)
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        p._cone.dist_dual_cone(v)
+
+
+def test_with_objective_shares_the_cone_plan():
+    p = moment_ball_program()
+    assert p.with_objective(np.ones(p.num_vars))._cone is p._cone
+
+
+def reference_equilibrate(program, iters=8):
+    """Ruiz equilibration by sparse diagonal products."""
+    A = program.A.tocsc().astype(float)
+    m, n = A.shape
+    d_row = np.ones(m)
+    d_col = np.ones(n)
+    for _ in range(iters):
+        rn = np.sqrt(abs(A).max(axis=1).toarray().ravel())
+        rn[rn == 0] = 1.0
+        A = sp.diags(1.0 / rn) @ A
+        d_row /= rn
+        cn = np.sqrt(abs(A).max(axis=0).toarray().ravel())
+        cn[cn == 0] = 1.0
+        for blk, sl in zip(program.blocks, program.block_slices()):
+            if blk.kind == "psd":
+                g = cn[sl]
+                pos = g[g > 0]
+                cn[sl] = np.exp(np.mean(np.log(pos))) if pos.size else 1.0
+        A = A @ sp.diags(1.0 / cn)
+        d_col /= cn
+    return A.tocsr(), d_row, d_col
+
+
+def test_equilibrate_on_the_csr_arrays_matches_the_diagonal_products():
+    X = make_catalog_set("ball", n=2, R=1.0)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    f = x1 ** 4 - x1 * x2 + 0.5 * x2 ** 3
+    programs = [sos_interval_program(), moment_ball_program(), mixed_blocks_program()]
+    programs += [build(f, X, cert, 3).program for build in
+                 (build_moment_relaxation, build_sos_relaxation) for cert in ("T", "Q")]
+    for program in programs:
+        A, d_row, d_col = sdpcore._equilibrate(program)
+        ref_A, ref_row, ref_col = reference_equilibrate(program)
+        assert A.has_sorted_indices
+        assert A.nnz == ref_A.nnz
+        assert np.array_equal(A.toarray(), ref_A.toarray())
+        assert np.array_equal(d_row, ref_row)
+        assert np.array_equal(d_col, ref_col)
 
 
 def test_repeated_rows_go_through_the_ridge(monkeypatch):
