@@ -211,6 +211,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.levels:
             raise ProblemFormatError("level range must be nonempty")
+        try:
+            hierarchy.check_sides(self.sides)
+        except ValueError as err:
+            raise ProblemFormatError(str(err)) from None
         if self.with_distance:
             if self.k is None or self.k < 1:
                 raise ProblemFormatError(
@@ -323,7 +327,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
         _write_csv(distance_csv, ["r", "certificate", "lower_bound", "directions",
                                   "seed"], distance_rows)
 
-        fmin = hierarchy.estimate_minimum(f, X, seed=config.seed)
+        # the pool the support values read, when they were sampled
+        fmin = hierarchy.estimate_minimum(f, X, seed=config.seed,
+                                          pool=None if support is None else support.pool)
         norm1 = l1_norm(f)
         lemma_rows = []
         for cert in config.certificates:

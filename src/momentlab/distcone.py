@@ -79,12 +79,14 @@ def support_gap(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
 class SampledSupport:
     """The sampled moment support function of X in unit directions: row d of
     `directions` is a unit vector c over monomial_basis(n, k), and
-    `h_moment[d]` the pool-plus-polish estimate of max over X of c . v_k(x)."""
+    `h_moment[d]` the pool-plus-polish estimate of max over X of c . v_k(x),
+    read from the points of X in `pool`."""
 
     k: int
     seed: int
     directions: np.ndarray  # (number of directions, s(n, k))
     h_moment: np.ndarray
+    pool: np.ndarray  # rejection_sample(X, POOL_SIZE, seed)
 
 
 def sampled_support(X: SemiAlgebraicSet, k: int, directions: int,
@@ -94,7 +96,8 @@ def sampled_support(X: SemiAlgebraicSet, k: int, directions: int,
     in each over one pool, rejection_sample(X, POOL_SIZE, seed): one
     sampled_extremum call polishes the 4 best points of every direction
     together. It depends on neither the certificate nor the level, so a
-    distance series computes it once."""
+    distance series computes it once; the result keeps the pool, which
+    estimate_minimum(f, X, seed) would draw again."""
     if directions < 1:
         raise ValueError("need at least one direction")
     rng = np.random.default_rng(seed)
@@ -107,7 +110,7 @@ def sampled_support(X: SemiAlgebraicSet, k: int, directions: int,
     basis = monomial_basis(X.n, k)
     h_moment, _ = sampled_extremum([Polynomial.from_vector(basis, c) for c in dirs], X, pool, 4,
                                    maximize=True)
-    return SampledSupport(k=k, seed=seed, directions=dirs, h_moment=h_moment)
+    return SampledSupport(k=k, seed=seed, directions=dirs, h_moment=h_moment, pool=pool)
 
 
 def hausdorff_lower_bound(X: SemiAlgebraicSet, certificate: str, r: int, k: int,

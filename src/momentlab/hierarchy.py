@@ -10,14 +10,20 @@ multipliers on equalities (T, Q) or nonnegative scalars on squared equalities
 Both sides are built from the same blocks: for each spec, momentkit's sparse
 operator (localizing_operator for a PSD spec, shift_operator for an equality)
 is a row block of the moment program and, transposed, a column block of the
-SOS program.
+SOS program. So the moment program is the conic dual of the SOS program, and
+an optimal SOS solution holds a primal-dual point of the moment program:
+moments y = -(the SOS row duals), slacks L_J y, and as row duals the bound
+c on the y0 = 1 row, -G_J on Gram block J's rows and each equality's
+multiplier tau_h on that equality's rows. run_ladder solves a level's SOS
+side first and starts its moment side from that point; each side is still
+solved by its own sdpcore.solve call and certified by its own residuals.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,8 +40,20 @@ from momentlab.sdpcore import Block, ConicProgram, Solution, SolveOptions
 from momentlab.semialg import POOL_SIZE, SemiAlgebraicSet, rejection_sample, sampled_extremum
 
 
+SIDES = ("moment", "sos")
+
+
 class LevelTooLowError(ValueError):
     pass
+
+
+def check_sides(sides: Sequence[str]) -> None:
+    """Raise ValueError naming a side outside SIDES or given twice."""
+    for i, side in enumerate(sides):
+        if side not in SIDES:
+            raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
+        if side in sides[:i]:
+            raise ValueError(f"side {side!r} given twice")
 
 
 @dataclass(frozen=True)
@@ -46,7 +64,7 @@ class HierarchyKind:
     def __post_init__(self):
         if self.certificate not in ("T", "Q", "R"):
             raise ValueError(f"unknown certificate {self.certificate!r}")
-        if self.side not in ("moment", "sos"):
+        if self.side not in SIDES:
             raise ValueError(f"unknown side {self.side!r}")
 
 
@@ -60,9 +78,12 @@ class Relaxation:
     objective: Polynomial
     domain: SemiAlgebraicSet
     psd_specs: list
+    # the equality specs, in the moment program's row order
+    eq_specs: list = field(default_factory=list)
     # moment side: slice of the pseudo-moment vector inside x
     y_slice: Optional[slice] = None
-    # sos side: index of the bound variable c and the multiplier layout
+    # sos side: index of the bound variable c and, per equality spec, the
+    # slice of x that holds its multiplier
     c_index: Optional[int] = None
     tau_layout: list = field(default_factory=list)
 
@@ -144,7 +165,7 @@ def build_moment_relaxation(f: Polynomial, X: SemiAlgebraicSet, certificate: str
     program = ConicProgram(tuple(blocks), c, A, rhs)
     return Relaxation(program=program, kind=HierarchyKind(certificate, "moment"),
                       level=r, objective=f, domain=X, psd_specs=psd_specs,
-                      y_slice=slice(0, len(big)))
+                      eq_specs=eq_specs, y_slice=slice(0, len(big)))
 
 
 def build_sos_relaxation(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
@@ -160,14 +181,16 @@ def build_sos_relaxation(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
     zero_specs = [s for s in eq_specs if s.constraint_kind == "zero"]
     scalar_specs = [s for s in eq_specs if s.constraint_kind == "scalar_zero"]
 
-    # free block: [c, tau coefficient vectors...] for T/Q; nonneg taus for R
+    # free block: [c, tau coefficient vectors...] for T/Q; then the nonneg
+    # block of scalar taus for R
     tau_layout = []
     free_len = 1
     for spec in zero_specs:
         size = count_monomials(X.n, 2 * spec.matrix_order)
         tau_layout.append((spec, slice(free_len, free_len + size)))
         free_len += size
-    tau_layout += [(spec, i) for i, spec in enumerate(scalar_specs)]
+    tau_layout += [(spec, slice(free_len + i, free_len + i + 1))
+                   for i, spec in enumerate(scalar_specs)]
     blocks = [Block("free", free_len)]
     if scalar_specs:
         blocks.append(Block("nonneg", len(scalar_specs)))
@@ -181,12 +204,43 @@ def build_sos_relaxation(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
     program = ConicProgram(tuple(blocks), c_vec, A, f.coefficient_vector(big))
     return Relaxation(program=program, kind=HierarchyKind(certificate, "sos"),
                       level=r, objective=f, domain=X, psd_specs=psd_specs,
-                      c_index=0, tau_layout=tau_layout)
+                      eq_specs=eq_specs, c_index=0, tau_layout=tau_layout)
 
 
-def solve_relaxation(rel: Relaxation, opts: Optional[SolveOptions] = None):
-    sol = sdpcore.solve(rel.program, opts)
+def solve_relaxation(rel: Relaxation, opts: Optional[SolveOptions] = None, start=None):
+    """(bound, Solution) of one sdpcore.solve call on rel's program. `start`,
+    a primal x and dual y of that program (a Solution of it, say), is where
+    the solve begins; the stopping rule is the same either way."""
+    sol = sdpcore.solve(rel.program, opts, start)
     return rel.value(sol), sol
+
+
+class _Start(NamedTuple):
+    x: np.ndarray  # primal point of a program
+    y: np.ndarray  # its row duals
+
+
+def _moment_start(mom: Relaxation, sos: Relaxation, sol: Solution) -> _Start:
+    """The primal-dual point of the moment program that a solution of the
+    SOS program of the same level holds.
+
+    The SOS program's column blocks are the transposes of the moment
+    program's row blocks, so its row duals are -y for moments y, and its
+    primal x gives the moment rows' duals: c on y0 = 1, -G_J on Gram block
+    J's rows and tau_h on equality h's rows. The taus are matched by spec,
+    since tau_layout lists T/Q's zero specs before R's scalar ones."""
+    n_y = mom.y_slice.stop
+    # the slacks, one per PSD spec, pair with the SOS program's Gram blocks,
+    # which are its last columns
+    n_gram = mom.program.num_vars - n_y
+    x = np.zeros(mom.program.num_vars)
+    x[:n_y] = -sol.y
+    # the rows after y0 = 1 start with -L_J y + slack_J, one block per PSD spec
+    x[n_y:] = -(mom.program.A @ x)[1:1 + n_gram]
+    tau = dict(sos.tau_layout)
+    y = np.concatenate([sol.x[[sos.c_index]], -sol.x[sol.x.size - n_gram:]]
+                       + [sol.x[tau[spec]] for spec in mom.eq_specs])
+    return _Start(x, y)
 
 
 # ----------------------------------------------------------------------------
@@ -216,9 +270,8 @@ def certificate_extract(sol: Solution, rel: Relaxation) -> CertificateExtract:
         raise ValueError(f"cannot extract a certificate from status {sol.status!r}")
     A, x = rel.program.A, sol.x
     big = monomial_basis(rel.domain.n, 2 * rel.level)
-    blocks = list(zip(rel.program.blocks, rel.program.block_slices(), sol.blocks))
-    grams = [(sl, G) for blk, sl, G in blocks if blk.kind == "psd"]
-    nonneg_start = next((sl.start for blk, sl, _ in blocks if blk.kind == "nonneg"), None)
+    grams = [(sl, G) for blk, sl, G in zip(rel.program.blocks, rel.program.block_slices(),
+                                           sol.blocks) if blk.kind == "psd"]
 
     def term(spec, cols: slice, gram: np.ndarray) -> CertificateTerm:
         # a block's columns of A are its transposed operator, so A x on them
@@ -227,10 +280,7 @@ def certificate_extract(sol: Solution, rel: Relaxation) -> CertificateExtract:
                                Polynomial.from_vector(big, A[:, cols] @ x[cols]))
 
     terms = [term(spec, sl, G) for spec, (sl, G) in zip(rel.psd_specs, grams)]
-    for spec, loc in rel.tau_layout:
-        if spec.constraint_kind == "scalar_zero":
-            loc = slice(nonneg_start + loc, nonneg_start + loc + 1)
-        terms.append(term(spec, loc, np.empty((0, 0))))
+    terms += [term(spec, loc, np.empty((0, 0))) for spec, loc in rel.tau_layout]
     residual = float(np.abs(rel.program.b - A @ x).sum())
     return CertificateExtract(bound=float(x[rel.c_index]), terms=terms, residual=residual)
 
@@ -288,26 +338,45 @@ def _monotonicity_check(results: Sequence[RelaxationResult], tol: float) -> tupl
 
 def run_ladder(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
                levels: Sequence[int], opts: Optional[SolveOptions] = None,
-               sides: Sequence[str] = ("moment", "sos"),
+               sides: Sequence[str] = SIDES,
                max_psd_size: int = 400) -> LadderReport:
-    """Solve the chosen hierarchy at each level, both sides by default, one
-    level and side after another in level order.
+    """Solve the chosen hierarchy at each level, both sides by default, in
+    level order; each level's rows follow the order of `sides`, which takes
+    each of "moment" and "sos" at most once (ValueError otherwise).
+
+    A level that asks for both sides is one primal-dual pair: its SOS program
+    is built and solved first, and when that solve ends `optimal` the moment
+    program's solve starts from the point the SOS solution holds (moments
+    -y, slacks L_J y, row duals c, -G_J and tau_h; see _moment_start).
+    Each side is its own sdpcore.solve call and stops only on its own
+    residual test at `opts.tol`. A moment side whose SOS side is not
+    `optimal`, or that is asked for alone, starts cold.
 
     The monotonicity check derives its slack from the solve tolerance
     `opts.tol`. Only rows with status `optimal` are compared; every other row
     gets a line in `status_notes` instead.
     """
-    def run_one(r, side):
+    check_sides(sides)
+
+    def run_one(r, side, pair):
         build = build_moment_relaxation if side == "moment" else build_sos_relaxation
         start = time.perf_counter()
         rel = build(f, X, certificate, r, max_psd_size=max_psd_size)
-        value, sol = solve_relaxation(rel, opts)
+        warm = None if pair is None else _moment_start(rel, *pair)
+        value, sol = solve_relaxation(rel, opts, warm)
         elapsed = time.perf_counter() - start
-        return RelaxationResult(level=r, certificate=certificate, side=side,
-                                value=value, status=sol.status, gap=np.nan,
-                                seconds=elapsed, iterations=sol.iterations)
+        return rel, sol, RelaxationResult(level=r, certificate=certificate, side=side,
+                                          value=value, status=sol.status, gap=np.nan,
+                                          seconds=elapsed, iterations=sol.iterations)
 
-    results = [run_one(r, side) for r in sorted(levels) for side in sides]
+    results = []
+    for r in sorted(levels):
+        rows, pair = {}, None
+        for side in sorted(sides, key=lambda side: side != "sos"):  # the SOS side first
+            rel, sol, rows[side] = run_one(r, side, pair)
+            if side == "sos" and sol.status == "optimal":
+                pair = (rel, sol)
+        results += [rows[side] for side in sides]
 
     by_key = {(res.level, res.side): res for res in results}
     if len(sides) == 2:
@@ -321,17 +390,18 @@ def run_ladder(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
 
 
 def estimate_minimum(f: Polynomial, X: SemiAlgebraicSet, seed: int = 0,
-                     return_point: bool = False):
+                     return_point: bool = False, pool: Optional[np.ndarray] = None):
     """Sample-and-polish upper estimate of min f over X; with `return_point`,
     (value, point).
 
-    The pool is rejection_sample(X, POOL_SIZE, seed), the pool the support
-    values of X read with the same seed; sampled_extremum polishes its 8
-    best. The value is f at the best feasible point found, so it
-    upper-bounds the true minimum; it is documented as an estimate.
+    The pool is `pool`, by default rejection_sample(X, POOL_SIZE, seed), the
+    pool the support values of X read with the same seed; sampled_extremum
+    polishes its 8 best. The value is f at the best feasible point found, so
+    it upper-bounds the true minimum; it is documented as an estimate.
     RuntimeError reports a set the sampler finds no point of.
     """
-    pool = rejection_sample(X, POOL_SIZE, seed)
+    if pool is None:
+        pool = rejection_sample(X, POOL_SIZE, seed)
     (best,), (point,) = sampled_extremum([f], X, pool, 8, maximize=False)
     return (float(best), point) if return_point else float(best)
 

@@ -29,13 +29,14 @@ packed PSD block into a full matrix at once, then one LAPACK `dsyevd` call
 per PSD block; only a block with a negative eigenvalue is rebuilt.
 
 `solve(program, opts, warm)` takes two options, the tolerance and the
-iteration cap (`SolveOptions`), and optionally a previous Solution to start
-from; the penalty, relaxation, acceleration and check schedule are the
-module constants below. Sized for desk-scale moment relaxations (PSD blocks
-up to a few hundred); a solve is deterministic given its arguments. The
-equilibration (Ruiz sweeps on the CSR arrays of A), the factor of A A' and
-the cone plan (the gather index and the per-block layout of the projection)
-read neither c nor b, so a program computes them once and keeps them;
+iteration cap (`SolveOptions`), and optionally a primal x and dual y of the
+program to start from; the penalty, relaxation, acceleration and check
+schedule are the module constants below. Sized for desk-scale moment
+relaxations (PSD blocks up to a few hundred); a solve is deterministic given
+its arguments. The equilibration (Ruiz sweeps on the CSR arrays of A), the
+factor of A A' and the cone plan (the gather index and the per-block layout
+of the projection) read neither c nor b, so a program computes them once and
+keeps them;
 `ConicProgram.with_objective` hands them to a copy with another objective.
 Distinct calls share nothing else.
 """
@@ -420,8 +421,9 @@ class _Anderson:
 
 def solve(program: ConicProgram, opts: Optional[SolveOptions] = None,
           warm: Optional[Solution] = None) -> Solution:
-    """Solve `program`; with `warm`, a solution of a program with the same A,
-    start from its primal x and dual y."""
+    """Solve `program`; with `warm`, a primal x and dual y of this program
+    (a Solution of a program with the same A, say), start from them. Only
+    `warm.x` and `warm.y` are read, and the stopping rule is the same."""
     opts = opts or SolveOptions()
     n = program.num_vars
     cone = program._cone

@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from momentlab import benchcli, hierarchy
+from momentlab import benchcli, hierarchy, semialg
 from momentlab.benchcli import (
     ExperimentConfig,
     ProblemFormatError,
@@ -99,6 +100,39 @@ def test_fit_rate_filters_nonpositive():
 def test_config_rejects_empty_levels(tmp_path):
     with pytest.raises(ProblemFormatError, match="nonempty"):
         ExperimentConfig(problem="x.json", levels=())
+
+
+@pytest.mark.parametrize("sides, message", [
+    (("foo",), "unknown side 'foo'"),
+    (("sos", "sos"), "side 'sos' given twice"),
+], ids=["unknown", "repeated"])
+def test_config_rejects_bad_sides(sides, message):
+    with pytest.raises(ProblemFormatError, match=message):
+        ExperimentConfig(problem="x.json", levels=(1,), sides=sides)
+
+
+def test_distance_run_draws_its_pool_once(tmp_path, monkeypatch):
+    # the support values and the lemma rows' minimum estimate read one pool
+    path = write_problem(tmp_path, SPHERE_PROBLEM)
+    f, X, _ = parse_problem(path)
+    fmin = hierarchy.estimate_minimum(f, X, seed=5)
+    real, calls = semialg.rejection_sample, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("momentlab") and getattr(module, "rejection_sample", None) is real:
+            monkeypatch.setattr(module, "rejection_sample", counted)
+    config = ExperimentConfig(problem=str(path), certificates=("T",), levels=(1, 2),
+                              sides=("moment",), k=2, directions=4, seed=5,
+                              out_dir=str(tmp_path / "out"), with_distance=True)
+    bundle = run_experiment(config)
+    assert len(calls) == 1
+    lines = bundle.lemma_csv.read_text().splitlines()
+    assert len(lines) == 3
+    assert {line.split(",")[2] for line in lines[1:]} == {f"{fmin:.12g}"}
 
 
 def test_run_experiment_sphere_ladder(tmp_path):
@@ -383,8 +417,8 @@ def test_cli_ladder_and_distance_flag_a_capped_level(tmp_path, capsys, monkeypat
     # and the command exits 3 after writing its files
     real = hierarchy.solve_relaxation
 
-    def capped_at_level_2(rel, opts=None):
-        value, sol = real(rel, opts)
+    def capped_at_level_2(rel, opts=None, start=None):
+        value, sol = real(rel, opts, start)
         return value, (dataclasses.replace(sol, status="max_iters") if rel.level == 2 else sol)
 
     monkeypatch.setattr(hierarchy, "solve_relaxation", capped_at_level_2)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from momentlab import sdpcore
 from momentlab.hierarchy import (
     HierarchyKind,
     LevelTooLowError,
     RelaxationResult,
+    _moment_start,
     _monotonicity_check,
     build_moment_relaxation,
     build_sos_relaxation,
@@ -260,3 +262,81 @@ def test_ladder_reports_capped_rows_as_notes():
     assert all(res.status == "max_iters" for res in report.results)
     assert report.monotonicity_violations == []
     assert len(report.status_notes) == 4
+
+
+def test_run_ladder_rejects_unknown_and_repeated_sides():
+    with pytest.raises(ValueError, match="unknown side 'foo'"):
+        run_ladder(X_VAR, BALL1, "Q", (1,), sides=("foo",))
+    with pytest.raises(ValueError, match="side 'sos' given twice"):
+        run_ladder(X_VAR, BALL1, "Q", (1,), sides=("sos", "sos"))
+
+
+def _item4_case():
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    return (x1 ** 3 - x1 * x2 + x2 ** 4 + 0.3 * x2,
+            make_catalog_set("simplex", n=2, K=1.0), "Q", 3)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (Polynomial(2, {(1, 0): 1.0, (1, 1): 0.5, (0, 3): -0.7}), SPHERE, "T", 2),
+    _item4_case,
+    lambda: (Polynomial(2, {(1, 0): 1.0, (1, 1): 0.5}), SPHERE, "R", 2),
+], ids=["circle-T", "simplex-Q", "circle-R"])
+def test_moment_side_starts_from_the_sos_solution(case):
+    # T's equality multipliers are free coefficient vectors; R's are
+    # nonnegative scalars that land on the l_y(h^2) = 0 rows
+    f, X, certificate, r = case()
+    opts = SolveOptions(tol=1e-7, max_iters=5000)
+    report = run_ladder(f, X, certificate, (r,), opts)
+    assert [res.side for res in report.results] == ["moment", "sos"]
+    moment, sos = report.results
+    assert sos.status == "optimal"
+    assert moment.status == "optimal"
+    assert moment.iterations <= 2 * sdpcore.CHECK_EVERY
+    cold, cold_sol = solve_relaxation(build_moment_relaxation(f, X, certificate, r), opts)
+    assert cold_sol.status == "optimal"
+    assert moment.value == pytest.approx(cold, abs=1e-6)
+    assert moment.iterations < cold_sol.iterations
+
+
+def test_moment_start_is_the_sos_solution_read_as_a_moment_point():
+    # the mapped point is as feasible for the moment program as the SOS
+    # solution is for its own: moment rows against SOS dual slack, and back
+    f, X, certificate, r = (Polynomial(2, {(1, 0): 1.0, (1, 1): 0.5}), SPHERE, "R", 2)
+    mom = build_moment_relaxation(f, X, certificate, r)
+    sos = build_sos_relaxation(f, X, certificate, r)
+    _, sol = solve_relaxation(sos, TIGHT)
+    start = _moment_start(mom, sos, sol)
+    A, b, c = mom.program.A, mom.program.b, mom.program.c
+    assert start.x.shape == (mom.program.num_vars,)
+    assert start.y.shape == (mom.program.num_rows,)
+    np.testing.assert_allclose(c @ start.x, -sol.dual_value, atol=1e-12)
+    np.testing.assert_allclose(b @ start.y, -sol.primal_value, atol=1e-12)
+    assert np.abs(A @ start.x - b).max() <= 1e-6
+    slack = c - A.T @ start.y
+    assert np.abs(slack[mom.y_slice]).max() <= 1e-6
+    # the slack on the moment side's PSD blocks is the SOS side's Gram blocks
+    grams = [sl for blk, sl in zip(sos.program.blocks, sos.program.block_slices())
+             if blk.kind == "psd"]
+    assert np.array_equal(slack[mom.y_slice.stop:], np.concatenate([sol.x[sl] for sl in grams]))
+
+
+def test_moment_only_ladder_is_a_cold_solve():
+    f, X, certificate, r = _item4_case()
+    opts = SolveOptions(tol=1e-7, max_iters=5000)
+    (res,) = run_ladder(f, X, certificate, (r,), opts, sides=("moment",)).results
+    value, sol = solve_relaxation(build_moment_relaxation(f, X, certificate, r), opts)
+    assert (res.value, res.status, res.iterations) == (value, sol.status, sol.iterations)
+
+
+def test_stengle_ladder_is_optimal_on_both_sides_through_r6():
+    # Stengle: f = 1 - x^2 on {(1 - x^2)^3 >= 0} = [-1, 1]; the Q bound at
+    # level r is -1/(r(r-2)). Solved cold, the r=6 moment side ends at
+    # max_iters; started from its SOS solution it is optimal
+    x = Polynomial.variable(1, 0)
+    X = make_catalog_set("custom", n=1, inequalities=[(1 - x ** 2) ** 3])
+    report = run_ladder(1 - x ** 2, X, "Q", (3, 4, 5, 6), SolveOptions(tol=1e-7))
+    assert len(report.results) == 8
+    for res in report.results:
+        assert res.status == "optimal", (res.level, res.side, res.iterations)
+        assert res.value == pytest.approx(-1.0 / (res.level * (res.level - 2)), abs=1e-6)
