@@ -97,7 +97,7 @@ def _build_set(doc: dict) -> SemiAlgebraicSet:
     if "catalog" in doc:
         kind = doc.pop("catalog")
         radius = doc.pop("radius", None)
-        if kind == "box_product":
+        if kind == "box_product" and "factors" in doc:
             doc["factors"] = [tuple(f) for f in doc["factors"]]
         X = make_catalog_set(kind, **doc)
         if radius is not None:
@@ -171,11 +171,18 @@ class RateFit:
 
 
 def fit_rate(series: Sequence, predicted_exponent: Optional[float] = None) -> RateFit:
-    """Least-squares slope of log(value) against log(r) over the strictly
-    positive entries of the series; the negated slope is the empirical rate."""
-    pts = [(float(r), float(v)) for r, v in series if v > 0.0]
+    """Least-squares slope of log(value) against log(r) over the finite,
+    strictly positive entries of the series; the negated slope is the
+    empirical rate. ValueError for a level r that is not finite and positive,
+    and for fewer than 3 kept points or 2 distinct levels among them."""
+    bad = [r for r, _ in series if not 0.0 < float(r) < np.inf]
+    if bad:
+        raise ValueError(f"levels must be finite and positive, got r = {bad[0]}")
+    pts = [(float(r), float(v)) for r, v in series if 0.0 < float(v) < np.inf]
     if len(pts) < 3:
         raise ValueError(f"need at least 3 positive points to fit, have {len(pts)}")
+    if len({r for r, _ in pts}) < 2:
+        raise ValueError(f"need at least 2 distinct levels to fit, have only r = {pts[0][0]:g}")
     rs = np.log([p[0] for p in pts])
     vs = np.log([p[1] for p in pts])
     slope, intercept = np.polyfit(rs, vs, 1)

@@ -30,7 +30,7 @@ from momentlab import sdpcore
 from momentlab.hierarchy import build_sos_relaxation, solve_relaxation
 from momentlab.momentkit import TruncatedSequence, preordering_products
 from momentlab.polycore import MonomialBasis, Polynomial, monomial_basis
-from momentlab.sdpcore import Block, ConicProgram, Residuals, Solution, SolveOptions, svec
+from momentlab.sdpcore import Block, ConicProgram, SolveOptions, Start, svec
 from momentlab.semialg import (
     FEASIBILITY_TOL,
     SemiAlgebraicSet,
@@ -267,7 +267,10 @@ class KernelBasis:
 def orthonormal_basis(measure, D: int) -> KernelBasis:
     """Graded orthonormal basis to degree D: per factor, the Arnoldi basis of
     a rule exact to 2D, which integrates every product of two basis
-    polynomials exactly; across factors, products of factor polynomials."""
+    polynomials exactly; across factors, products of factor polynomials.
+    ValueError for D < 0."""
+    if D < 0:
+        raise ValueError(f"basis degree must be nonnegative, got {D}")
     measures = measures_for(measure)
     n = sum(mu.n for mu in measures)
     cap = _DEGREE_CAP_1D if all(mu.n == 1 for mu in measures) else _DEGREE_CAP_ND
@@ -502,10 +505,7 @@ def upper_bound_sdp(f: Polynomial, X: SemiAlgebraicSet, certificate: str, r: int
     lam, J, v = min((w[0], J, V[:, 0]) for J, (w, V) in enumerate(map(np.linalg.eigh, gram)))
     x = np.zeros(program.num_vars)
     x[program.block_slices()[J]] = svec(np.outer(v, v))
-    start = Solution(status="optimal", primal_value=float(lam), dual_value=float(lam),
-                     blocks=program.unpack(x), x=x, y=np.array([lam]),
-                     residuals=Residuals(0.0, 0.0, 0.0), iterations=0)
-    sol = sdpcore.solve(program, opts, start)
+    sol = sdpcore.solve(program, opts, Start(x, np.array([lam])))
     return sol.primal_value, sol
 
 

@@ -7,23 +7,22 @@ programs carry one Gram block per certificate term plus free polynomial
 multipliers on equalities (T, Q) or nonnegative scalars on squared equalities
 (R).
 
-Both sides are built from the same blocks: for each spec, momentkit's sparse
-operator (localizing_operator for a PSD spec, shift_operator for an equality)
-is a row block of the moment program and, transposed, a column block of the
-SOS program. So the moment program is the conic dual of the SOS program, and
-an optimal SOS solution holds a primal-dual point of the moment program:
-moments y = -(the SOS row duals), slacks L_J y, and as row duals the bound
-c on the y0 = 1 row, -G_J on Gram block J's rows and each equality's
-multiplier tau_h on that equality's rows. run_ladder solves a level's SOS
-side first and starts its moment side from that point; each side is still
-solved by its own sdpcore.solve call and certified by its own residuals.
+A level is one conic primal-dual pair, built once: build_moment_relaxation
+stacks, per spec, momentkit's sparse operator (localizing_operator for a PSD
+spec, shift_operator for an equality) as a row block, and the SOS program is
+its signed transpose. One map, _dual_rows, pairs each SOS column with a
+moment row: c with y0 = 1, tau_h with S_h's rows, Gram block J with the
+rows -L_J y + slack_J, negated. Read backwards it turns an SOS solution into
+a primal-dual point of the moment program (_moment_start), where run_ladder
+starts the moment side; each side is still its own sdpcore.solve call,
+certified by its own residuals.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +35,7 @@ from momentlab.momentkit import (
     shift_operator,
 )
 from momentlab.polycore import Polynomial, count_monomials, half_degree, monomial_basis
-from momentlab.sdpcore import Block, ConicProgram, Solution, SolveOptions
+from momentlab.sdpcore import Block, ConicProgram, Solution, SolveOptions, Start
 from momentlab.semialg import POOL_SIZE, SemiAlgebraicSet, rejection_sample, sampled_extremum
 
 
@@ -82,9 +81,8 @@ class Relaxation:
     eq_specs: list = field(default_factory=list)
     # moment side: slice of the pseudo-moment vector inside x
     y_slice: Optional[slice] = None
-    # sos side: index of the bound variable c and, per equality spec, the
-    # slice of x that holds its multiplier
-    c_index: Optional[int] = None
+    # sos side: per equality spec, the slice of x that holds its multiplier;
+    # the bound variable c is x[0]
     tau_layout: list = field(default_factory=list)
 
     def value(self, sol: Solution) -> float:
@@ -115,27 +113,13 @@ def _check_level(f: Polynomial, X: SemiAlgebraicSet, r: int) -> None:
         raise LevelTooLowError(f"level r={r} below required {need}")
 
 
-def _level_specs(f: Polynomial, X: SemiAlgebraicSet, certificate: str, r: int,
-                 max_psd_size: int):
-    """PSD specs, their matrix sizes, and the equality specs of level r."""
-    _check_level(f, X, r)
-    specs = preordering_products(X, r, kind=certificate)
-    psd_specs = [s for s in specs if s.constraint_kind == "psd"]
-    sizes = [count_monomials(X.n, spec.matrix_order) for spec in psd_specs]
-    for size in sizes:
-        if size > max_psd_size:
-            raise ValueError(f"PSD block of size {size} exceeds cap {max_psd_size}")
-    return psd_specs, sizes, [s for s in specs if s.constraint_kind != "psd"]
-
-
 def _spec_operator(spec, order: int) -> sp.csr_matrix:
     """The linear map in y that one spec constrains: packed localizing rows
     L for a PSD block, shift rows S for an equality (all of M_t(h y), or the
-    scalar l_y(h^2) for R)."""
+    scalar l_y(h^2) of R's order-0 specs)."""
     if spec.constraint_kind == "psd":
         return localizing_operator(spec.weight, spec.matrix_order, order)
-    d = 2 * spec.matrix_order if spec.constraint_kind == "zero" else 0
-    return shift_operator(spec.weight, d, order)
+    return shift_operator(spec.weight, 2 * spec.matrix_order, order)
 
 
 def build_moment_relaxation(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
@@ -145,7 +129,13 @@ def build_moment_relaxation(f: Polynomial, X: SemiAlgebraicSet, certificate: str
 
     x = (y, one svec slack per PSD spec). The rows are y0 = 1, then
     L_J y - slack_J = 0 per PSD spec, then S_h y = 0 per equality."""
-    psd_specs, sizes, eq_specs = _level_specs(f, X, certificate, r, max_psd_size)
+    _check_level(f, X, r)
+    specs = preordering_products(X, r, kind=certificate)
+    psd_specs = [s for s in specs if s.constraint_kind == "psd"]
+    eq_specs = [s for s in specs if s.constraint_kind != "psd"]
+    sizes = [count_monomials(X.n, spec.matrix_order) for spec in psd_specs]
+    if max(sizes) > max_psd_size:
+        raise ValueError(f"PSD block of size {max(sizes)} exceeds cap {max_psd_size}")
     big = monomial_basis(X.n, 2 * r)
     blocks = [Block("free", len(big))] + [Block("psd", size) for size in sizes]
 
@@ -171,76 +161,64 @@ def build_moment_relaxation(f: Polynomial, X: SemiAlgebraicSet, certificate: str
 def build_sos_relaxation(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
                          r: int, max_psd_size: int = 400) -> Relaxation:
     """Level-r SOS program: maximize c with f - c in the chosen certificate cone,
-    written as coefficient matching over the monomials of degree <= 2r.
-
-    Its column blocks are the transposes of the moment program's row blocks:
-    c on the constant monomial, S_h' per equality multiplier, L_J' per Gram
-    block."""
-    psd_specs, sizes, eq_specs = _level_specs(f, X, certificate, r, max_psd_size)
-    big = monomial_basis(X.n, 2 * r)
-    zero_specs = [s for s in eq_specs if s.constraint_kind == "zero"]
-    scalar_specs = [s for s in eq_specs if s.constraint_kind == "scalar_zero"]
-
-    # free block: [c, tau coefficient vectors...] for T/Q; then the nonneg
-    # block of scalar taus for R
-    tau_layout = []
-    free_len = 1
-    for spec in zero_specs:
-        size = count_monomials(X.n, 2 * spec.matrix_order)
-        tau_layout.append((spec, slice(free_len, free_len + size)))
-        free_len += size
-    tau_layout += [(spec, slice(free_len + i, free_len + i + 1))
-                   for i, spec in enumerate(scalar_specs)]
-    blocks = [Block("free", free_len)]
-    if scalar_specs:
-        blocks.append(Block("nonneg", len(scalar_specs)))
-    blocks += [Block("psd", size) for size in sizes]
-
-    columns = [sp.csr_matrix(([1.0], ([0], [0])), shape=(len(big), 1))]
-    columns += [_spec_operator(spec, 2 * r).T for spec in zero_specs + scalar_specs + psd_specs]
-    A = sp.bmat([columns], format="csr")
-    c_vec = np.zeros(A.shape[1])
-    c_vec[0] = -1.0  # maximize c
-    program = ConicProgram(tuple(blocks), c_vec, A, f.coefficient_vector(big))
-    return Relaxation(program=program, kind=HierarchyKind(certificate, "sos"),
-                      level=r, objective=f, domain=X, psd_specs=psd_specs,
-                      eq_specs=eq_specs, c_index=0, tau_layout=tau_layout)
+    written as coefficient matching over the monomials of degree <= 2r. It is
+    the level's moment program read as its conic dual (_sos_side)."""
+    return _sos_side(build_moment_relaxation(f, X, certificate, r, max_psd_size))
 
 
-def solve_relaxation(rel: Relaxation, opts: Optional[SolveOptions] = None, start=None):
-    """(bound, Solution) of one sdpcore.solve call on rel's program. `start`,
-    a primal x and dual y of that program (a Solution of it, say), is where
-    the solve begins; the stopping rule is the same either way."""
+def _dual_rows(mom: Relaxation) -> tuple:
+    """(rows, signs): per SOS column, the moment row it transposes and its
+    sign. The SOS columns are c (row y0 = 1, +), then each tau_h (rows S_h y,
+    +), then each Gram block G_J (rows -L_J y + slack_J, -); the equalities of
+    a level are all free (T, Q) or all nonnegative (R) multipliers."""
+    m = mom.program.num_rows
+    eq = 1 + mom.program.num_vars - mom.y_slice.stop  # the first S_h row
+    return np.r_[0, eq:m, 1:eq], np.r_[1.0, np.ones(m - eq), -np.ones(eq - 1)]
+
+
+def _sos_side(mom: Relaxation) -> Relaxation:
+    """The SOS program of mom's level: A is mom's y columns transposed, in
+    _dual_rows order and times its signs, and b is mom's objective on y."""
+    rows, signs = _dual_rows(mom)
+    At = mom.program.A[:, mom.y_slice].T.tocsc()[:, rows]
+    At.data *= np.repeat(signs, np.diff(At.indptr))
+    A = At.tocsr()  # a counting transpose: each row's indices come out sorted
+    tau_layout, end = [], 1  # tau_h has one entry per row of S_h: one for R
+    for spec in mom.eq_specs:
+        size = count_monomials(mom.domain.n, 2 * spec.matrix_order)
+        tau_layout.append((spec, slice(end, end + size)))
+        end += size
+    blocks = ((Block("free", 1), Block("nonneg", end - 1))
+              if mom.kind.certificate == "R" and end > 1 else (Block("free", end),))
+    c = np.zeros(A.shape[1])
+    c[0] = -1.0  # maximize c
+    program = ConicProgram(blocks + mom.program.blocks[1:], c, A,
+                           mom.program.c[mom.y_slice].copy())
+    return replace(mom, program=program, kind=HierarchyKind(mom.kind.certificate, "sos"),
+                   y_slice=None, tau_layout=tau_layout)
+
+
+def solve_relaxation(rel: Relaxation, opts: Optional[SolveOptions] = None,
+                     start: Optional[Start] = None):
+    """(bound, Solution) of one sdpcore.solve call on rel's program, begun at
+    `start` when given; the stopping rule is the same either way."""
     sol = sdpcore.solve(rel.program, opts, start)
     return rel.value(sol), sol
 
 
-class _Start(NamedTuple):
-    x: np.ndarray  # primal point of a program
-    y: np.ndarray  # its row duals
-
-
-def _moment_start(mom: Relaxation, sos: Relaxation, sol: Solution) -> _Start:
-    """The primal-dual point of the moment program that a solution of the
-    SOS program of the same level holds.
-
-    The SOS program's column blocks are the transposes of the moment
-    program's row blocks, so its row duals are -y for moments y, and its
-    primal x gives the moment rows' duals: c on y0 = 1, -G_J on Gram block
-    J's rows and tau_h on equality h's rows. The taus are matched by spec,
-    since tau_layout lists T/Q's zero specs before R's scalar ones."""
+def _moment_start(mom: Relaxation, sol: Solution) -> Start:
+    """The point of the moment program that a solution of _sos_side(mom)
+    holds: moments -(its row duals), slacks L_J y, and as row duals its x
+    read through _dual_rows backwards (c, -G_J and tau_h)."""
+    rows, signs = _dual_rows(mom)
     n_y = mom.y_slice.stop
-    # the slacks, one per PSD spec, pair with the SOS program's Gram blocks,
-    # which are its last columns
-    n_gram = mom.program.num_vars - n_y
     x = np.zeros(mom.program.num_vars)
     x[:n_y] = -sol.y
     # the rows after y0 = 1 start with -L_J y + slack_J, one block per PSD spec
-    x[n_y:] = -(mom.program.A @ x)[1:1 + n_gram]
-    tau = dict(sos.tau_layout)
-    y = np.concatenate([sol.x[[sos.c_index]], -sol.x[sol.x.size - n_gram:]]
-                       + [sol.x[tau[spec]] for spec in mom.eq_specs])
-    return _Start(x, y)
+    x[n_y:] = -(mom.program.A @ x)[1:1 + mom.program.num_vars - n_y]
+    y = np.empty(mom.program.num_rows)
+    y[rows] = signs * sol.x
+    return Start(x, y)
 
 
 # ----------------------------------------------------------------------------
@@ -282,7 +260,7 @@ def certificate_extract(sol: Solution, rel: Relaxation) -> CertificateExtract:
     terms = [term(spec, sl, G) for spec, (sl, G) in zip(rel.psd_specs, grams)]
     terms += [term(spec, loc, np.empty((0, 0))) for spec, loc in rel.tau_layout]
     residual = float(np.abs(rel.program.b - A @ x).sum())
-    return CertificateExtract(bound=float(x[rel.c_index]), terms=terms, residual=residual)
+    return CertificateExtract(bound=float(x[0]), terms=terms, residual=residual)
 
 
 # ----------------------------------------------------------------------------
@@ -344,38 +322,36 @@ def run_ladder(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
     level order; each level's rows follow the order of `sides`, which takes
     each of "moment" and "sos" at most once (ValueError otherwise).
 
-    A level that asks for both sides is one primal-dual pair: its SOS program
-    is built and solved first, and when that solve ends `optimal` the moment
-    program's solve starts from the point the SOS solution holds (moments
-    -y, slacks L_J y, row duals c, -G_J and tau_h; see _moment_start).
+    Each level is assembled once, its SOS program read off the moment
+    program (_sos_side). A level that asks for both sides is one primal-dual
+    pair: the SOS side is solved first, and when that solve ends `optimal`
+    the moment side's solve starts from the point it holds (_moment_start).
     Each side is its own sdpcore.solve call and stops only on its own
     residual test at `opts.tol`. A moment side whose SOS side is not
-    `optimal`, or that is asked for alone, starts cold.
+    `optimal`, or that is asked for alone, starts cold. A row's `seconds`
+    is its solve; the level's assembly is charged to the side solved first.
 
     The monotonicity check derives its slack from the solve tolerance
     `opts.tol`. Only rows with status `optimal` are compared; every other row
     gets a line in `status_notes` instead.
     """
     check_sides(sides)
-
-    def run_one(r, side, pair):
-        build = build_moment_relaxation if side == "moment" else build_sos_relaxation
-        start = time.perf_counter()
-        rel = build(f, X, certificate, r, max_psd_size=max_psd_size)
-        warm = None if pair is None else _moment_start(rel, *pair)
-        value, sol = solve_relaxation(rel, opts, warm)
-        elapsed = time.perf_counter() - start
-        return rel, sol, RelaxationResult(level=r, certificate=certificate, side=side,
-                                          value=value, status=sol.status, gap=np.nan,
-                                          seconds=elapsed, iterations=sol.iterations)
-
     results = []
     for r in sorted(levels):
-        rows, pair = {}, None
+        start = time.perf_counter()
+        mom = build_moment_relaxation(f, X, certificate, r, max_psd_size=max_psd_size)
+        rels = {side: mom if side == "moment" else _sos_side(mom) for side in sides}
+        rows, sos_sol = {}, None
         for side in sorted(sides, key=lambda side: side != "sos"):  # the SOS side first
-            rel, sol, rows[side] = run_one(r, side, pair)
+            warm = None if sos_sol is None else _moment_start(mom, sos_sol)
+            value, sol = solve_relaxation(rels[side], opts, warm)
             if side == "sos" and sol.status == "optimal":
-                pair = (rel, sol)
+                sos_sol = sol
+            stop = time.perf_counter()
+            rows[side] = RelaxationResult(level=r, certificate=certificate, side=side,
+                                          value=value, status=sol.status, gap=np.nan,
+                                          seconds=stop - start, iterations=sol.iterations)
+            start = stop
         results += [rows[side] for side in sides]
 
     by_key = {(res.level, res.side): res for res in results}

@@ -29,9 +29,9 @@ packed PSD block into a full matrix at once, then one LAPACK `dsyevd` call
 per PSD block; only a block with a negative eigenvalue is rebuilt.
 
 `solve(program, opts, warm)` takes two options, the tolerance and the
-iteration cap (`SolveOptions`), and optionally a primal x and dual y of the
-program to start from; the penalty, relaxation, acceleration and check
-schedule are the module constants below. Sized for desk-scale moment
+iteration cap (`SolveOptions`), and optionally a `Start`, a primal x and row
+duals y of the program to begin from; the penalty, relaxation, acceleration
+and check schedule are the module constants below. Sized for desk-scale moment
 relaxations (PSD blocks up to a few hundred); a solve is deterministic given
 its arguments. The equilibration (Ruiz sweeps on the CSR arrays of A), the
 factor of A A' and the cone plan (the gather index and the per-block layout
@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -221,6 +221,13 @@ class Solution:
     iterations: int  # map evaluations, rejected extrapolations included
     certificate_ray: Optional[np.ndarray] = None
     rejected_steps: int = 0  # extrapolations the safeguard turned down
+
+
+class Start(NamedTuple):
+    """A primal x and row duals y of a program: where a solve begins."""
+
+    x: np.ndarray
+    y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -420,10 +427,10 @@ class _Anderson:
 
 
 def solve(program: ConicProgram, opts: Optional[SolveOptions] = None,
-          warm: Optional[Solution] = None) -> Solution:
-    """Solve `program`; with `warm`, a primal x and dual y of this program
-    (a Solution of a program with the same A, say), start from them. Only
-    `warm.x` and `warm.y` are read, and the stopping rule is the same."""
+          warm: Optional[Start] = None) -> Solution:
+    """Solve `program`; with `warm`, a Start of this program (or a Solution
+    of a program with the same A, whose x and y are all that is read), begin
+    there. The stopping rule is the same either way."""
     opts = opts or SolveOptions()
     n = program.num_vars
     cone = program._cone

@@ -6,6 +6,7 @@ convention must be negated by the caller at construction time.
 
 from __future__ import annotations
 
+import inspect
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -137,6 +138,13 @@ def make_catalog_set(kind: str, **params) -> SemiAlgebraicSet:
     builder = _CATALOG.get(kind)
     if builder is None:
         raise ValueError(f"unknown catalog kind {kind!r}; have {sorted(_CATALOG)}")
+    takes = inspect.signature(builder).parameters
+    unknown = [key for key in params if key not in takes]
+    missing = [key for key, p in takes.items() if p.default is p.empty and key not in params]
+    if unknown or missing:
+        problem = (f"does not take key {unknown[0]!r}" if unknown
+                   else f"needs key {missing[0]!r}")
+        raise ValueError(f"catalog set {kind!r} {problem}; it takes {', '.join(takes)}")
     return builder(**params)
 
 

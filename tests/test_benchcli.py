@@ -95,6 +95,16 @@ def test_fit_rate_synthetic():
 def test_fit_rate_filters_nonpositive():
     with pytest.raises(ValueError, match="3 positive"):
         fit_rate([(1, 0.0), (2, -1.0), (3, 1.0), (4, 0.5)])
+    # an inf or nan value is skipped like a nonpositive one
+    with pytest.raises(ValueError, match="3 positive"):
+        fit_rate([(2, 0.25), (3, np.inf), (4, np.nan), (5, 0.04)])
+    with pytest.raises(ValueError, match="levels must be finite and positive, got r = 0"):
+        fit_rate([(0, 1.0), (2, 0.25), (3, 0.1), (4, 0.0625)])
+    with pytest.raises(ValueError, match="2 distinct levels"):
+        fit_rate([(3, 0.25), (3, 0.1), (3, 0.0625)])
+    fit = fit_rate([(2, 0.25), (3, np.inf), (4, 0.0625), (8, 1 / 64)])
+    assert fit.points_used == 3
+    assert fit.slope == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_config_rejects_empty_levels(tmp_path):
@@ -293,11 +303,17 @@ def test_cli_ladder_and_rates(tmp_path, capsys):
     (["--input", "series.csv", "--x-column", "level"], "has no column 'level'"),
     (["--input", "series.csv", "--y-column", "bound"], "has no column 'bound'"),
     (["--input", "short.csv"], "short.csv row 3: missing value in column 'lower_bound'"),
-], ids=["missing-file", "x-column", "y-column", "short-row"])
+    (["--input", "inf.csv"], "need at least 3 positive points to fit, have 2"),
+    (["--input", "same_r.csv"], "need at least 2 distinct levels to fit, have only r = 3"),
+    (["--input", "zero_r.csv"], "levels must be finite and positive, got r = 0"),
+], ids=["missing-file", "x-column", "y-column", "short-row", "inf-value", "same-r", "zero-r"])
 def test_cli_rates_rejects_bad_input(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "series.csv").write_text("r,lower_bound\n2,0.25\n3,0.111111\n4,0.0625\n")
     (tmp_path / "short.csv").write_text("r,lower_bound\n2,0.25\n3\n4,0.0625\n")
+    (tmp_path / "inf.csv").write_text("r,lower_bound\n2,0.25\n3,inf\n4,0.0625\n")
+    (tmp_path / "same_r.csv").write_text("r,lower_bound\n3,0.25\n3,0.111111\n3,0.0625\n")
+    (tmp_path / "zero_r.csv").write_text("r,lower_bound\n0,0.25\n3,0.111111\n4,0.0625\n")
     assert main(["rates", *args]) == 2
     assert message in capsys.readouterr().err
 
@@ -320,6 +336,28 @@ def test_cli_kernel(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "= 5" in out
+
+
+def test_cli_kernel_rejects_a_negative_degree(capsys):
+    code = main(["kernel", "--set", "ball", "--n", "1", "--degree", "-1",
+                 "--eval", "0.3;0.5"])
+    assert code == 2
+    assert "error: basis degree must be nonnegative, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("set_doc, message", [
+    ({"catalog": "ball", "n": 2, "K": 1.0},
+     "catalog set 'ball' does not take key 'K'; it takes n, R"),
+    ({"catalog": "polytope", "n": 1, "A": [[1.0], [-1.0]], "b": [1.0, 1.0]},
+     "catalog set 'polytope' does not take key 'n'; it takes A, b"),
+    ({"catalog": "ball"}, "catalog set 'ball' needs key 'n'; it takes n, R"),
+    ({"catalog": "box_product"}, "catalog set 'box_product' needs key 'factors'"),
+], ids=["unknown-key", "polytope-n", "missing-n", "missing-factors"])
+def test_cli_solve_rejects_bad_catalog_keys(tmp_path, capsys, set_doc, message):
+    path = write_problem(tmp_path, {"objective": [[[1], 1.0]], "set": set_doc})
+    code = main(["solve", "--problem", str(path), "--level", "1"])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_cli_lojfit(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momentlab import sdpcore
+from momentlab import hierarchy, sdpcore
 from momentlab.hierarchy import (
     HierarchyKind,
     LevelTooLowError,
@@ -150,12 +150,9 @@ def test_sos_program_is_transpose_of_moment_program(X, certificate, r):
     assert np.array_equal(sos.program.b, mom.program.c[mom.y_slice])
     assert np.array_equal(S[:, [0]], My[[0]].T)  # c pairs with y_0 = 1
 
-    slices = sos.program.block_slices()
-    kinds = [blk.kind for blk in sos.program.blocks]
-    gram_cols = [sl for sl, kind in zip(slices, kinds) if kind == "psd"]
-    nonneg = next((sl.start for sl, kind in zip(slices, kinds) if kind == "nonneg"), None)
-    eq_cols = [loc if isinstance(loc, slice) else slice(nonneg + loc, nonneg + loc + 1)
-               for _, loc in sos.tau_layout]
+    gram_cols = [sl for blk, sl in zip(sos.program.blocks, sos.program.block_slices())
+                 if blk.kind == "psd"]
+    eq_cols = [loc for _, loc in sos.tau_layout]
     row = 1
     for sign, cols in [(-1.0, c) for c in gram_cols] + [(1.0, c) for c in eq_cols]:
         rows = slice(row, row + cols.stop - cols.start)
@@ -306,7 +303,7 @@ def test_moment_start_is_the_sos_solution_read_as_a_moment_point():
     mom = build_moment_relaxation(f, X, certificate, r)
     sos = build_sos_relaxation(f, X, certificate, r)
     _, sol = solve_relaxation(sos, TIGHT)
-    start = _moment_start(mom, sos, sol)
+    start = _moment_start(mom, sol)
     A, b, c = mom.program.A, mom.program.b, mom.program.c
     assert start.x.shape == (mom.program.num_vars,)
     assert start.y.shape == (mom.program.num_rows,)
@@ -319,6 +316,23 @@ def test_moment_start_is_the_sos_solution_read_as_a_moment_point():
     grams = [sl for blk, sl in zip(sos.program.blocks, sos.program.block_slices())
              if blk.kind == "psd"]
     assert np.array_equal(slack[mom.y_slice.stop:], np.concatenate([sol.x[sl] for sl in grams]))
+
+
+def test_ladder_assembles_each_level_once(monkeypatch):
+    # both sides of a level read one moment build: the SOS program is its
+    # signed transpose, not a second enumeration of the specs
+    calls = []
+    real = hierarchy.preordering_products
+
+    def counting(X, r, kind="T"):
+        calls.append(r)
+        return real(X, r, kind=kind)
+
+    monkeypatch.setattr(hierarchy, "preordering_products", counting)
+    report = run_ladder(Polynomial(1, {(4,): 1.0, (2,): -1.0}), BALL1, "Q", (2, 3))
+    assert [(res.level, res.side) for res in report.results] == [
+        (2, "moment"), (2, "sos"), (3, "moment"), (3, "sos")]
+    assert calls == [2, 3]
 
 
 def test_moment_only_ladder_is_a_cold_solve():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,17 @@ def test_polytope_catalog_and_hint():
 def test_empty_polytope_warns_not_rejects():
     with pytest.warns(UserWarning, match="empty"):
         make_catalog_set("polytope", A=[[1.0], [-1.0]], b=[-1.0, -1.0])
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("ball", {"n": 2, "K": 1.0}, "catalog set 'ball' does not take key 'K'; it takes n, R"),
+    ("polytope", {"n": 1, "A": [[1.0]], "b": [1.0]},
+     "catalog set 'polytope' does not take key 'n'; it takes A, b"),
+    ("ball", {}, "catalog set 'ball' needs key 'n'; it takes n, R"),
+], ids=["unknown-key", "polytope-n", "missing-key"])
+def test_catalog_rejects_keys_its_builder_does_not_take(kind, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_catalog_set(kind, **params)
 
 
 def test_violation_examples():
