@@ -94,18 +94,7 @@ PROBLEM_SCHEMA = {
 
 def _build_set(doc: dict) -> SemiAlgebraicSet:
     doc = dict(doc)
-    if "catalog" in doc:
-        kind = doc.pop("catalog")
-        radius = doc.pop("radius", None)
-        if kind == "box_product" and "factors" in doc:
-            doc["factors"] = [tuple(f) for f in doc["factors"]]
-        X = make_catalog_set(kind, **doc)
-        if radius is not None:
-            X = archimedean_augment(X, radius)
-        return X
     n = doc.get("n")
-    if n is None:
-        raise ProblemFormatError("set descriptor needs 'n' (or a catalog shorthand)")
 
     def polys(key):
         out = []
@@ -117,6 +106,20 @@ def _build_set(doc: dict) -> SemiAlgebraicSet:
                         f"{len(alpha)} does not match n = {n}")
             out.append(Polynomial.from_pairs(n, pairs))
         return out
+
+    if "catalog" in doc:
+        kind = doc.pop("catalog")
+        radius = doc.pop("radius", None)
+        if kind == "box_product" and "factors" in doc:
+            doc["factors"] = [tuple(f) for f in doc["factors"]]
+        if kind == "custom" and n is not None:
+            doc.update({key: polys(key) for key in ("inequalities", "equalities") if key in doc})
+        X = make_catalog_set(kind, **doc)
+        if radius is not None:
+            X = archimedean_augment(X, radius)
+        return X
+    if n is None:
+        raise ProblemFormatError("set descriptor needs 'n' (or a catalog shorthand)")
 
     box = None
     if "box" in doc:

@@ -9,8 +9,9 @@ and the graded operator attached to the (optionally perturbed) kernel acts
 diagonally on the per-factor degree decomposition.
 
 The SDP upper bound of a level is a one-row program whose value is the least
-eigenvalue of its objective blocks in those bases. The solve starts from that
-exact primal-dual pair, so ADMM only certifies it.
+eigenvalue of its objective blocks in those bases. The solve is given that
+exact primal-dual pair, which already passes its stopping rule, so it
+returns at iteration 0 after one residual evaluation.
 
 The hypercube basis (product Chebyshev) is included as an extension; the
 product-set rate machinery is stated for balls and simplexes.
@@ -472,8 +473,10 @@ def upper_bound_sdp(f: Polynomial, X: SemiAlgebraicSet, certificate: str, r: int
     value bounds min_X f from above; a node outside X (by more than
     FEASIBILITY_TOL) raises ValueError. In the orthonormal basis of g_J nu
     the normalization block of g_J is the identity (a g_J vanishing at every
-    node gets no block), so the value is min_J lambda_min(C_J). The solve
-    starts from that exact primal-dual pair, and ADMM only certifies it.
+    node gets no block), so the value is min_J lambda_min(C_J). The one
+    sdpcore.solve call is given that exact primal-dual pair; it passes the
+    stopping rule as it stands, so the call certifies it at iteration 0 with
+    one residual evaluation, and no equilibration or A A' factor.
     """
     if certificate not in ("Q", "T"):
         raise ValueError("upper bounds use certificate Q or T")

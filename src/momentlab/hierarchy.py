@@ -13,9 +13,13 @@ spec, shift_operator for an equality) as a row block, and the SOS program is
 its signed transpose. One map, _dual_rows, pairs each SOS column with a
 moment row: c with y0 = 1, tau_h with S_h's rows, Gram block J with the
 rows -L_J y + slack_J, negated. Read backwards it turns an SOS solution into
-a primal-dual point of the moment program (_moment_start), where run_ladder
-starts the moment side; each side is still its own sdpcore.solve call,
-certified by its own residuals.
+a primal-dual point of the moment program (_moment_start). So run_ladder
+solves a level as one interior-point solve of the SOS side, a cold
+sdpcore.solve, and reads the moment side from it: that side's
+sdpcore.solve call is given the mapped point, which returns at iteration 0
+when it passes the moment program's own stopping rule (or else begins the
+ADMM there). Each side is still its own call, certified by its own
+residuals.
 """
 
 from __future__ import annotations
@@ -324,12 +328,15 @@ def run_ladder(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
 
     Each level is assembled once, its SOS program read off the moment
     program (_sos_side). A level that asks for both sides is one primal-dual
-    pair: the SOS side is solved first, and when that solve ends `optimal`
-    the moment side's solve starts from the point it holds (_moment_start).
-    Each side is its own sdpcore.solve call and stops only on its own
-    residual test at `opts.tol`. A moment side whose SOS side is not
-    `optimal`, or that is asked for alone, starts cold. A row's `seconds`
-    is its solve; the level's assembly is charged to the side solved first.
+    pair: the SOS side is solved first, cold, by sdpcore's interior-point
+    method, and when that solve ends `optimal` the moment side's solve is
+    given the point it holds (_moment_start). When that point passes the
+    moment side's residual test, as it does on every level measured so far,
+    the row is certified at iteration 0; otherwise the ADMM starts there. Each side is its own sdpcore.solve call
+    and stops only on its own residual test at `opts.tol`. A moment side
+    whose SOS side is not `optimal`, or that is asked for alone, is solved
+    cold. A row's `seconds` is its solve; the level's assembly is charged
+    to the side solved first.
 
     The monotonicity check derives its slack from the solve tolerance
     `opts.tol`. Only rows with status `optimal` are compared; every other row

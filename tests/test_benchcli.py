@@ -360,6 +360,30 @@ def test_cli_solve_rejects_bad_catalog_keys(tmp_path, capsys, set_doc, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_cli_solve_reads_the_custom_catalog_shorthand(tmp_path, capsys):
+    # {1 - x^2 >= 0} written as a catalog descriptor: its pair lists become
+    # polynomials, as in the full descriptor
+    doc = {"objective": [[[1], 1.0]],
+           "set": {"catalog": "custom", "n": 1, "inequalities": [[[[0], 1.0], [[2], -1.0]]]}}
+    path = write_problem(tmp_path, doc)
+    code = main(["solve", "--problem", str(path), "--certificate", "Q", "--side", "sos",
+                 "--level", "1"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "sos bound at level 1" in out
+    assert "-1" in out
+
+
+def test_cli_solve_rejects_a_short_exponent_in_the_custom_shorthand(tmp_path, capsys):
+    doc = {"objective": [[[1], 1.0]],
+           "set": {"catalog": "custom", "n": 1, "inequalities": [[[[0, 0], 1.0]]]}}
+    path = write_problem(tmp_path, doc)
+    code = main(["solve", "--problem", str(path), "--level", "1"])
+    assert code == 2
+    assert ("error: set.inequalities[0][0]: exponent vector of length 2 does not match n = 1"
+            in capsys.readouterr().err)
+
+
 def test_cli_lojfit(tmp_path, capsys):
     doc = {"objective": [[[1, 0], 1.0]],
            "set": {"catalog": "polytope",

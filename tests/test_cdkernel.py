@@ -553,3 +553,24 @@ def test_upper_bound_series_simplex():
     assert np.all(np.diff(values) <= 0.0)
     assert min(values) >= 0.0
     assert np.abs(np.array(values[:6]) - known).max() <= 1e-9
+
+
+def test_upper_bound_sdp_certifies_its_start_without_equilibrating(monkeypatch):
+    # the exact eigenpair start passes the stopping rule as given: the one
+    # solve call returns it at iteration 0, with no equilibration or factor
+    calls = []
+    original = sdpcore._equilibrate
+
+    def counting(program, *args, **kwargs):
+        calls.append(program)
+        return original(program, *args, **kwargs)
+
+    monkeypatch.setattr(sdpcore, "_equilibrate", counting)
+    f = Polynomial.variable(1, 0)
+    X = make_catalog_set("ball", n=1, R=1.0)
+    for r in (1, 2, 3, 4):
+        value, sol = upper_bound_sdp(f, X, "Q", r, BALL1, SolveOptions(tol=1e-9))
+        assert sol.status == "optimal"
+        assert sol.iterations == 0
+        assert value == sol.primal_value
+    assert calls == []

@@ -227,6 +227,20 @@ def test_ladder_strictly_increasing_on_motzkin_ball():
     assert lb4 <= fmin + 1e-6
 
 
+def test_motzkin_ball_level_5_is_optimal_on_both_sides():
+    # T, r=5: the SOS side (286 rows, Gram blocks of 56 and 35) ended at
+    # max_iters after 30k ADMM iterations; one interior-point solve now
+    # certifies it, and the moment side is read off that solution
+    ball3 = make_catalog_set("ball", n=3, R=1.0)
+    motzkin = Polynomial(3, {(4, 2, 0): 1.0, (2, 4, 0): 1.0, (2, 2, 2): -3.0,
+                             (0, 0, 6): 1.0})
+    report = run_ladder(motzkin, ball3, "T", (5,), SolveOptions(tol=1e-7))
+    assert [res.status for res in report.results] == ["optimal", "optimal"]
+    assert report.results[0].iterations == 0
+    assert report.status_notes == []
+    assert all(-1e-4 < res.value <= 1e-6 for res in report.results)
+
+
 def _row(level, value, status="optimal", side="moment"):
     return RelaxationResult(level=level, certificate="Q", side=side, value=value,
                             status=status, gap=np.nan, seconds=0.0, iterations=0)

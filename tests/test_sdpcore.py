@@ -171,6 +171,17 @@ def test_warm_start_reuses_solution():
     assert second.iterations <= first.iterations
 
 
+def test_an_optimal_start_returns_at_iteration_zero():
+    prog = sos_interval_program()
+    opts = SolveOptions(tol=1e-9)
+    first = solve(prog, opts)
+    again = solve(prog, opts, first)
+    assert first.status == again.status == "optimal"
+    assert again.iterations == 0
+    assert again.primal_value == first.primal_value
+    assert np.array_equal(again.y, first.y)
+
+
 def test_options_are_validated():
     for bad in (dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")),
                 dict(tol=float("inf")), dict(max_iters=0)):
@@ -496,3 +507,15 @@ def test_stengle_ladder_is_optimal_at_the_exact_value(r):
         value, sol = solve_relaxation(build(1 - x ** 2, X, "Q", r), opts)
         assert sol.status == "optimal"
         assert value == pytest.approx(-1.0 / (r * (r - 2)), abs=1e-5)
+
+
+def test_stengle_r6_is_optimal_from_a_cold_start_on_both_sides():
+    # the moment side alone ended at max_iters after 100k ADMM iterations;
+    # the interior-point method reaches the level's value on both sides
+    x = Polynomial.variable(1, 0)
+    X = make_catalog_set("custom", n=1, inequalities=[(1 - x ** 2) ** 3])
+    opts = SolveOptions(tol=1e-7)
+    for build in (build_moment_relaxation, build_sos_relaxation):
+        value, sol = solve_relaxation(build(1 - x ** 2, X, "Q", 6), opts)
+        assert sol.status == "optimal"
+        assert value == pytest.approx(-1.0 / 24.0, abs=1e-6)
