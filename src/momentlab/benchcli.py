@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -132,6 +133,18 @@ def _build_set(doc: dict) -> SemiAlgebraicSet:
         name=doc.get("name", "custom"))
 
 
+@lru_cache(maxsize=None)
+def _problem_validator():
+    """A validator of PROBLEM_SCHEMA, built once. jsonschema.validate checks
+    the schema itself on every call: 6 ms a parse on a 2-vCPU VM, against
+    0.1 ms for the validation with this validator."""
+    import jsonschema  # imported on first use, as it is slow to import
+
+    cls = jsonschema.validators.validator_for(PROBLEM_SCHEMA)
+    cls.check_schema(PROBLEM_SCHEMA)
+    return cls(PROBLEM_SCHEMA)
+
+
 def parse_problem(path):
     """Read a JSON problem file into (objective, set, metadata)."""
     import jsonschema
@@ -142,9 +155,9 @@ def parse_problem(path):
         raise ProblemFormatError(f"cannot read {path}: {err.strerror or err}")
     except json.JSONDecodeError as err:
         raise ProblemFormatError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}")
-    try:
-        jsonschema.validate(doc, PROBLEM_SCHEMA)
-    except jsonschema.ValidationError as err:
+    # the error jsonschema.validate would raise
+    err = jsonschema.exceptions.best_match(_problem_validator().iter_errors(doc))
+    if err is not None:
         raise ProblemFormatError(f"{path}: {err.json_path}: {err.message}")
     X = _build_set(doc["set"])
     for idx, (alpha, _) in enumerate(doc["objective"]):

@@ -18,7 +18,7 @@ import numpy as np
 from momentlab import sdpcore
 from momentlab.hierarchy import build_moment_relaxation, solve_relaxation
 from momentlab.polycore import Polynomial, count_monomials, monomial_basis
-from momentlab.sdpcore import SolveOptions, Start
+from momentlab.sdpcore import SolveOptions
 from momentlab.semialg import (
     FEASIBILITY_TOL,
     POOL_SIZE,
@@ -138,24 +138,20 @@ def hausdorff_lower_bound(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
             raise ValueError(f"support was sampled with {name}={have}, not {want}")
     basis = monomial_basis(X.n, k)
     rel = None
-    warm = None
     best = -np.inf
     for d, (c, h_moment) in enumerate(zip(support.directions, support.h_moment)):
         p = Polynomial.from_vector(basis, c)
-        # the feasible set is direction-independent: build, scale and factor
-        # once, then swap objectives and warm start from the previous solution
+        # the feasible set is direction-independent: build once, then swap
+        # objectives, which keeps the scaling, factor and solver plans; each
+        # direction is its own cold solve, so its value does not depend on
+        # the directions before it
         rel = (build_moment_relaxation(-p, X, certificate, r, max_psd_size)
                if rel is None else rel.with_objective(-p))
-        sol = sdpcore.solve(rel.program, opts, warm)
+        sol = sdpcore.solve(rel.program, opts)
         if sol.status != "optimal":
             raise NonOptimalSolveError(
                 f"r={r}, direction {d}: solver status {sol.status!r}")
         best = max(best, -sol.primal_value - h_moment)
-        # the first, cold solve is the interior-point method's: where the
-        # dual optimal face is unbounded its row duals lie far out on it (norm
-        # 1187 against the ADMM's 0.74 on the criterion-6 triangle at r=4),
-        # and from them the ADMM crawls, so only its moments carry over
-        warm = sol if d else Start(sol.x, np.zeros_like(sol.y))
     return float(best)
 
 

@@ -17,9 +17,10 @@ a primal-dual point of the moment program (_moment_start). So run_ladder
 solves a level as one interior-point solve of the SOS side, a cold
 sdpcore.solve, and reads the moment side from it: that side's
 sdpcore.solve call is given the mapped point, which returns at iteration 0
-when it passes the moment program's own stopping rule (or else begins the
-ADMM there). Each side is still its own call, certified by its own
-residuals.
+when it passes the moment program's own stopping rule; a point it turns
+down is dropped, and the moment program is solved cold by the
+interior-point method. Each side is still its own call, certified by its
+own residuals.
 """
 
 from __future__ import annotations
@@ -332,11 +333,12 @@ def run_ladder(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
     method, and when that solve ends `optimal` the moment side's solve is
     given the point it holds (_moment_start). When that point passes the
     moment side's residual test, as it does on every level measured so far,
-    the row is certified at iteration 0; otherwise the ADMM starts there. Each side is its own sdpcore.solve call
-    and stops only on its own residual test at `opts.tol`. A moment side
-    whose SOS side is not `optimal`, or that is asked for alone, is solved
-    cold. A row's `seconds` is its solve; the level's assembly is charged
-    to the side solved first.
+    the row is certified at iteration 0; a point turned down is dropped, and
+    the moment side is solved cold by the interior-point method. Each side
+    is its own sdpcore.solve call and stops only on its own residual test at
+    `opts.tol`. A moment side whose SOS side is not `optimal`, or that is
+    asked for alone, is solved cold. A row's `seconds` is its solve; the
+    level's assembly is charged to the side solved first.
 
     The monotonicity check derives its slack from the solve tolerance
     `opts.tol`. Only rows with status `optimal` are compared; every other row

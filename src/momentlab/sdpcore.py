@@ -6,19 +6,20 @@ nonnegative orthants, and free variables:
 Two methods share one stopping rule: every relative residual (primal, dual
 and gap, measured on the original data with x in K) is at most `tol`.
 
-When each runs. `solve(program, opts, warm)` without `warm` runs the
-interior-point method. If it stops short (its steps collapse, its Newton
-system is singular, or it has taken IPM_MAX_ITERS steps), the ADMM
-continues from its best point, within `opts.max_iters` in all, so
-`max_iters`, `infeasible_certificate` and the ray mean what they meant
-before. With `warm`, a primal x and row duals y (`Start`), the start's x is
-projected onto K and measured: a start that passes is returned as
+When each runs. `solve(program, opts, warm)` runs the interior-point
+method. With `warm`, a primal x and row duals y (`Start`), the start's x is
+projected onto K and measured first: a start that passes is returned as
 `optimal` at iteration 0, before any equilibration or factor, and any other
-start begins the ADMM. An interior-point method cannot use a start, and
-the callers that give one (objective sweeps, an SOS solution read as its
-moment program's point, an exact eigenpair) give a good one.
-`Solution.iterations` counts interior-point steps plus ADMM map
-evaluations, and is 0 for an accepted start.
+start is dropped for the same cold interior-point solve, so a solve's
+result does not depend on a start it turns down. An interior-point method
+cannot use a start, and the callers that give one (an SOS solution read as
+its moment program's point, an exact eigenpair) give a good one. If the
+interior-point method stops short (its steps collapse, its Newton system
+is singular, or it has taken IPM_MAX_ITERS steps), the ADMM, which runs
+nowhere else, continues from its best point, or from zero when it found
+none, within `opts.max_iters` in all, so `max_iters`, `infeasible_certificate` and the ray mean what
+they meant before. `Solution.iterations` counts interior-point steps plus
+ADMM map evaluations, and is 0 for an accepted start.
 
 The interior-point method is primal-dual path following with the HKM
 direction and Mehrotra's predictor-corrector (SDPT3: Toh, Todd & Tütüncü
@@ -63,20 +64,11 @@ penalty updates), and returns T(w) = w + α(x − z). That is exactly one step
 of ADMM with the splitting x = z: one linear solve and one block-wise
 projection onto K.
 
-The map is accelerated by type-II Anderson acceleration (Walker & Ni 2011;
-Zhang, O'Donoghue & Boyd 2020): the next point extrapolates the last
-AA_MEMORY accepted iterates, with the least-squares weights read from an
-incrementally updated, Tikhonov-regularized Gram matrix of residual
-differences. An extrapolated point is kept only when its residual
-‖T(w̃) − w̃‖ is at most AA_SAFEGUARD times the accepted iterate's;
-otherwise the plain step T(w) is taken and the memory is cleared, as it is
-on every penalty change. A rejected extrapolation costs one map evaluation,
-and `Solution.rejected_steps` counts the rejections. PSD blocks are stored
-in symmetric-packed form with sqrt(2) off-diagonal scaling so the
-flattening is an isometry and dual residuals keep their meaning. The
-projection onto K is one gather, which expands every packed PSD block into
-a full matrix at once, then one LAPACK `dsyevd` call per PSD block; only a
-block with a negative eigenvalue is rebuilt.
+PSD blocks are stored in symmetric-packed form with sqrt(2) off-diagonal
+scaling so the flattening is an isometry and dual residuals keep their
+meaning. The projection onto K is one gather, which expands every packed
+PSD block into a full matrix at once, then one LAPACK `dsyevd` call per PSD
+block; only a block with a negative eigenvalue is rebuilt.
 
 `solve` takes two options, the tolerance and the iteration cap
 (`SolveOptions`); everything else is the module constants below. Sized for
@@ -106,11 +98,8 @@ _SQRT2 = math.sqrt(2.0)
 RHO = 1.0            # initial penalty, adapted every ADAPT_EVERY iterations
 OVER_RELAX = 1.6     # over-relaxation factor of the x-update
 CHECK_EVERY = 25     # iterations (map evaluations) between residual checks
-ADAPT_EVERY = 100    # iterations between penalty updates; each change clears the memory
+ADAPT_EVERY = 100    # iterations between penalty updates
 STALL_WINDOW = 500   # iterations without halving the residual before the ray test
-AA_MEMORY = 20       # differences kept by Anderson acceleration; 10 takes 20k+ on Stengle r=4
-AA_REGULARIZATION = 1e-6  # Tikhonov term on the Gram matrix, times its mean diagonal
-AA_SAFEGUARD = 4.0   # keep an extrapolation whose residual is at most this times the last one
 _RUIZ_SWEEPS = 8     # row/column sweeps of the equilibration
 SCHUR_CHUNK = 1 << 15  # doubles per Schur work array (256 KB); see _Group
 IPM_MAX_ITERS = 50   # Newton steps before the ADMM takes over; the lab's programs take 7-20
@@ -280,7 +269,6 @@ class Solution:
     residuals: Residuals
     iterations: int  # interior-point steps plus map evaluations; 0 for an accepted start
     certificate_ray: Optional[np.ndarray] = None
-    rejected_steps: int = 0  # extrapolations the safeguard turned down
 
 
 class Start(NamedTuple):
@@ -441,63 +429,20 @@ def _factor_gram(A: sp.csr_matrix) -> tuple:
 # main solve loop
 
 
-class _Anderson:
-    """Type-II Anderson acceleration of a fixed-point map T with residual
-    g(w) = T(w) − w. Ring buffers hold the last AA_MEMORY differences of g
-    and of T between accepted iterates, and the Gram matrix of the g
-    differences is updated one row per iterate."""
-
-    def __init__(self, n: int):
-        self.dg = np.empty((AA_MEMORY, n))
-        self.dt = np.empty((AA_MEMORY, n))
-        self.gram = np.empty((AA_MEMORY, AA_MEMORY))
-        self.eye = np.eye(AA_MEMORY)
-        self.reset()
-
-    def reset(self) -> None:
-        self.count = 0     # differences held
-        self.head = 0      # slot of the next difference
-        self.last = None   # (g, T(w)) of the previous accepted iterate
-
-    def extrapolate(self, g: np.ndarray, tw: np.ndarray) -> Optional[np.ndarray]:
-        """Record the accepted iterate w by its residual g and image tw = T(w);
-        return tw − ΔT γ with γ = argmin ‖g − ΔG γ‖ (regularized), or None
-        while no difference is held."""
-        if self.last is not None:
-            j = self.head
-            np.subtract(g, self.last[0], out=self.dg[j])
-            np.subtract(tw, self.last[1], out=self.dt[j])
-            self.count = min(self.count + 1, AA_MEMORY)
-            self.head = (j + 1) % AA_MEMORY
-            row = self.dg[:self.count] @ self.dg[j]
-            self.gram[j, :self.count] = row
-            self.gram[:self.count, j] = row
-        self.last = (g, tw)
-        k = self.count
-        if k == 0:
-            return None
-        gram = self.gram[:k, :k]
-        reg = AA_REGULARIZATION * float(gram.trace()) / k
-        if not reg > 0.0:
-            return None
-        # Cholesky through LAPACK directly: a numpy solve's call overhead is
-        # several times the work at this size
-        _, gamma, info = lapack.dposv(gram + reg * self.eye[:k, :k], self.dg[:k] @ g)
-        return tw - gamma @ self.dt[:k] if info == 0 else None
-
-
 def solve(program: ConicProgram, opts: Optional[SolveOptions] = None,
           warm: Optional[Start] = None) -> Solution:
-    """Solve `program`. Without `warm`, by the interior-point method, which
-    hands its best point to the ADMM if it stops short. With `warm`, a Start
-    of this program (or a Solution of a program with the same A, whose x and
-    y are all that is read): a start that passes the stopping rule once its x
-    is projected onto K is returned at iteration 0, and any other start
-    begins the ADMM. The stopping rule is the same in every case."""
+    """Solve `program` by the interior-point method, which hands its best
+    point to the ADMM if it stops short. With `warm`, a Start of this
+    program (or a Solution of a program with the same A, whose x and y are
+    all that is read): a start that passes the stopping rule once its x is
+    projected onto K is returned at iteration 0, and any other start is
+    dropped, giving the result of a solve without it. The stopping rule is
+    the same in every case."""
     opts = opts or SolveOptions()
     if warm is not None:
         accepted = _accept_start(program, warm, opts.tol)
-        return accepted if accepted is not None else _admm(program, opts, warm)
+        if accepted is not None:
+            return accepted
     sol = _interior_point(program, opts)
     if sol is None:
         return _admm(program, opts, None)
@@ -1021,9 +966,9 @@ def _interior_point(program: ConicProgram, opts: SolveOptions) -> Optional[Solut
 # the ADMM
 
 
-def _admm(program: ConicProgram, opts: SolveOptions, warm: Optional[Start],
+def _admm(program: ConicProgram, opts: SolveOptions, start: Optional[Start],
           spent: int = 0) -> Solution:
-    """The accelerated ADMM from `warm` (from zero without it), for at most
+    """The ADMM from `start` (from zero without it), for at most
     opts.max_iters - spent map evaluations; the Solution's iterations count
     `spent` too."""
     n = program.num_vars
@@ -1035,9 +980,9 @@ def _admm(program: ConicProgram, opts: SolveOptions, warm: Optional[Start],
     rho = RHO
     z = np.zeros(n)
     u = np.zeros(n)
-    if warm is not None:
-        z = (warm.x / d_col) / b_scale
-        slack = program.c - program.A.T @ warm.y
+    if start is not None:
+        z = (start.x / d_col) / b_scale
+        slack = program.c - program.A.T @ start.y
         u = -(d_col * slack) / (c_scale * rho)
 
     def report(z_cur, nu_cur):
@@ -1054,12 +999,7 @@ def _admm(program: ConicProgram, opts: SolveOptions, warm: Optional[Start],
         return w_in + OVER_RELAX * (x - z_in), z_in, nu_in
 
     budget = opts.max_iters - spent
-    anderson = _Anderson(n)
-    w = w_next = z + u  # accepted iterate, and the point evaluated next
-    plain = None        # T(w) while w_next is an extrapolation of w
-    z_prev = z          # projection of the accepted iterate before w
-    res_norm = math.inf
-    rejected = 0
+    w = z + u  # the point evaluated next
     best = None
     stall_anchor = math.inf
     stall_count = 0
@@ -1067,17 +1007,8 @@ def _admm(program: ConicProgram, opts: SolveOptions, warm: Optional[Start],
     certificate = None
 
     for it in range(1, budget + 1):
-        tw, z_new, nu_new = fixed_point_map(w_next)
-        g = tw - w_next
-        g_norm = float(np.linalg.norm(g))
-        if plain is not None and g_norm > AA_SAFEGUARD * res_norm:
-            rejected += 1
-            anderson.reset()
-            w_next, plain = plain, None
-        else:
-            w, z_prev, z, nu, res_norm = w_next, z, z_new, nu_new, g_norm
-            extrapolated = anderson.extrapolate(g, tw)
-            w_next, plain = (tw, None) if extrapolated is None else (extrapolated, tw)
+        tw, z_new, nu = fixed_point_map(w)
+        z_prev, z = z, z_new
 
         if it % CHECK_EVERY == 0 or it == budget:
             x_orig, y_orig, pv, dv, res = report(z, nu)
@@ -1109,15 +1040,15 @@ def _admm(program: ConicProgram, opts: SolveOptions, warm: Optional[Start],
             elif rd_s > 10.0 * rp_s and rho > 1e-6:
                 scale = 0.5
             if scale != 1.0:
+                # u = w - z is scaled by 1/rho: rescale it and evaluate w again
                 rho *= scale
-                w_next, plain = z + (w - z) / scale, None
-                anderson.reset()
+                tw = z + (w - z) / scale
+        w = tw
 
     x_orig, y_orig, pv, dv, res = best
     return Solution(status=status, primal_value=pv, dual_value=dv,
                     blocks=program.unpack(x_orig), x=x_orig, y=y_orig,
-                    residuals=res, iterations=spent + it, certificate_ray=certificate,
-                    rejected_steps=rejected)
+                    residuals=res, iterations=spent + it, certificate_ray=certificate)
 
 
 def _infeasibility_ray(program: ConicProgram, cone: _ConeOps,

@@ -81,6 +81,26 @@ def test_parse_rejects_schema_violation(tmp_path):
         parse_problem(path)
 
 
+def test_two_parses_check_the_schema_once(tmp_path, monkeypatch):
+    import jsonschema
+
+    cls = jsonschema.validators.validator_for(benchcli.PROBLEM_SCHEMA)
+    checked = []
+    original = cls.check_schema
+
+    def counting(schema, *args, **kwargs):
+        checked.append(schema)
+        return original(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
+    benchcli._problem_validator.cache_clear()
+    doc = {"objective": [[[1], 1.0]], "set": {"catalog": "ball", "n": 1, "R": 1.0}}
+    path = write_problem(tmp_path, doc)
+    parse_problem(path)
+    parse_problem(path)
+    assert checked == [benchcli.PROBLEM_SCHEMA]
+
+
 def test_fit_rate_synthetic():
     series = [(r, 3.0 / r**2) for r in range(2, 8)]
     fit = fit_rate(series)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -287,8 +289,8 @@ def test_hausdorff_with_shared_support_is_bit_identical():
 ], ids=["ball1", "square", "circle"])
 def test_hausdorff_lower_bound_is_nondecreasing_in_directions(X, certificate, r):
     # fewer directions draw a prefix of the same directions and support values,
-    # and the solves of that prefix run in the same order with the same warm
-    # starts, so a larger count maximizes over a superset
+    # and each direction's solve is its own cold solve, so a larger count
+    # maximizes over a superset
     wide = sampled_support(X, 2, 12, 0)
     narrow = sampled_support(X, 2, 4, 0)
     assert np.array_equal(narrow.directions, wide.directions[:4])
@@ -296,6 +298,22 @@ def test_hausdorff_lower_bound_is_nondecreasing_in_directions(X, certificate, r)
     bounds = [hausdorff_lower_bound(X, certificate, r, 2, directions=d, seed=0, opts=TIGHT)
               for d in (1, 4, 12)]
     assert bounds[0] <= bounds[1] <= bounds[2]
+
+
+@pytest.mark.parametrize("X, certificate, r", [
+    (make_catalog_set("hypercube", n=2), "Q", 1),
+    (SPHERE, "T", 2),
+], ids=["square", "circle"])
+def test_hausdorff_lower_bound_does_not_depend_on_the_order_of_directions(X, certificate, r):
+    # no direction's solve starts from another's, so the same directions in
+    # reverse order give the same maximum, bit for bit
+    support = sampled_support(X, 2, 6, 0)
+    reverse = dataclasses.replace(support, directions=support.directions[::-1],
+                                  h_moment=support.h_moment[::-1])
+    forward, backward = (hausdorff_lower_bound(X, certificate, r, 2, directions=6, seed=0,
+                                               opts=TIGHT, support=given)
+                         for given in (support, reverse))
+    assert backward == forward
 
 
 @pytest.mark.parametrize("k, directions, seed, name",[(3, 4, 5, "k"), (2, 3, 5, "directions"),
