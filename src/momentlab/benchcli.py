@@ -81,11 +81,6 @@ PROBLEM_SCHEMA = {
                 "inequalities": {"type": "array"},
                 "equalities": {"type": "array"},
                 "radius": {"type": "number"},
-                "lojasiewicz": {
-                    "type": "object",
-                    "properties": {"exponent": {"type": "number"},
-                                   "constant": {"type": "number"}},
-                },
                 "box": {"type": "array"},
             },
         },
@@ -129,8 +124,7 @@ def _build_set(doc: dict) -> SemiAlgebraicSet:
     return make_catalog_set(
         "custom", n=n, inequalities=polys("inequalities"),
         equalities=polys("equalities"), radius=doc.get("radius"),
-        lojasiewicz=doc.get("lojasiewicz"), box=box,
-        name=doc.get("name", "custom"))
+        box=box, name=doc.get("name", "custom"))
 
 
 @lru_cache(maxsize=None)
@@ -181,12 +175,11 @@ class RateFit:
     intercept: float
     r_squared: float
     empirical_exponent: float
-    predicted_exponent: Optional[float]
     window: tuple
     points_used: int
 
 
-def fit_rate(series: Sequence, predicted_exponent: Optional[float] = None) -> RateFit:
+def fit_rate(series: Sequence) -> RateFit:
     """Least-squares slope of log(value) against log(r) over the finite,
     strictly positive entries of the series; the negated slope is the
     empirical rate. ValueError for a level r that is not finite and positive,
@@ -207,9 +200,8 @@ def fit_rate(series: Sequence, predicted_exponent: Optional[float] = None) -> Ra
     ss_tot = float(np.sum((vs - vs.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2,
-                   empirical_exponent=float(-slope),
-                   predicted_exponent=predicted_exponent,
-                   window=(pts[0][0], pts[-1][0]), points_used=len(pts))
+                   empirical_exponent=float(-slope), window=(pts[0][0], pts[-1][0]),
+                   points_used=len(pts))
 
 
 # ----------------------------------------------------------------------------
@@ -308,7 +300,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
     rate_fits = {}
     exact = []
     if config.with_distance:
-        hint = X.lojasiewicz_hint.exponent if X.lojasiewicz_hint else None
         # the directions and the sampled moment support function depend on
         # neither the certificate nor the level: sample them once per run
         support, support_error = None, None
@@ -343,7 +334,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
                 exact.append(cert)
                 continue
             try:
-                rate_fits[cert] = fit_rate(values, predicted_exponent=hint)
+                rate_fits[cert] = fit_rate(values)
             except ValueError as err:
                 failures.append(f"rate fit {cert}: {err}")
         distance_csv = out / "distance.csv"

@@ -207,7 +207,8 @@ class ConicProgram:
     def with_objective(self, c: np.ndarray) -> "ConicProgram":
         """This program with objective c. The copy shares this program's
         scaling, A A' factor and cone plan, computed here if they were not
-        yet, so a sweep over objectives equilibrates and factors once."""
+        yet, and its interior-point plan once one is built, so a sweep over
+        objectives equilibrates and factors once."""
         out = ConicProgram(self.blocks, c, self.A, self.b)
         out.__dict__["_scaled_factor"] = self._scaled_factor
         out.__dict__["_cone"] = self._cone
@@ -530,7 +531,6 @@ class _Group:
         pos[rows * s + cols] = pos[cols * s + rows] = np.arange(t)
         self.pos = (np.arange(g)[:, None] * t + pos).ravel()
         self.full_inv_w = self.inv_w[self.pos]
-        self.diagonal = np.tile(rows == cols, g)
         if slack:
             self.G = sp.csr_matrix((v, (i, q)), shape=(k, g * t))
         # each row as its full symmetric matrices, flattened into row i of a

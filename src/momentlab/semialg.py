@@ -31,20 +31,6 @@ _ACTIVE_TOL = 1e-6  # local_extremum: g is active where |g(x)| is at most this
 _POLISH_ITERS = 120  # local_extremum: most projected-gradient steps
 
 
-@dataclass(frozen=True)
-class LojasiewiczHint:
-    """Exponent (in (0, 1]) and optional constant of d(x, X) <= c * violation(x)^exponent."""
-
-    exponent: float
-    constant: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0.0 < self.exponent <= 1.0:
-            raise ValueError("Lojasiewicz exponent must lie in (0, 1]")
-        if self.constant is not None and self.constant <= 0:
-            raise ValueError("Lojasiewicz constant must be positive")
-
-
 def _ball_polynomial(n: int, radius: float) -> Polynomial:
     terms = {tuple([0] * n): radius * radius}
     for i in range(n):
@@ -60,7 +46,6 @@ class SemiAlgebraicSet:
     inequalities: tuple = ()
     equalities: tuple = ()
     radius: Optional[float] = None
-    lojasiewicz_hint: Optional[LojasiewiczHint] = None
     name: str = "custom"
     box: Optional[tuple] = None  # (lower, upper) arrays bounding X, for samplers
 
@@ -152,8 +137,7 @@ def _make_ball(n: int, R: float = 1.0) -> SemiAlgebraicSet:
     if R <= 0:
         raise ValueError("ball radius must be positive")
     return SemiAlgebraicSet(
-        n=n, inequalities=(_ball_polynomial(n, R),), radius=R,
-        lojasiewicz_hint=LojasiewiczHint(1.0), name=f"ball(n={n},R={R:g})",
+        n=n, inequalities=(_ball_polynomial(n, R),), radius=R, name=f"ball(n={n},R={R:g})",
         box=(-R * np.ones(n), R * np.ones(n)))
 
 
@@ -164,8 +148,7 @@ def _make_sphere(n: int, R: float = 1.0) -> SemiAlgebraicSet:
         raise ValueError("sphere radius must be positive")
     ball = _ball_polynomial(n, R)
     return SemiAlgebraicSet(
-        n=n, inequalities=(ball,), equalities=(ball,), radius=R,
-        lojasiewicz_hint=LojasiewiczHint(1.0), name=f"sphere(n={n},R={R:g})",
+        n=n, inequalities=(ball,), equalities=(ball,), radius=R, name=f"sphere(n={n},R={R:g})",
         box=(-R * np.ones(n), R * np.ones(n)))
 
 
@@ -175,8 +158,7 @@ def _make_simplex(n: int, K: float = 1.0) -> SemiAlgebraicSet:
     gs = [Polynomial.variable(n, i) for i in range(n)]
     cap = Polynomial.constant(n, K) - sum(gs, Polynomial.zero(n))
     return SemiAlgebraicSet(
-        n=n, inequalities=tuple(gs) + (cap,),
-        lojasiewicz_hint=LojasiewiczHint(1.0), name=f"simplex(n={n},K={K:g})",
+        n=n, inequalities=tuple(gs) + (cap,), name=f"simplex(n={n},K={K:g})",
         box=(np.zeros(n), K * np.ones(n)))
 
 
@@ -188,8 +170,7 @@ def _make_hypercube(n: int, R: float = 1.0) -> SemiAlgebraicSet:
         xi = Polynomial.variable(n, i)
         gs.append(Polynomial.constant(n, R * R) - xi * xi)
     return SemiAlgebraicSet(
-        n=n, inequalities=tuple(gs),
-        lojasiewicz_hint=LojasiewiczHint(1.0), name=f"hypercube(n={n},R={R:g})",
+        n=n, inequalities=tuple(gs), name=f"hypercube(n={n},R={R:g})",
         box=(-R * np.ones(n), R * np.ones(n)))
 
 
@@ -210,9 +191,7 @@ def _make_polytope(A, b) -> SemiAlgebraicSet:
     _warn_if_empty_polytope(A, b)
     box = _polytope_box(A, b)
     return SemiAlgebraicSet(
-        n=n, inequalities=tuple(gs),
-        lojasiewicz_hint=LojasiewiczHint(1.0), name=f"polytope(m={A.shape[0]},n={n})",
-        box=box)
+        n=n, inequalities=tuple(gs), name=f"polytope(m={A.shape[0]},n={n})", box=box)
 
 
 def _warn_if_empty_polytope(A: np.ndarray, b: np.ndarray) -> None:
@@ -282,7 +261,6 @@ class SimpleSetProduct:
             offset += ni
         name = "x".join(f"{k}({ni},{s:g})" for k, ni, s in self.factors)
         return SemiAlgebraicSet(n=n, inequalities=tuple(gs),
-                                lojasiewicz_hint=LojasiewiczHint(1.0),
                                 name=f"product[{name}]", box=(lo, hi))
 
 
@@ -302,13 +280,9 @@ def _make_box_product(factors) -> SemiAlgebraicSet:
 
 
 def _make_custom(n: int, inequalities=(), equalities=(), radius=None,
-                 lojasiewicz=None, box=None, name: str = "custom") -> SemiAlgebraicSet:
-    hint = None
-    if lojasiewicz is not None:
-        hint = lojasiewicz if isinstance(lojasiewicz, LojasiewiczHint) else LojasiewiczHint(**lojasiewicz)
+                 box=None, name: str = "custom") -> SemiAlgebraicSet:
     X = SemiAlgebraicSet(n=n, inequalities=tuple(inequalities),
-                         equalities=tuple(equalities),
-                         lojasiewicz_hint=hint, name=name, box=box)
+                         equalities=tuple(equalities), name=name, box=box)
     if radius is not None:
         X = archimedean_augment(X, radius)
     return X
@@ -548,23 +522,8 @@ def local_extremum(fs: Sequence[Polynomial], X: SemiAlgebraicSet, starts: np.nda
     nrm = np.zeros(len(starts))
     # The direction depends on best_x alone, so once a line search fails
     # every later one would retry shorter steps along the same ray: phase
-    # one ends there. Each row still restores a point once: seen[b] maps the
-    # bytes of row b's trials to rows of `tried`, which hold the restoration
-    # and that point's value (-inf when infeasible), judged against the
-    # row's current best_v. It catches trials within an ulp of best_x, and
-    # trials that successive steps along a straight ray reach twice.
-    tried = np.column_stack([best_x[ok], best_v[ok]])
-    seen = [{} for _ in starts]
-    for i, b in enumerate(np.flatnonzero(ok).tolist()):
-        seen[b][starts[b].tobytes()] = i
+    # one ends there.
     live, fresh = ok.copy(), ok.copy()
-
-    def finish(done):
-        """End phase one for the rows `done`; their trials are not looked up again."""
-        live[done] = False
-        for b in done.tolist():
-            seen[b] = None
-
     while True:
         rows = np.flatnonzero(fresh)
         if rows.size:
@@ -573,37 +532,28 @@ def local_extremum(fs: Sequence[Polynomial], X: SemiAlgebraicSet, starts: np.nda
             nrm[rows] = np.linalg.norm(direction[rows], axis=1)
             trial_step[rows] = step[rows]
             trials[rows] = 0
-            finish(rows[nrm[rows] <= 1e-14])
+            live[rows[nrm[rows] <= 1e-14]] = False
         rows = np.flatnonzero(live)
         if not rows.size:
             break
         trial = (best_x[rows] + trial_step[rows, None] * direction[rows]
                  / np.maximum(nrm[rows], 1e-30)[:, None])
-        keys = [t.tobytes() for t in trial]
-        at = np.array([seen[b].get(key, -1) for b, key in zip(rows.tolist(), keys)])
-        new = np.flatnonzero(at < 0)
-        if new.size:
-            cand = restore_feasibility(X, trial[new])
-            feasible = np.flatnonzero(np.isfinite(cand[:, 0]))
-            v = np.full(len(new), -np.inf)
-            if feasible.size:
-                v[feasible] = jet(rows[new][feasible], cand[feasible], 0)[0]
-            at[new] = len(tried) + np.arange(len(new))
-            for b, i in zip(rows[new].tolist(), new.tolist()):
-                seen[b][keys[i]] = int(at[i])
-            tried = np.concatenate([tried, np.column_stack([cand, v])])
-        v = tried[at, -1]
+        cand = restore_feasibility(X, trial)
+        feasible = np.flatnonzero(np.isfinite(cand[:, 0]))
+        v = np.full(len(rows), -np.inf)
+        if feasible.size:
+            v[feasible] = jet(rows[feasible], cand[feasible], 0)[0]
         better = v > best_v[rows] + 1e-16
         up, down = rows[better], rows[~better]
-        best_x[up] = tried[at[better], :-1]
+        best_x[up] = cand[better]
         best_v[up] = v[better]
         step[up] = trial_step[up] * 1.5
         trial_step[down] *= 0.5
         trials[down] += 1
         fresh[:] = False
         fresh[up] = outer[up] < _POLISH_ITERS
-        finish(up[~fresh[up]])
-        finish(down[trials[down] >= 30])
+        live[up[~fresh[up]]] = False
+        live[down[trials[down] >= 30]] = False
 
     # KKT Newton refinement on the final active set
     rows = np.flatnonzero(ok)

@@ -56,15 +56,13 @@ def test_parse_full_descriptor(tmp_path):
         "objective": [[[2], 1.0], [[1], -3.0]],
         "set": {"n": 1,
                 "inequalities": [[[[1], 1.0]], [[[0], 1.0], [[1], -1.0]]],
-                "radius": 2.0,
-                "lojasiewicz": {"exponent": 1.0}},
+                "radius": 2.0},
     }
     path = write_problem(tmp_path, doc)
     f, X, _ = parse_problem(path)
     assert f.degree == 2
     assert X.radius == 2.0
     assert len(X.inequalities) == 3  # two rows plus the appended ball
-    assert X.lojasiewicz_hint.exponent == 1.0
 
 
 def test_parse_rejects_bad_exponent_length(tmp_path):

@@ -436,7 +436,7 @@ def _localizing_gram(y, weight, t):
 
 def test_upper_bound_sdp_certifies_the_pencil_value():
     # one-row program: the bound is min_J lambda_min(C_J, A_J), and started
-    # there the solver stops at its first residual check
+    # there the solver returns its start at iteration 0
     mb = monomial_basis(2, 4)
     f = Polynomial.from_vector(mb, np.random.default_rng(3).normal(size=len(mb)))
     X = make_catalog_set("ball", n=2, R=1.0)
@@ -444,7 +444,7 @@ def test_upper_bound_sdp_certifies_the_pencil_value():
     r = 4
     value, sol = upper_bound_sdp(f, X, "Q", r, mu, SolveOptions())
     assert sol.status == "optimal"
-    assert sol.iterations <= sdpcore.CHECK_EVERY
+    assert sol.iterations == 0
 
     y = moment_sequence(mu, 2 * r + f.degree)
     g = X.inequalities[0]
@@ -471,13 +471,14 @@ def test_upper_bound_sdp_simplex_case_reaches_optimal():
 
 def test_upper_bound_sdp_drops_a_vanishing_weight():
     # the zero weight has a zero localizing matrix and gets no block; the
-    # bound is the one on {1 - x^2 >= 0}, certified at the first check
+    # bound is the one on {1 - x^2 >= 0}; the solver returns its start at
+    # iteration 0
     x = Polynomial.variable(1, 0)
     X = SemiAlgebraicSet(1, inequalities=(Polynomial.zero(1), 1 - x * x))
     opts = SolveOptions(tol=1e-9)
     value, sol = upper_bound_sdp(x, X, "Q", 2, BALL1, opts)
     assert sol.status == "optimal"
-    assert sol.iterations <= sdpcore.CHECK_EVERY
+    assert sol.iterations == 0
     plain, _ = upper_bound_sdp(x, make_catalog_set("ball", n=1, R=1.0), "Q", 2, BALL1, opts)
     assert abs(value - plain) <= 1e-12
 
@@ -548,7 +549,7 @@ def test_upper_bound_series_simplex():
     for r in range(1, 17):
         value, sol = upper_bound_sdp(f, X, "Q", r, mu, SolveOptions())
         assert sol.status == "optimal"
-        assert sol.iterations <= sdpcore.CHECK_EVERY
+        assert sol.iterations == 0
         values.append(value)
     assert np.all(np.diff(values) <= 0.0)
     assert min(values) >= 0.0

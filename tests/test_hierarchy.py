@@ -16,6 +16,7 @@ from momentlab.hierarchy import (
     run_ladder,
     solve_relaxation,
 )
+from momentlab.momentkit import moment_matrix, riesz_apply
 from momentlab.polycore import Polynomial, l1_norm
 from momentlab.sdpcore import SolveOptions
 from momentlab.semialg import make_catalog_set
@@ -167,6 +168,26 @@ def test_certificate_requires_sos_side():
     _, sol = solve_relaxation(rel, TIGHT)
     with pytest.raises(ValueError, match="SOS side"):
         certificate_extract(sol, rel)
+
+
+def test_pseudo_moments_read_the_moment_side_solution():
+    # the order-2r sequence a solved moment side holds: unit mass, l_y(f) is
+    # the bound, and M_r(y) is PSD to the solver's tolerance
+    X = make_catalog_set("ball", n=2, R=1.0)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    f = x1 * x2 + 0.5 * x1
+    rel = build_moment_relaxation(f, X, "Q", 2)
+    value, sol = solve_relaxation(rel, TIGHT)
+    assert sol.status == "optimal"
+    y = rel.pseudo_moments(sol)
+    assert (y.n, y.order) == (2, 4)
+    assert y.mass == pytest.approx(1.0, abs=1e-12)
+    assert riesz_apply(y, f) == pytest.approx(value, abs=1e-12)
+    assert np.linalg.eigvalsh(moment_matrix(y, 2)).min() >= -TIGHT.tol
+    sos = build_sos_relaxation(f, X, "Q", 2)
+    _, sos_sol = solve_relaxation(sos, TIGHT)
+    with pytest.raises(ValueError, match="not a moment-side relaxation"):
+        sos.pseudo_moments(sos_sol)
 
 
 def test_estimate_minimum_ball():
