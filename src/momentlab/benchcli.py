@@ -88,6 +88,10 @@ PROBLEM_SCHEMA = {
 }
 
 
+# the keys of a set descriptor without "catalog"
+_CUSTOM_SET_KEYS = ("n", "inequalities", "equalities", "radius", "box", "name")
+
+
 def _build_set(doc: dict) -> SemiAlgebraicSet:
     doc = dict(doc)
     n = doc.get("n")
@@ -116,6 +120,10 @@ def _build_set(doc: dict) -> SemiAlgebraicSet:
         return X
     if n is None:
         raise ProblemFormatError("set descriptor needs 'n' (or a catalog shorthand)")
+    unknown = [key for key in doc if key not in _CUSTOM_SET_KEYS]
+    if unknown:
+        raise ProblemFormatError(f"set descriptor does not take key {unknown[0]!r}; "
+                                 f"it takes {', '.join(_CUSTOM_SET_KEYS)}")
 
     box = None
     if "box" in doc:

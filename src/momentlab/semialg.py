@@ -28,7 +28,7 @@ _MAX_DRAWS = 200000  # box points rejection_sample draws before it gives up
 # pool left 10-degree gaps where a maximizer's basin got no polish start.
 POOL_SIZE = 4096
 _ACTIVE_TOL = 1e-6  # local_extremum: g is active where |g(x)| is at most this
-_POLISH_ITERS = 120  # local_extremum: most projected-gradient steps
+_POLISH_ITERS = 120  # local_extremum: most search directions per row
 
 
 def _ball_polynomial(n: int, radius: float) -> Polynomial:
@@ -453,11 +453,14 @@ def local_extremum(fs: Sequence[Polynomial], X: SemiAlgebraicSet, starts: np.nda
     """Polish feasible points to nearby local extrema over X: row b of the
     batch `starts` (B, n) for the objective fs[b], all rows in lockstep.
 
-    Phase one is projected-gradient ascent (descent without `maximize`) with
-    Gauss-Newton restoration onto the active constraints; phase two runs
-    Newton on the KKT system of the final active set. Each row follows the
-    rules of a one-point polish; masks keep the rows apart, and a row that
-    finishes drops out. A round restores every live row's trial point in one
+    Each round takes a search direction at a row's best point (see
+    `directions`): a Newton step on the tangent space of the active
+    constraints where the Lagrangian is concave there, the projected gradient
+    elsewhere. A backtracking line search along it restores each trial point
+    onto X (Gauss-Newton) and accepts the first that improves the objective
+    (ascent with `maximize`, descent without). Each row follows the rules of
+    a one-point polish; masks keep the rows apart, and a row that finishes
+    drops out. A round restores every live row's trial point in one
     restore_feasibility call and computes every new search direction in one
     batched solve. The distinct objectives are compiled once, and each row
     gathers its own coefficient columns. Returns (points, values): a
@@ -479,35 +482,46 @@ def local_extremum(fs: Sequence[Polynomial], X: SemiAlgebraicSet, starts: np.nda
     fixed = np.array([True] * neq + [g in X.equalities for g in X.inequalities], dtype=bool)
 
     def jet(rows, z, order=1):
-        """The objective of each row, signed so that phase one ascends."""
+        """The objective of each row, signed so that the polish ascends."""
         return tuple(sign * t for t in p.jet_each(z, which[rows], order))
 
-    def active(z):
-        """Masks of the active constraint rows at z, and the Jacobians."""
-        vals, jac = X.compiled.jet(z)
+    def directions(rows):
+        """The search direction d at best_x, whether it is a Newton step, and
+        the gain |g.d| / 2 of its quadratic model.
+
+        The kept rows are the active rows whose multipliers do not release
+        them: a positive multiplier means the ascent direction already
+        points into the feasible side of that inequality. One SVD of the
+        active rows J gives the multipliers pinv(J^T) g; a row that releases
+        a constraint takes a second SVD of its kept rows, which gives their
+        multipliers lam and the projector P on their null space. Where the
+        Lagrangian's Hessian H = H_f - sum_i lam_i H_gi is negative definite
+        on that null space, d is the Newton step -P (P H P - (I - P))^-1 P g;
+        elsewhere it is the projected gradient P g. The outer P drops the
+        round-off of P g off the null space, which the inverse would keep at
+        full size and which near the optimum moves the point off the active
+        surface by more than the step gains."""
+        z = best_x[rows]
+        _, g, hf = jet(rows, z, 2)
+        vals, jac, hess = X.compiled.jet(z, 2)
         on = np.abs(vals) <= _ACTIVE_TOL
         on[:, :neq] = True
-        return on, jac
-
-    def directions(rows):
-        """The gradient at best_x, projected on the tangent space of the
-        active rows whose multipliers do not release them: a positive
-        multiplier means the ascent direction already points into the
-        feasible side of that inequality. One SVD of the active rows J
-        gives the multipliers pinv(J^T) g and, when no row is released, the
-        projection pinv(J) J g of g on J's row space."""
-        z = best_x[rows]
-        g = jet(rows, z)[1]
-        on, jac = active(z)
         u, inv, vt = _svd(jac * on[..., None])
-        vg = _apply(vt, g)
-        keep = on & (fixed | (_apply(u, inv * vg) <= 1e-12))
-        tang = _apply(np.swapaxes(vt, 1, 2), (inv > 0) * vg)
+        keep = on & (fixed | (_apply(u, inv * _apply(vt, g)) <= 1e-12))
         released = np.flatnonzero((keep != on).any(axis=1))
         if released.size:
-            Jk = jac[released] * keep[released, :, None]
-            tang[released] = _lstsq(Jk, _apply(Jk, g[released]))
-        return g - tang
+            u[released], inv[released], vt[released] = _svd(jac[released] * keep[released, :, None])
+        lam = np.where(keep, _apply(u, inv * _apply(vt, g)), 0.0)
+        v = vt * (inv > 0)[..., None]
+        proj = np.eye(X.n) - np.swapaxes(v, 1, 2) @ v
+        pg = _apply(proj, g)
+        h = hf - (lam[..., None, None] * hess).sum(axis=1)
+        w, q = np.linalg.eigh(proj @ h @ proj - (np.eye(X.n) - proj))
+        newton = w.max(axis=1) < 0.0
+        d = pg.copy()
+        q, w = q[newton], w[newton]
+        d[newton] = -_apply(proj[newton], _apply(q, _apply(np.swapaxes(q, 1, 2), pg[newton]) / w))
+        return d, newton, 0.5 * np.abs((g * d).sum(axis=1))
 
     best_x = restore_feasibility(X, starts)
     ok = np.isfinite(best_x).all(axis=1)
@@ -521,18 +535,19 @@ def local_extremum(fs: Sequence[Polynomial], X: SemiAlgebraicSet, starts: np.nda
     direction = np.zeros_like(starts)
     nrm = np.zeros(len(starts))
     # The direction depends on best_x alone, so once a line search fails
-    # every later one would retry shorter steps along the same ray: phase
-    # one ends there.
+    # every later one would retry shorter steps along the same ray: the row
+    # ends there. A Newton row tries min(|d|, its step) first, and ends once
+    # its model gains no more than the acceptance margin.
     live, fresh = ok.copy(), ok.copy()
     while True:
         rows = np.flatnonzero(fresh)
         if rows.size:
             outer[rows] += 1
-            direction[rows] = directions(rows)
+            direction[rows], newton, gain = directions(rows)
             nrm[rows] = np.linalg.norm(direction[rows], axis=1)
-            trial_step[rows] = step[rows]
+            trial_step[rows] = np.where(newton, np.minimum(nrm[rows], step[rows]), step[rows])
             trials[rows] = 0
-            live[rows[nrm[rows] <= 1e-14]] = False
+            live[rows[(nrm[rows] <= 1e-14) | (newton & (gain <= 1e-16))]] = False
         rows = np.flatnonzero(live)
         if not rows.size:
             break
@@ -554,39 +569,5 @@ def local_extremum(fs: Sequence[Polynomial], X: SemiAlgebraicSet, starts: np.nda
         fresh[up] = outer[up] < _POLISH_ITERS
         live[up[~fresh[up]]] = False
         live[down[trials[down] >= 30]] = False
-
-    # KKT Newton refinement on the final active set
-    rows = np.flatnonzero(ok)
-    on, jac = active(best_x[rows])
-    has = on.any(axis=1)
-    rows, on = rows[has], on[has]
-    if rows.size:
-        lam = _lstsq(np.swapaxes(jac[has] * on[..., None], 1, 2), jet(rows, best_x[rows])[1])
-        z = best_x[rows]
-        going = np.arange(len(rows))
-        for _ in range(12):
-            vals, jac, hess = X.compiled.jet(z[going], 2)
-            _, gp, Hp = jet(rows[going], z[going], 2)
-            J = jac * on[going, :, None]
-            Jt = np.swapaxes(J, 1, 2)
-            F = np.concatenate([gp - (Jt @ lam[going, :, None])[..., 0],
-                                np.where(on[going], vals, 0.0)], axis=1)
-            H = Hp - _apply(np.swapaxes(hess.reshape(len(going), len(fixed), -1), 1, 2),
-                            lam[going]).reshape(Hp.shape)
-            KKT = np.block([[H, -Jt], [J, np.zeros((len(going),) + (on.shape[1],) * 2)]])
-            # a row stops once converged; one whose system is not finite
-            # stops where it is, as a failed solve would
-            solve = ~(np.abs(F).max(axis=1) <= 1e-13) & np.isfinite(KKT).all(axis=(1, 2)) \
-                & np.isfinite(F).all(axis=1)
-            going = going[solve]
-            if not going.size:
-                break
-            delta = _lstsq(KKT[solve], -F[solve])
-            z[going] += delta[:, :X.n]
-            lam[going] += delta[:, X.n:]
-        v = jet(rows, z, 0)[0]
-        better = (violation_many(X, z) <= FEASIBILITY_TOL) & (v > best_v[rows])
-        best_x[rows[better]] = z[better]
-        best_v[rows[better]] = v[better]
 
     return best_x, sign * best_v

@@ -359,7 +359,7 @@ def test_criterion_6_sphere_slope():
     # |v_2(x)|^2 = 1 + 1 + (x^2 + y^2)^2 - x^2 y^2 <= 3, so |p| <= sqrt(3) and
     # the gap term alone lets the reported value move by up to
     # (1 + 2 sqrt(3)) tol ~= 4.5 tol; the residual terms act at the same
-    # order. The sampled maximum is polished by Newton on the KKT system to
+    # order. The sampled maximum is polished by Newton steps on the circle to
     # round-off, so it adds nothing at this scale. 10 tol is twice the gap
     # allowance, while a relaxation that lost the circle's equality would
     # relax to the disk and leave gaps of order 1 (direction -(x^2 + y^2):

@@ -378,6 +378,18 @@ def test_cli_solve_rejects_bad_catalog_keys(tmp_path, capsys, set_doc, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_cli_solve_rejects_an_unknown_key_of_a_set_descriptor(tmp_path, capsys):
+    # a misspelt key used to be dropped: the set below became R^1 and the
+    # unbounded solve exited 3
+    doc = {"objective": [[[1], 1.0]],
+           "set": {"n": 1, "inequalites": [[[[0], 1.0], [[2], -1.0]]]}}
+    path = write_problem(tmp_path, doc)
+    code = main(["solve", "--problem", str(path), "--level", "1"])
+    assert code == 2
+    assert ("error: set descriptor does not take key 'inequalites'; it takes n, "
+            "inequalities, equalities, radius, box, name") in capsys.readouterr().err
+
+
 def test_cli_solve_reads_the_custom_catalog_shorthand(tmp_path, capsys):
     # {1 - x^2 >= 0} written as a catalog descriptor: its pair lists become
     # polynomials, as in the full descriptor

@@ -380,8 +380,8 @@ def test_moment_only_ladder_is_a_cold_solve():
 
 def test_stengle_ladder_is_optimal_on_both_sides_through_r6():
     # Stengle: f = 1 - x^2 on {(1 - x^2)^3 >= 0} = [-1, 1]; the Q bound at
-    # level r is -1/(r(r-2)). Solved cold, the r=6 moment side ends at
-    # max_iters; started from its SOS solution it is optimal
+    # level r is -1/(r(r-2)). Solved cold, the r=6 moment side ends optimal
+    # in 14 interior-point steps; the ladder starts it from its SOS solution
     x = Polynomial.variable(1, 0)
     X = make_catalog_set("custom", n=1, inequalities=[(1 - x ** 2) ** 3])
     report = run_ladder(1 - x ** 2, X, "Q", (3, 4, 5, 6), SolveOptions(tol=1e-7))
