@@ -7,6 +7,14 @@ programs carry one Gram block per certificate term plus free polynomial
 multipliers on equalities (T, Q) or nonnegative scalars on squared equalities
 (R).
 
+For T and Q the builder leaves out a PSD spec g_J that the equality rows
+force to zero: a factor of g_J is a constant multiple of an equality h, and
+h's shift rows reach the block's top degree, so L_J y = 0 on every feasible
+y and h's multiplier absorbs the SOS term sigma_J g_J. Such a block has no
+interior, and leaving it out keeps both sides' values (the simplest case of
+facial reduction). The sphere's redundant ball inequality is one; R keeps
+it, having only the scalar l_y(h^2) = 0.
+
 A level is one conic primal-dual pair, built once: build_moment_relaxation
 stacks, per spec, momentkit's sparse operator (localizing_operator for a PSD
 spec, shift_operator for an equality) as a row block, and the SOS program is
@@ -25,6 +33,7 @@ own residuals.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -45,6 +54,8 @@ from momentlab.semialg import POOL_SIZE, SemiAlgebraicSet, rejection_sample, sam
 
 
 SIDES = ("moment", "sos")
+
+log = logging.getLogger("momentlab")
 
 
 class LevelTooLowError(ValueError):
@@ -128,17 +139,60 @@ def _spec_operator(spec, order: int) -> sp.csr_matrix:
     return shift_operator(spec.weight, 2 * spec.matrix_order, order)
 
 
+def _is_multiple(g: Polynomial, h: Polynomial) -> bool:
+    """Whether g = c h for a constant c != 0, exactly in floating point."""
+    if not g.terms or g.terms.keys() != h.terms.keys():
+        return False
+    gc = np.array([g.terms[a] for a in h.terms])
+    hc = np.fromiter(h.terms.values(), dtype=float, count=len(gc))
+    return np.array_equal(gc * hc[0], hc * gc[0])
+
+
+def _forcing_equality(spec, X: SemiAlgebraicSet, eq_specs: Sequence):
+    """The zero spec of an equality h whose shift rows force the localizing
+    matrix of the PSD spec g_J to zero, or None.
+
+    When a factor of g_J is c h (c != 0), g_J = c h q, and each entry
+    l_y(g_J x^(a+b)) is c sum_k q_k l_y(h x^(k+a+b)), where |k+a+b| <= deg q +
+    2 t_J. The rows S_h y = 0 hold l_y(h x^d) = 0 for |d| <= 2 t_h, so they
+    force L_J y = 0 once deg g_J - deg h + 2 t_J <= 2 t_h; on the SOS side,
+    h's multiplier (of degree <= 2 t_h) absorbs sigma_J g_J = h (c q sigma_J).
+    """
+    for j in spec.factors:
+        for eq in eq_specs:
+            if (eq.constraint_kind == "zero" and _is_multiple(X.inequalities[j], eq.weight)
+                    and spec.weight.degree - eq.weight.degree + 2 * spec.matrix_order
+                    <= 2 * eq.matrix_order):
+                return eq
+    return None
+
+
 def build_moment_relaxation(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
                             r: int, max_psd_size: int = 400) -> Relaxation:
     """Level-r moment program: minimize l_y(f) over y0 = 1 and the localizing
     constraints of the chosen certificate.
 
-    x = (y, one svec slack per PSD spec). The rows are y0 = 1, then
-    L_J y - slack_J = 0 per PSD spec, then S_h y = 0 per equality."""
+    x = (y, one svec slack per assembled PSD spec). The rows are y0 = 1, then
+    L_J y - slack_J = 0 per assembled PSD spec, then S_h y = 0 per equality.
+    A PSD spec g_J of T or Q is left out when the equality rows force L_J y
+    to zero (_forcing_equality): a factor of g_J is a constant multiple of an
+    equality h, and h's shift rows reach the block's top degree. The sphere's
+    redundant ball inequality is such a spec. Both sides keep their values,
+    the block having no interior; `psd_specs` lists the assembled specs, and
+    one debug event on the "momentlab" logger names those left out."""
     _check_level(f, X, r)
     specs = preordering_products(X, r, kind=certificate)
-    psd_specs = [s for s in specs if s.constraint_kind == "psd"]
     eq_specs = [s for s in specs if s.constraint_kind != "psd"]
+    psd_specs, left_out = [], []
+    for spec in specs:
+        if spec.constraint_kind == "psd":
+            eq = _forcing_equality(spec, X, eq_specs)
+            if eq is None:
+                psd_specs.append(spec)
+            else:
+                left_out.append(f"{spec.label} (forced zero by {eq.label})")
+    log.debug("build %s r=%d on %s: %d PSD blocks, left out %s", certificate, r, X.name,
+              len(psd_specs), ", ".join(left_out) or "none")
     sizes = [count_monomials(X.n, spec.matrix_order) for spec in psd_specs]
     if max(sizes) > max_psd_size:
         raise ValueError(f"PSD block of size {max(sizes)} exceeds cap {max_psd_size}")

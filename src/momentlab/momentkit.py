@@ -112,12 +112,15 @@ class DiscreteMeasure:
 @dataclass(frozen=True)
 class LocalizingSpec:
     """One constraint of a moment relaxation: a weight polynomial, the order of
-    its localizing matrix, and how it binds (PSD block, zero block, or scalar)."""
+    its localizing matrix, and how it binds (PSD block, zero block, or scalar).
+    A product spec g_J records J, the positions of its factors among the
+    set's inequalities, in `factors`."""
 
     weight: Polynomial
     matrix_order: int
     constraint_kind: str = "psd"  # psd | zero | scalar_zero
     label: str = ""
+    factors: tuple = ()
 
     def __post_init__(self):
         if self.constraint_kind not in ("psd", "zero", "scalar_zero"):
@@ -248,7 +251,7 @@ def preordering_products(X: SemiAlgebraicSet, r: int, kind: str = "T") -> list:
         if hd > r:
             continue  # products that exceed the degree budget are silently filtered
         label = "*".join(f"g{j + 1}" for j in J)
-        specs.append(LocalizingSpec(gJ, r - hd, "psd", label=label))
+        specs.append(LocalizingSpec(gJ, r - hd, "psd", label=label, factors=J))
 
     for i, h in enumerate(X.equalities):
         if kind in ("T", "Q"):

@@ -486,8 +486,8 @@ def local_extremum(fs: Sequence[Polynomial], X: SemiAlgebraicSet, starts: np.nda
         return tuple(sign * t for t in p.jet_each(z, which[rows], order))
 
     def directions(rows):
-        """The search direction d at best_x, whether it is a Newton step, and
-        the gain |g.d| / 2 of its quadratic model.
+        """The search direction d at best_x, whether it is a Newton step, the
+        gain |g.d| / 2 of its quadratic model, and |lam|_1.
 
         The kept rows are the active rows whose multipliers do not release
         them: a positive multiplier means the ascent direction already
@@ -521,7 +521,7 @@ def local_extremum(fs: Sequence[Polynomial], X: SemiAlgebraicSet, starts: np.nda
         d = pg.copy()
         q, w = q[newton], w[newton]
         d[newton] = -_apply(proj[newton], _apply(q, _apply(np.swapaxes(q, 1, 2), pg[newton]) / w))
-        return d, newton, 0.5 * np.abs((g * d).sum(axis=1))
+        return d, newton, 0.5 * np.abs((g * d).sum(axis=1)), np.abs(lam).sum(axis=1)
 
     best_x = restore_feasibility(X, starts)
     ok = np.isfinite(best_x).all(axis=1)
@@ -537,17 +537,20 @@ def local_extremum(fs: Sequence[Polynomial], X: SemiAlgebraicSet, starts: np.nda
     # The direction depends on best_x alone, so once a line search fails
     # every later one would retry shorter steps along the same ray: the row
     # ends there. A Newton row tries min(|d|, its step) first, and ends once
-    # its model gains no more than the acceptance margin.
+    # its model gains no more than the acceptance margin 1e-16 or |lam|_1
+    # _GN_STOP, what the slack of two restored points can be worth: below
+    # that a step that crosses the slack edge loses more than it gains.
     live, fresh = ok.copy(), ok.copy()
     while True:
         rows = np.flatnonzero(fresh)
         if rows.size:
             outer[rows] += 1
-            direction[rows], newton, gain = directions(rows)
+            direction[rows], newton, gain, lam = directions(rows)
             nrm[rows] = np.linalg.norm(direction[rows], axis=1)
             trial_step[rows] = np.where(newton, np.minimum(nrm[rows], step[rows]), step[rows])
             trials[rows] = 0
-            live[rows[(nrm[rows] <= 1e-14) | (newton & (gain <= 1e-16))]] = False
+            floor = np.maximum(1e-16, lam * _GN_STOP)
+            live[rows[(nrm[rows] <= 1e-14) | (newton & (gain <= floor))]] = False
         rows = np.flatnonzero(live)
         if not rows.size:
             break

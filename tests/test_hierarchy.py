@@ -16,7 +16,12 @@ from momentlab.hierarchy import (
     run_ladder,
     solve_relaxation,
 )
-from momentlab.momentkit import moment_matrix, riesz_apply
+from momentlab.momentkit import (
+    localizing_operator,
+    moment_matrix,
+    preordering_products,
+    riesz_apply,
+)
 from momentlab.polycore import Polynomial, l1_norm
 from momentlab.sdpcore import SolveOptions
 from momentlab.semialg import make_catalog_set
@@ -389,3 +394,75 @@ def test_stengle_ladder_is_optimal_on_both_sides_through_r6():
     for res in report.results:
         assert res.status == "optimal", (res.level, res.side, res.iterations)
         assert res.value == pytest.approx(-1.0 / (res.level * (res.level - 2)), abs=1e-6)
+
+
+def _same_program(a, b):
+    return (a.blocks == b.blocks and np.array_equal(a.c, b.c) and np.array_equal(a.b, b.b)
+            and all(np.array_equal(getattr(a.A, name), getattr(b.A, name))
+                    for name in ("data", "indices", "indptr")))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("certificate", ["T", "Q"])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_sphere_programs_leave_out_the_ball_block(n, certificate, r):
+    # the equality's shift rows force the redundant ball's localizing matrix
+    # to zero, so the level is the program of the equality alone
+    S = make_catalog_set("sphere", n=n, R=1.0)
+    alone = make_catalog_set("custom", n=n, equalities=S.equalities)
+    f = Polynomial.from_pairs(n, [[[1] + [0] * (n - 1), 1.0], [[0] * (n - 1) + [3], -0.5]])
+    mom = build_moment_relaxation(f, S, certificate, r)
+    assert [spec.label for spec in mom.psd_specs] == ["1"]
+    assert _same_program(mom.program, build_moment_relaxation(f, alone, certificate, r).program)
+    assert _same_program(build_sos_relaxation(f, S, certificate, r).program,
+                         build_sos_relaxation(f, alone, certificate, r).program)
+
+
+def test_reduced_sphere_program_keeps_the_ball_block():
+    mom = build_moment_relaxation(Polynomial.variable(2, 0), SPHERE, "R", 3)
+    assert [spec.label for spec in mom.psd_specs] == ["1", "g1"]
+    assert [blk.size for blk in mom.program.blocks if blk.kind == "psd"] == [10, 6]
+
+
+CUBIC = Polynomial(2, {(0, 0): 1.0, (3, 0): -1.0, (0, 2): -1.0})
+CUBIC_SET = make_catalog_set("custom", n=2, equalities=[CUBIC], inequalities=[
+    CUBIC, Polynomial(2, {(0, 0): 1.0, (1, 0): 1.0})])
+
+
+def test_forced_zero_rule_reads_the_degree_of_the_equality_rows(caplog):
+    # h = 1 - x1^3 - x2^2 has half degree 2, so at r=2 its rows are the one
+    # scalar l_y(h) = 0: they force the order-0 block l_y(h) to zero, but
+    # not l_y(h g'), which reaches degree 4
+    with caplog.at_level("DEBUG", logger="momentlab"):
+        mom = build_moment_relaxation(Polynomial.variable(2, 1), CUBIC_SET, "T", 2)
+    assert [spec.label for spec in mom.psd_specs] == ["1", "g2", "g1*g2"]
+    assert [blk.size for blk in mom.program.blocks] == [15, 6, 3, 1]
+    (record,) = [rec for rec in caplog.records if rec.name == "momentlab"]
+    assert "left out g1 (forced zero by h1)" in record.getMessage()
+    quiet = build_moment_relaxation(Polynomial.variable(2, 1), CUBIC_SET, "T", 2)
+    assert _same_program(mom.program, quiet.program)
+
+
+@pytest.mark.parametrize("X, certificate, r", [
+    (make_catalog_set("sphere", n=2, R=1.0), "T", 3),
+    (make_catalog_set("sphere", n=2, R=2.0), "Q", 4),
+    (make_catalog_set("sphere", n=3, R=1.0), "T", 3),
+    (CUBIC_SET, "T", 2),
+    (CUBIC_SET, "Q", 3),
+])
+def test_no_assembled_block_lies_in_the_span_of_the_equality_rows(X, certificate, r):
+    # a block whose rows the equality rows span is zero on every feasible y;
+    # dense ranks tell the blocks the builder keeps from those it leaves out
+    mom = build_moment_relaxation(Polynomial.variable(X.n, 0), X, certificate, r)
+    n_y = mom.y_slice.stop
+    A = mom.program.A.toarray()
+    ends = 1 + np.cumsum([0] + [blk.scalar_len for blk in mom.program.blocks[1:]])
+    E = A[ends[-1]:, :n_y]  # the rows S_h y = 0
+    rank = np.linalg.matrix_rank(E)
+    for spec, lo, hi in zip(mom.psd_specs, ends[:-1], ends[1:]):
+        assert np.linalg.matrix_rank(np.vstack([E, A[lo:hi, :n_y]])) > rank, spec.label
+    kept = {spec.label for spec in mom.psd_specs}
+    for spec in preordering_products(X, r, kind=certificate):
+        if spec.constraint_kind == "psd" and spec.label not in kept:
+            L = localizing_operator(spec.weight, spec.matrix_order, 2 * r).toarray()
+            assert np.linalg.matrix_rank(np.vstack([E, L])) == rank, spec.label

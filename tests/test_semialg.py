@@ -428,6 +428,42 @@ def test_local_extremum_reaches_the_maximum_in_few_rounds(X, f, starts, top, mon
     assert len(calls) <= 20
 
 
+@pytest.mark.parametrize("terms, start", [
+    ({(0, 0): 0.8734574476351836, (1, 0): 0.0544425296429527, (0, 1): 0.015911034108368,
+      (2, 0): -0.2674795961499163, (1, 1): -0.17217348070154842, (0, 2): -0.3642332979244214},
+     [0.9069070186996478, -0.42133081946771167]),
+    ({(0, 0): -0.6557613762718918, (1, 0): -0.137770277443375, (0, 1): -0.22117793705079114,
+      (2, 0): 0.638147177941352, (1, 1): 0.062066956537869006, (0, 2): -0.3016497313056001},
+     [-0.9901242730898611, -0.14019245285779453]),
+])
+def test_local_extremum_on_the_circle_stops_at_the_slack_floor(terms, start, monkeypatch):
+    # two support-polish rows of a distance run (circle, k=2) that crept 34
+    # and 40 calls through gains below what the slack of two restored points
+    # is worth (|lam| * 1e-13); every other row of that batch made at most 8
+    S = make_catalog_set("sphere", n=2, R=1.0)
+    f = Polynomial(2, terms)
+    calls = []
+    original = semialg.restore_feasibility
+
+    def recorder(X, points):
+        calls.append(points)
+        return original(X, points)
+
+    monkeypatch.setattr(semialg, "restore_feasibility", recorder)
+    (point,), (value,) = semialg.local_extremum([f], S, np.array([start]), maximize=True)
+    assert len(calls) <= 8
+    # reference: Newton on F(t) = f(cos t, sin t) from the start's angle
+    c0, b = terms[(0, 0)], np.array([terms[(1, 0)], terms[(0, 1)]])
+    Q = np.array([[terms[(2, 0)], terms[(1, 1)] / 2], [terms[(1, 1)] / 2, terms[(0, 2)]]])
+    t = np.arctan2(start[1], start[0])
+    for _ in range(30):
+        x, dx = np.array([np.cos(t), np.sin(t)]), np.array([-np.sin(t), np.cos(t)])
+        t -= (b @ dx + 2 * x @ Q @ dx) / (-b @ x + 2 * dx @ Q @ dx - 2 * x @ Q @ x)
+    x = np.array([np.cos(t), np.sin(t)])
+    assert value == pytest.approx(c0 + b @ x + x @ Q @ x, abs=1e-12)
+    assert violation(S, point) <= FEASIBILITY_TOL
+
+
 @pytest.mark.parametrize("maximize", [True, False])
 def test_sampled_extremum_of_a_linear_form_on_the_circle(maximize):
     S = make_catalog_set("sphere", n=2, R=1.0)
