@@ -107,9 +107,9 @@ class Relaxation:
 
     def with_objective(self, f: Polynomial) -> "Relaxation":
         """This moment-side relaxation with objective l_y(f). The copy shares
-        the program's scaling, A A' factor, cone plan and, once a solve has
-        built it, interior-point plan (ConicProgram.with_objective), so a
-        sweep over objectives builds and factors once."""
+        the program's interior-point plan, its scaling and A A' factor among
+        it (ConicProgram.with_objective), so a sweep over objectives builds
+        and factors once."""
         if self.y_slice is None:
             raise ValueError("objective swaps need a moment-side relaxation")
         _check_level(f, self.domain, self.level)

@@ -66,27 +66,28 @@ projection onto K.
 
 PSD blocks are stored in symmetric-packed form with sqrt(2) off-diagonal
 scaling so the flattening is an isometry and dual residuals keep their
-meaning. The projection onto K is one gather, which expands every packed
-PSD block into a full matrix at once, then one LAPACK `dsyevd` call per PSD
-block; only a block with a negative eigenvalue is rebuilt.
+meaning. The projection onto K and the distance to K* go block by block:
+`smat` expands a PSD block and one LAPACK `dsyevd` call takes its
+eigenvalues; only a block with a negative one gets a second call, for its
+eigenvectors, and is rebuilt (`psd_project` uses the same clamp).
 
 `solve` takes two options, the tolerance and the iteration cap
 (`SolveOptions`); everything else is the module constants below. Sized for
 desk-scale moment relaxations (PSD blocks up to a few hundred); a solve is
-deterministic given its arguments. The equilibration (Ruiz sweeps on the
-CSR arrays of A), the factor of A A', the cone plan (the gather index and
-the per-block layout of the projection) and the interior-point plan read
-neither c nor b, so a program computes them once and keeps them;
-`ConicProgram.with_objective` hands them to a copy with another objective.
-Distinct calls share nothing else.
+deterministic given its arguments. The interior-point plan, which holds the
+equilibration (Ruiz sweeps on the CSR arrays of A), the factor of A A' and
+the layout of the Newton system, reads neither c nor b, so a program builds
+it once and keeps it; `ConicProgram.with_objective` hands it to a copy with
+another objective. Distinct calls share nothing else.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,6 +95,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 _SQRT2 = math.sqrt(2.0)
+
+log = logging.getLogger("momentlab")
 
 RHO = 1.0            # initial penalty, adapted every ADAPT_EVERY iterations
 OVER_RELAX = 1.6     # over-relaxation factor of the x-update
@@ -128,14 +131,21 @@ class Block:
         return self.size * (self.size + 1) // 2 if self.kind == "psd" else self.size
 
 
+@lru_cache(maxsize=None)
 def packed_indices(size: int) -> tuple:
-    """Upper-triangle (row, col) arrays in the row-major packed order."""
-    return np.triu_indices(size)
+    """Upper-triangle (row, col) arrays in the row-major packed order (read-only)."""
+    rows, cols = np.triu_indices(size)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
+@lru_cache(maxsize=None)
 def packed_weights(size: int) -> np.ndarray:
+    """1 on the diagonal's packed entries, sqrt(2) off it (read-only)."""
     rows, cols = packed_indices(size)
-    return np.where(rows == cols, 1.0, _SQRT2)
+    w = np.where(rows == cols, 1.0, _SQRT2)
+    w.flags.writeable = False
+    return w
 
 
 def svec(M: np.ndarray) -> np.ndarray:
@@ -146,7 +156,7 @@ def svec(M: np.ndarray) -> np.ndarray:
 
 def smat(v: np.ndarray, size: int) -> np.ndarray:
     rows, cols = packed_indices(size)
-    vals = v / packed_weights(size)
+    vals = v * (1.0 / packed_weights(size))
     M = np.zeros((size, size))
     M[rows, cols] = vals
     M[cols, rows] = vals
@@ -160,11 +170,31 @@ def psd_project(M: np.ndarray) -> np.ndarray:
     if np.abs(M - M.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric to within 1e-12")
     sym = 0.5 * (M + M.T)
-    w, V = np.linalg.eigh(sym)
-    if w[0] >= 0:
-        return sym
-    out = (V * np.maximum(w, 0.0)) @ V.T
-    return 0.5 * (out + out.T)
+    out = _clamp(sym)
+    return sym if out is None else 0.5 * (out + out.T)
+
+
+def _clamp(M: np.ndarray) -> Optional[np.ndarray]:
+    """The symmetric M with its negative eigenvalues set to zero (M is then
+    overwritten), or None when it has none. Only then are eigenvectors taken:
+    on blocks of side 35-153 they cost 1.3-2 times the eigenvalues alone."""
+    if _dsyevd(M.copy(), 0)[0][0] >= 0.0:
+        return None
+    w, V = _dsyevd(M, 1)
+    return (V * np.maximum(w, 0.0)) @ V.T
+
+
+def _dsyevd(M: np.ndarray, compute_v: int) -> tuple:
+    """(ascending eigenvalues, eigenvectors when compute_v) of the symmetric
+    matrix M, which is overwritten; raises as np.linalg.eigh does when they
+    do not converge (a NaN entry, say)."""
+    # one direct LAPACK call: numpy's eigh wrapper costs more than the work on
+    # these blocks. M is symmetric, so M.T is a Fortran-ordered view LAPACK
+    # can work in without a copy.
+    w, V, info = lapack.dsyevd(M.T, compute_v=compute_v, lower=1, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w, V
 
 
 # ----------------------------------------------------------------------------
@@ -206,32 +236,16 @@ class ConicProgram:
 
     def with_objective(self, c: np.ndarray) -> "ConicProgram":
         """This program with objective c. The copy shares this program's
-        scaling, A A' factor and cone plan, computed here if they were not
-        yet, and its interior-point plan once one is built, so a sweep over
-        objectives equilibrates and factors once."""
+        interior-point plan (its scaling, A A' factor and Newton layout),
+        built here if it was not yet, so a sweep over objectives
+        equilibrates and factors once."""
         out = ConicProgram(self.blocks, c, self.A, self.b)
-        out.__dict__["_scaled_factor"] = self._scaled_factor
-        out.__dict__["_cone"] = self._cone
-        if "_interior" in self.__dict__:
-            out.__dict__["_interior"] = self._interior
+        out.__dict__["_interior"] = self._interior
         return out
 
     @cached_property
-    def _scaled_factor(self) -> tuple:
-        """(A_scaled, d_row, d_col, A_scaled', sparse factor of A_scaled
-        A_scaled'): what an equilibrated solve needs of A and the blocks."""
-        A, d_row, d_col = _equilibrate(self)
-        return (A, d_row, d_col, *_factor_gram(A))
-
-    @cached_property
-    def _cone(self) -> "_ConeOps":
-        """The cone layer: gather, weights and per-block plan of the
-        projection onto the blocks and of the dual-cone distance."""
-        return _ConeOps(self.blocks, self.block_slices())
-
-    @cached_property
     def _interior(self) -> "_InteriorPlan":
-        """What the interior-point method reads of the scaled A."""
+        """What a solve reads of A beyond the start check."""
         return _InteriorPlan(self)
 
     def block_slices(self) -> list:
@@ -256,7 +270,8 @@ class Residuals:
     gap: float
 
     def worst(self) -> float:
-        return max(self.primal, self.dual, self.gap)
+        """The largest residual; NaN when any is NaN."""
+        return float(np.max((self.primal, self.dual, self.gap)))
 
 
 @dataclass
@@ -295,72 +310,36 @@ class SolveOptions:
 
 
 # ----------------------------------------------------------------------------
-# the cone plan: projection onto K and distance to K*
+# projection onto K and distance to K*
 
 
-class _ConeOps:
-    """The cone layer of one program, built once. One gather index and one
-    array of inverse weights expand every packed PSD block into a flat buffer
-    of full s×s matrices; each block keeps its size, its range in that buffer,
-    its packed slice, the upper-triangle positions (rows*s + cols) of its
-    packed entries and their inverse weights."""
-
-    def __init__(self, blocks: Sequence[Block], slices):
-        self.nonneg = [sl for blk, sl in zip(blocks, slices) if blk.kind == "nonneg"]
-        self.free = [sl for blk, sl in zip(blocks, slices) if blk.kind == "free"]
-        self.psd = []
-        gather, full_inv_w, offset = [], [], 0
-        for blk, sl in zip(blocks, slices):
-            if blk.kind != "psd":
-                continue
-            s = blk.size
-            rows, cols = packed_indices(s)
-            inv_w = 1.0 / packed_weights(s)
-            pos = np.empty((s, s), dtype=np.intp)
-            pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
-            gather.append(sl.start + pos.ravel())
-            full_inv_w.append(inv_w[pos.ravel()])
-            self.psd.append((s, offset, offset + s * s, sl, rows * s + cols, inv_w))
-            offset += s * s
-        self.gather = np.concatenate(gather) if gather else np.zeros(0, dtype=np.intp)
-        self.full_inv_w = np.concatenate(full_inv_w) if full_inv_w else np.zeros(0)
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        out = v.copy()
-        for sl in self.nonneg:
+def _project(program: ConicProgram, v: np.ndarray) -> np.ndarray:
+    """The projection of v onto K, block by block; a PSD block already in
+    the cone comes back bitwise unchanged."""
+    out = v.copy()
+    for blk, sl in zip(program.blocks, program.block_slices()):
+        if blk.kind == "nonneg":
             np.maximum(out[sl], 0.0, out=out[sl])
-        F = v[self.gather] * self.full_inv_w
-        for s, a, e, sl, tri, inv_w in self.psd:
-            w, V = _dsyevd(F[a:e].reshape(s, s), 1)
-            if w[0] < 0.0:
-                out[sl] = ((V * np.maximum(w, 0.0)) @ V.T).ravel()[tri] / inv_w
-        return out
-
-    def dist_dual_cone(self, v: np.ndarray) -> float:
-        """Distance-like measure of v to K* (free components must vanish)."""
-        worst = 0.0
-        for sl in self.nonneg:
-            worst = max(worst, float(np.linalg.norm(np.minimum(v[sl], 0.0))))
-        for sl in self.free:
-            worst = max(worst, float(np.linalg.norm(v[sl])))
-        F = v[self.gather] * self.full_inv_w
-        for s, a, e, _, _, _ in self.psd:
-            w, _ = _dsyevd(F[a:e].reshape(s, s), 0)
-            worst = max(worst, float(np.linalg.norm(np.minimum(w, 0.0))))
-        return worst
+        elif blk.kind == "psd":
+            P = _clamp(smat(v[sl], blk.size))
+            if P is not None:
+                rows, cols = packed_indices(blk.size)
+                # smat's factor undone by division: `* packed_weights` rounds differently
+                out[sl] = P[rows, cols] / (1.0 / packed_weights(blk.size))
+    return out
 
 
-def _dsyevd(M: np.ndarray, compute_v: int) -> tuple:
-    """(ascending eigenvalues, eigenvectors when compute_v) of the symmetric
-    matrix M, which is overwritten; raises as np.linalg.eigh does when they
-    do not converge (a NaN entry, say)."""
-    # one direct LAPACK call: numpy's eigh wrapper costs more than the work on
-    # these blocks. M is symmetric, so M.T is a Fortran-ordered view LAPACK
-    # can work in without a copy.
-    w, V, info = lapack.dsyevd(M.T, compute_v=compute_v, lower=1, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return w, V
+def _dist_dual_cone(program: ConicProgram, v: np.ndarray) -> float:
+    """Distance-like measure of v to K* (free components must vanish); a
+    NaN in v gives NaN, or LinAlgError from a PSD block's _dsyevd."""
+    norms = [0.0]
+    for blk, sl in zip(program.blocks, program.block_slices()):
+        if blk.kind == "free":
+            norms.append(np.linalg.norm(v[sl]))
+        else:
+            part = _dsyevd(smat(v[sl], blk.size), 0)[0] if blk.kind == "psd" else v[sl]
+            norms.append(np.linalg.norm(np.minimum(part, 0.0)))
+    return float(np.max(norms))
 
 
 def _equilibrate(program: ConicProgram):
@@ -438,22 +417,25 @@ def solve(program: ConicProgram, opts: Optional[SolveOptions] = None,
     all that is read): a start that passes the stopping rule once its x is
     projected onto K is returned at iteration 0, and any other start is
     dropped, giving the result of a solve without it. The stopping rule is
-    the same in every case."""
+    the same in every case. Logs one debug event on the `momentlab` logger:
+    the route (with why the interior point stopped, for a hand-off to the
+    ADMM), status, iterations and worst residual."""
     opts = opts or SolveOptions()
-    if warm is not None:
-        accepted = _accept_start(program, warm, opts.tol)
-        if accepted is not None:
-            return accepted
-    sol = _interior_point(program, opts)
+    sol = None if warm is None else _accept_start(program, warm, opts.tol)
+    route = "start accepted at iteration 0"
     if sol is None:
-        return _admm(program, opts, None)
-    if sol.status == "optimal" or sol.iterations >= opts.max_iters:
-        return sol
-    return _admm(program, opts, Start(sol.x, sol.y), spent=sol.iterations)
+        sol, stop = _interior_point(program, opts)
+        route = "interior point"
+        if sol is None or (sol.status != "optimal" and sol.iterations < opts.max_iters):
+            route = f"ADMM hand-off, interior point stopped by {stop}"
+            sol = _admm(program, opts, sol)
+    log.debug("solve %d rows: %s; %s after %d iterations, worst residual %.3g",
+              program.num_rows, route, sol.status, sol.iterations, sol.residuals.worst())
+    return sol
 
 
-def _measure(program: ConicProgram, cone: _ConeOps, x: np.ndarray,
-             y: np.ndarray, rd: Optional[float] = None) -> tuple:
+def _measure(program: ConicProgram, x: np.ndarray, y: np.ndarray,
+             rd: Optional[float] = None) -> tuple:
     """(c'x, b'y, relative residuals) of the point (x, y) of `program`, x in
     K: what the stopping rule reads. `rd`, the dual residual, when known."""
     pv = float(program.c @ x)
@@ -461,28 +443,30 @@ def _measure(program: ConicProgram, cone: _ConeOps, x: np.ndarray,
     rp = float(np.linalg.norm(program.A @ x - program.b)
                / (1.0 + np.linalg.norm(program.b)))
     if rd is None:
-        rd = _dual_residual(program, cone, y)
+        rd = _dual_residual(program, y)
     gap = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
     return pv, dv, Residuals(rp, rd, gap)
 
 
-def _dual_residual(program: ConicProgram, cone: _ConeOps, y: np.ndarray) -> float:
-    return float(cone.dist_dual_cone(program.c - program.A.T @ y)
+def _dual_residual(program: ConicProgram, y: np.ndarray) -> float:
+    return float(_dist_dual_cone(program, program.c - program.A.T @ y)
                  / (1.0 + np.linalg.norm(program.c)))
 
 
 def _accept_start(program: ConicProgram, warm: Start, tol: float) -> Optional[Solution]:
     """`warm` as an `optimal` Solution at iteration 0, its x projected onto
-    K, when that point passes the stopping rule at `tol`; None otherwise.
-    The dual residual reads y alone, so a start it fails is turned down
-    before x is projected."""
-    cone = program._cone
-    y = np.array(warm.y, dtype=float)
-    rd = _dual_residual(program, cone, y)
+    K, when that point passes the stopping rule at `tol`; None otherwise,
+    and for a start with an entry that is not finite. The dual residual
+    reads y alone, so a start it fails is turned down before x is
+    projected."""
+    x, y = np.asarray(warm.x, dtype=float), np.array(warm.y, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        return None
+    rd = _dual_residual(program, y)
     if not rd <= tol:
         return None
-    x = cone.project(np.asarray(warm.x, dtype=float))
-    pv, dv, res = _measure(program, cone, x, y, rd)
+    x = _project(program, x)
+    pv, dv, res = _measure(program, x, y, rd)
     if not res.worst() <= tol:
         return None
     return Solution(status="optimal", primal_value=pv, dual_value=dv,
@@ -520,9 +504,9 @@ class _Group:
                  q: np.ndarray, v: np.ndarray):
         self.slack, self.size, self.count, self.k = slack, size, len(starts), k
         s, g = size, len(starts)
-        rows, cols = np.triu_indices(s)
+        rows, cols = packed_indices(s)
         t = rows.size
-        inv_w = np.where(rows == cols, 1.0, 1.0 / _SQRT2)
+        inv_w = 1.0 / packed_weights(s)
         self.packed = (np.asarray(starts)[:, None] + np.arange(t)).ravel()
         self.tri = (np.arange(g)[:, None] * s * s + rows * s + cols).ravel()
         self.inv_w = np.tile(inv_w, g)
@@ -583,16 +567,18 @@ class _Group:
 
 
 class _InteriorPlan:
-    """What the interior-point method reads of a program's equilibrated A,
-    built once from its coordinate arrays: the free and nonnegative
-    columns, the rows O left once the slack blocks' rows are eliminated,
-    the PSD blocks in _Groups, each block's row norms for the start, and
-    the factors of A A' and A_f' A_f the corrector's projections use. A
-    moment program's slacks are slack blocks, so its Newton system has the
-    size of its moments plus its rows outside the slack rows."""
+    """What the interior-point method and the ADMM read of a program's A,
+    built once: the equilibrated A (_equilibrate) and, from its coordinate
+    arrays, the free and nonnegative columns, the rows O left once the
+    slack blocks' rows are eliminated, the PSD blocks in _Groups, each
+    block's row norms for the start, and the factors of A A' and A_f' A_f
+    the corrector's projections use. A moment program's slacks are slack
+    blocks, so its Newton system has the size of its moments plus its rows
+    outside the slack rows."""
 
     def __init__(self, program: ConicProgram):
-        A, _, _, self.AT, self.gram_lu = program._scaled_factor
+        A, self.d_row, self.d_col = _equilibrate(program)
+        self.AT, self.gram_lu = _factor_gram(A)
         self.A = A
         m, n = A.shape
         row = np.repeat(np.arange(m), np.diff(A.indptr))
@@ -714,7 +700,7 @@ class _InteriorPlan:
             x[self.nonneg], z[self.nonneg] = scales(self.nonneg.size, self.nonneg_row_norms,
                                                     c[self.nonneg])
         for (s, c0), norms in zip(self.psd, self.row_norms):
-            rows, cols = np.triu_indices(s)
+            rows, cols = packed_indices(s)
             ix = c0 + np.arange(rows.size)
             xi, eta = scales(s, norms, c[ix])
             x[ix], z[ix] = xi * (rows == cols), eta * (rows == cols)
@@ -873,15 +859,16 @@ def _inverse_roots(M: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(M)).transpose(0, 2, 1)
 
 
-def _interior_point(program: ConicProgram, opts: SolveOptions) -> Optional[Solution]:
+def _interior_point(program: ConicProgram, opts: SolveOptions) -> tuple:
     """Primal-dual path following on the equilibrated program, with the HKM
     direction and Mehrotra's predictor-corrector (SDPT3), free columns
     through the augmented system and nonnegative ones as diagonal terms.
-    Returns the first step's point that passes the stopping rule, as
-    `optimal`, or else the best one met as `max_iters`, or None when no step
-    reached a point with finite residuals. It stops short after
-    IPM_MAX_ITERS steps, or opts.max_iters, or once neither step length
-    reaches IPM_MIN_STEP or the Newton system is singular.
+    Returns (solution, why it stopped): the first step's point that passes
+    the stopping rule, as `optimal`, or else the best one met as
+    `max_iters`, or None when no step reached a point with finite
+    residuals. It stops short after IPM_MAX_ITERS steps, or opts.max_iters,
+    or at a non-finite step, or once neither step length reaches
+    IPM_MIN_STEP, or when a Cholesky factor or the Newton system fails.
 
     A step's point is screened from the scaled residuals the next step
     needs anyway: the primal residual and the gap are the rule's own, and
@@ -890,10 +877,9 @@ def _interior_point(program: ConicProgram, opts: SolveOptions) -> Optional[Solut
     passes is measured in full (_measure), and only that measure accepts it."""
     plan = program._interior
     if plan.degree == 0:
-        return None
-    A, d_row, d_col, AT, _ = program._scaled_factor
+        return None, "a program without cone entries"
+    A, d_row, d_col, AT, nn = plan.A, plan.d_row, plan.d_col, plan.AT, plan.nonneg
     b, c, b_scale, c_scale = _scaled_vectors(program, d_row, d_col)
-    cone, nn = program._cone, plan.nonneg
     b_norm, c_norm = 1.0 + np.linalg.norm(program.b), 1.0 + np.linalg.norm(program.c)
 
     def screen(rp, rd):
@@ -904,17 +890,19 @@ def _interior_point(program: ConicProgram, opts: SolveOptions) -> Optional[Solut
 
     def point():
         x_orig, y_orig = d_col * x * b_scale, c_scale * (d_row * y)
-        return (x_orig, y_orig, *_measure(program, cone, x_orig, y_orig))
+        return (x_orig, y_orig, *_measure(program, x_orig, y_orig))
 
     x, s = plan.start(b, c)
     y = np.zeros(A.shape[0])
     rp, rd = b - A @ x, c - AT @ y - s
     best, best_bound, found, steps = None, math.inf, None, 0
+    cap = min(IPM_MAX_ITERS, opts.max_iters)
+    stop = f"the cap of {cap} steps"
     # an infeasible or unbounded program drives the iterates to overflow;
     # that ends the loop through LinAlgError or a non-finite step, and a
     # point whose residuals overflow is never the best one
     with np.errstate(all="ignore"):
-        for _ in range(min(IPM_MAX_ITERS, opts.max_iters)):
+        for _ in range(cap):
             mu = float(x @ s) / plan.degree
             newton = None  # free the last step's system first: it keeps peak memory down
             try:
@@ -931,6 +919,7 @@ def _interior_point(program: ConicProgram, opts: SolveOptions) -> Optional[Solut
                 td = min(1.0, IPM_STEP * newton.step_to_boundary(s, ds, False))
                 if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))
                         and np.all(np.isfinite(ds)) and math.isfinite(tp) and math.isfinite(td)):
+                    stop = "a non-finite step"
                     break
                 x, y, s = x + tp * dx, y + td * dy, s + td * ds
                 s[plan.free] = 0.0
@@ -942,11 +931,14 @@ def _interior_point(program: ConicProgram, opts: SolveOptions) -> Optional[Solut
                 if bound <= opts.tol:
                     found = point()
                     if found[4].worst() <= opts.tol:
+                        stop = "the stopping rule"
                         break
                     found = None
-            except np.linalg.LinAlgError:
+            except np.linalg.LinAlgError as err:
+                stop = f"LinAlgError '{err}' at step {steps}"
                 break
             if max(tp, td) < IPM_MIN_STEP:
+                stop = "steps below IPM_MIN_STEP"
                 break
         if found is None and best is not None:
             x, y = best
@@ -955,26 +947,24 @@ def _interior_point(program: ConicProgram, opts: SolveOptions) -> Optional[Solut
             except np.linalg.LinAlgError:
                 pass
     if found is None:
-        return None
+        return None, stop
     x_orig, y_orig, pv, dv, res = found
     return Solution(status="optimal" if res.worst() <= opts.tol else "max_iters",
                     primal_value=pv, dual_value=dv, blocks=program.unpack(x_orig),
-                    x=x_orig, y=y_orig, residuals=res, iterations=steps)
+                    x=x_orig, y=y_orig, residuals=res, iterations=steps), stop
 
 
 # ----------------------------------------------------------------------------
 # the ADMM
 
 
-def _admm(program: ConicProgram, opts: SolveOptions, start: Optional[Start],
-          spent: int = 0) -> Solution:
-    """The ADMM from `start` (from zero without it), for at most
-    opts.max_iters - spent map evaluations; the Solution's iterations count
-    `spent` too."""
+def _admm(program: ConicProgram, opts: SolveOptions, start: Optional[Solution]) -> Solution:
+    """The ADMM from the interior point's `start` (from zero without it),
+    for at most opts.max_iters map evaluations in all; the Solution's
+    iterations count the start's too."""
     n = program.num_vars
-    cone = program._cone
-
-    A, d_row, d_col, AT, lu = program._scaled_factor
+    plan = program._interior
+    A, d_row, d_col, AT, lu = plan.A, plan.d_row, plan.d_col, plan.AT, plan.gram_lu
     b, c, b_scale, c_scale = _scaled_vectors(program, d_row, d_col)
 
     rho = RHO
@@ -988,16 +978,17 @@ def _admm(program: ConicProgram, opts: SolveOptions, start: Optional[Start],
     def report(z_cur, nu_cur):
         x_orig = d_col * z_cur * b_scale
         y_orig = -c_scale * (d_row * nu_cur)
-        return (x_orig, y_orig, *_measure(program, cone, x_orig, y_orig))
+        return (x_orig, y_orig, *_measure(program, x_orig, y_orig))
 
     def fixed_point_map(w_in):
         """(T(w_in), z = Π_K(w_in), nu): one projection and one linear solve."""
-        z_in = cone.project(w_in)
+        z_in = _project(program, w_in)
         v = 2.0 * z_in - w_in  # z - u
         nu_in = lu.solve(A @ (rho * v - c) - rho * b)
         x = v - (c + AT @ nu_in) / rho
         return w_in + OVER_RELAX * (x - z_in), z_in, nu_in
 
+    spent = 0 if start is None else start.iterations
     budget = opts.max_iters - spent
     w = z + u  # the point evaluated next
     best = None
@@ -1023,7 +1014,7 @@ def _admm(program: ConicProgram, opts: SolveOptions, start: Optional[Start],
                 stall_anchor = res.worst()
                 stall_count = 0
             if stall_count >= STALL_WINDOW:
-                ray = _infeasibility_ray(program, cone, y_orig)
+                ray = _infeasibility_ray(program, y_orig)
                 if ray is not None:
                     status = "infeasible_certificate"
                     certificate = ray
@@ -1051,8 +1042,7 @@ def _admm(program: ConicProgram, opts: SolveOptions, start: Optional[Start],
                     residuals=res, iterations=spent + it, certificate_ray=certificate)
 
 
-def _infeasibility_ray(program: ConicProgram, cone: _ConeOps,
-                       y_candidate: np.ndarray) -> Optional[np.ndarray]:
+def _infeasibility_ray(program: ConicProgram, y_candidate: np.ndarray) -> Optional[np.ndarray]:
     """Normalized improving-ray test: a y with A'y in K* and b'y < 0 certifies
     primal infeasibility."""
     nrm = float(np.linalg.norm(y_candidate))
@@ -1060,6 +1050,6 @@ def _infeasibility_ray(program: ConicProgram, cone: _ConeOps,
         return None
     for sgn in (1.0, -1.0):
         cand = sgn * y_candidate / nrm
-        if (program.b @ cand) < -1e-9 and cone.dist_dual_cone(program.A.T @ cand) <= 1e-7:
+        if (program.b @ cand) < -1e-9 and _dist_dual_cone(program, program.A.T @ cand) <= 1e-7:
             return cand
     return None

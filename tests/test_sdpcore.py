@@ -198,6 +198,81 @@ def test_a_start_turned_down_gives_the_cold_solve():
     assert np.array_equal(started.y, cold.y)
 
 
+def small_lp():
+    """minimize x0 + 2 x1 subject to x0 + x1 = 1, x >= 0: x = (1, 0), y = 1."""
+    return ConicProgram((Block("nonneg", 2),), np.array([1.0, 2.0]),
+                        sp.csr_matrix(np.ones((1, 2))), np.ones(1))
+
+
+def free_and_psd3_program():
+    """minimize <diag(1, 2, 3), X> subject to trace X = 1 and t = X00, with
+    t free and X PSD of side 3."""
+    A = np.array([[0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0], [1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    return ConicProgram((Block("free", 1), Block("psd", 3)),
+                        np.array([0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 3.0]), sp.csr_matrix(A),
+                        np.array([1.0, 0.0]))
+
+
+def assert_the_cold_solve(prog, start):
+    opts = SolveOptions()
+    cold = solve(prog, opts)
+    started = solve(prog, opts, start)
+    assert started.status == cold.status == "optimal"
+    assert started.iterations == cold.iterations > 0
+    assert np.array_equal(started.x, cold.x)
+    assert np.array_equal(started.y, cold.y)
+    assert started.primal_value == cold.primal_value
+    assert started.dual_value == cold.dual_value
+    return cold
+
+
+def test_a_start_with_a_nan_dual_is_turned_down():
+    # the dual-cone distance and Residuals.worst once dropped the NaN, and
+    # this start came back optimal at iteration 0 with a NaN dual value
+    assert_the_cold_solve(small_lp(), Start(np.array([1.0, 0.0]), np.array([np.nan])))
+
+
+def test_a_start_with_a_nan_psd_entry_is_turned_down():
+    # y passes the dual test; with the NaN at packed entry 2 (X02) the
+    # projection raised LinAlgError, and at entry 1 (X01), which no row reads
+    # and whose cost is 0, the start came back optimal with a NaN primal value
+    prog = free_and_psd3_program()
+    cold = solve(prog, SolveOptions())
+    for entry in (1, 2):
+        x = cold.x.copy()
+        x[1 + entry] = np.nan
+        assert_the_cold_solve(prog, Start(x, cold.y))
+
+
+def test_a_start_that_fails_only_the_gap_is_turned_down():
+    # y = 1 is dual feasible and x = (0.5, 0.5) primal feasible, but
+    # c'x = 1.5 against b'y = 1: the start is turned down after its projection
+    cold = assert_the_cold_solve(small_lp(), Start(np.array([0.5, 0.5]), np.array([1.0])))
+    assert cold.iterations == 8
+
+
+def test_solve_logs_its_route(caplog):
+    lp = small_lp()
+    repeated = ConicProgram((Block("nonneg", 3),), np.array([1.0, 2.0, 3.0]),
+                            sp.csr_matrix(np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+                                                    [2.0, 2.0, 2.0]])),
+                            np.array([1.0, 1.0, 2.0]))
+    quiet = [solve(lp), solve(repeated)]
+    with caplog.at_level("DEBUG", logger="momentlab"):
+        logged = [solve(lp), solve(lp, warm=Start(np.array([1.0, 0.0]), np.array([1.0]))),
+                  solve(repeated)]
+    messages = [rec.getMessage() for rec in caplog.records if rec.name == "momentlab"]
+    assert messages[0].startswith("solve 1 rows: interior point; optimal after 8 iterations")
+    assert messages[1].startswith("solve 1 rows: start accepted at iteration 0; optimal after 0")
+    # repeated rows make the Newton system singular at step 0
+    assert messages[2].startswith("solve 3 rows: ADMM hand-off, interior point stopped by "
+                                  "LinAlgError 'singular Newton system' at step 0; optimal")
+    assert len(messages) == 3
+    for before, after in zip(quiet, logged[::2]):
+        assert np.array_equal(before.x, after.x) and np.array_equal(before.y, after.y)
+        assert before.iterations == after.iterations
+
+
 def test_options_are_validated():
     for bad in (dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")),
                 dict(tol=float("inf")), dict(max_iters=0)):
@@ -350,8 +425,8 @@ def test_cone_plan_projects_as_per_block_eigh():
     rng = np.random.default_rng(5)
     for _ in range(20):
         v = rng.normal(size=p.num_vars)
-        assert np.array_equal(p._cone.project(v), reference_project(p, v))
-        assert p._cone.dist_dual_cone(v) == reference_dist_dual_cone(p, v)
+        assert np.array_equal(sdpcore._project(p, v), reference_project(p, v))
+        assert sdpcore._dist_dual_cone(p, v) == reference_dist_dual_cone(p, v)
     # PSD blocks already in the cone come back bitwise unchanged, beside
     # projected ones
     for trial in range(4):
@@ -362,11 +437,11 @@ def test_cone_plan_projects_as_per_block_eigh():
                 B = rng.normal(size=(blk.size, blk.size))
                 v[sl] = svec(B @ B.T + np.eye(blk.size))
                 inside.append(sl)
-        out = p._cone.project(v)
+        out = sdpcore._project(p, v)
         assert np.array_equal(out, reference_project(p, v))
         for sl in inside:
             assert np.array_equal(out[sl], v[sl])
-        assert p._cone.dist_dual_cone(v) == reference_dist_dual_cone(p, v)
+        assert sdpcore._dist_dual_cone(p, v) == reference_dist_dual_cone(p, v)
 
 
 def test_cone_plan_raises_on_a_nan_block():
@@ -375,14 +450,9 @@ def test_cone_plan_raises_on_a_nan_block():
     v = np.arange(7.0)
     v[3] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
-        p._cone.project(v)
+        sdpcore._project(p, v)
     with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
-        p._cone.dist_dual_cone(v)
-
-
-def test_with_objective_shares_the_cone_plan():
-    p = moment_ball_program()
-    assert p.with_objective(np.ones(p.num_vars))._cone is p._cone
+        sdpcore._dist_dual_cone(p, v)
 
 
 def reference_equilibrate(program, iters=8):
@@ -460,7 +530,8 @@ def test_sparse_factor_solves_the_ball3_moment_gram():
     motzkin = Polynomial(3, {(4, 2, 0): 1.0, (2, 4, 0): 1.0, (2, 2, 2): -3.0,
                              (0, 0, 6): 1.0})
     program = build_moment_relaxation(motzkin, ball3, "Q", 4).program
-    A, _, _, AT, lu = program._scaled_factor
+    plan = program._interior
+    A, AT, lu = plan.A, plan.AT, plan.gram_lu
     m = program.num_rows
     assert lu.L.nnz + lu.U.nnz < m * m / 10
     r = np.random.default_rng(3).normal(size=m)
