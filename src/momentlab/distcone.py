@@ -138,16 +138,20 @@ def hausdorff_lower_bound(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
             raise ValueError(f"support was sampled with {name}={have}, not {want}")
     basis = monomial_basis(X.n, k)
     rel = None
-    best = -np.inf
-    for d, (c, h_moment) in enumerate(zip(support.directions, support.h_moment)):
+    objectives = []
+    for c in support.directions:
         p = Polynomial.from_vector(basis, c)
         # the feasible set is direction-independent: build once, then swap
-        # objectives, which keeps the scaling, factor and solver plans; each
-        # direction is its own cold solve, so its value does not depend on
-        # the directions before it
+        # objectives, which keeps the scaling, factor and solver plans
         rel = (build_moment_relaxation(-p, X, certificate, r, max_psd_size)
                if rel is None else rel.with_objective(-p))
-        sol = sdpcore.solve(rel.program, opts)
+        objectives.append(rel.program.c)
+    # one lockstep interior-point run over the level's directions; each
+    # direction is still its own solve call, certified by its own residuals,
+    # and its value depends neither on the other directions nor their order
+    best = -np.inf
+    for d, (sol, h_moment) in enumerate(zip(sdpcore.solve_many(rel.program, objectives, opts),
+                                            support.h_moment)):
         if sol.status != "optimal":
             raise NonOptimalSolveError(
                 f"r={r}, direction {d}: solver status {sol.status!r}")

@@ -21,6 +21,26 @@ none, within `opts.max_iters` in all, so `max_iters`, `infeasible_certificate` a
 they meant before. `Solution.iterations` counts interior-point steps plus
 ADMM map evaluations, and is 0 for an accepted start.
 
+`solve_many(program, objectives, opts)` solves one program under D
+objectives. The interior-point loop carries a leading axis of D: the
+iterates are (D, n) arrays, each group's matrices (D, count, s, s) stacks
+with one batched Cholesky and inverse, and one sparse product takes every
+direction's columns, while each direction keeps its own factor of K, step
+lengths, sigma, screen, measure and stopping rule and is masked out once it
+stops. `solve` runs the same loop with D = 1. Each row rounds as a loop over
+one objective does: its dot products go to BLAS ddot, sigma is taken in
+Python floats, and the step lengths' eigenvalues come from scipy's
+`dsyevd`, one matrix a call. (numpy's `eigvalsh` runs another OpenBLAS
+build, which rounds apart in the last bit, and the path amplifies that: it
+moved 2 of the 200 direction values of four `distance` passes by 1.5e-8.)
+So a direction's values do not depend on D, and they equal those of the
+one-objective loop this loop replaced, bit for bit. Each direction's
+lockstep point is then handed to `solve` as its start, so the stopping rule
+is applied again on that direction's own data and a passing point comes
+back at iteration 0; a direction the lockstep left short gets the cold
+solve and the ADMM hand-off of a lone `solve`. Every Solution is thus one
+`solve` call's.
+
 The interior-point method is primal-dual path following with the HKM
 direction and Mehrotra's predictor-corrector (SDPT3: Toh, Todd & Tütüncü
 1999) on the equilibrated program. Free columns enter through the
@@ -47,13 +67,23 @@ shapes are far slower than on one thread:
     dpotri, dtrtrs, side 6-20         8-40 ms  (0.003 ms)
     numpy eigh, side 35               16 ms    (scipy dsyevd 0.2 ms)
     dgetrf, dpotrf, dsytrf, 166 rows  50-180 ms in some calls or processes
+    scipy dsyevd, eigenvalues only,   median 5.2 ms, up to 129 ms
+      side 153, rank one              (numpy eigvalsh 0.9 ms, at most 1.5 ms)
+    scipy dsyevd, eigenvalues only,   median 0.6 ms, up to 9 ms
+      side 136, zero                  (numpy eigvalsh 0.7 ms, up to 28 ms)
 
-Products up to (84 x 100)(100 x 84), gemv, and scipy's `dsyevd`, numpy's
-batched Cholesky, inverse and `eigvalsh` on the blocks met here are not
-slowed, nor is `dgetrf` below 10^4 entries, which OpenBLAS runs on one
-thread. So K is factored by `dgetrf` up to 99 rows and by SuperLU above,
-inverses and step lengths come from those batched calls, and no dense
-product has an inner dimension above a block's side.
+Products up to (84 x 100)(100 x 84), gemv, scipy's `dsyevd` with and
+without vectors on blocks up to side 35, and numpy's batched Cholesky,
+inverse and `eigvalsh` on the blocks met here are not slowed, nor is
+`dgetrf` below 10^4 entries, which OpenBLAS runs on one thread. So K is
+factored by `dgetrf` up to 99 rows and by SuperLU above, inverses come from
+those batched calls, the step lengths from `dsyevd` (the interior point
+meets blocks up to side 35), the cone's eigenvalues from `eigvalsh`, and no
+dense product has an inner dimension above a block's side. (The rows at
+sides 136 and 153 are the start checks of the simplex upper series, Q,
+r = 16: 15 checks per process, three processes per kernel. With
+`eigvalsh`, scipy's eigenvector call at side 153 has the slow calls:
+median 5 ms, up to 128 ms.)
 
 The ADMM is operator splitting: the over-relaxed Douglas–Rachford
 fixed-point map on one variable w. With z = Π_K(w) and u = w − z (the
@@ -67,8 +97,8 @@ projection onto K.
 PSD blocks are stored in symmetric-packed form with sqrt(2) off-diagonal
 scaling so the flattening is an isometry and dual residuals keep their
 meaning. The projection onto K and the distance to K* go block by block:
-`smat` expands a PSD block and one LAPACK `dsyevd` call takes its
-eigenvalues; only a block with a negative one gets a second call, for its
+`smat` expands a PSD block and `eigvalsh` takes its eigenvalues; only a
+block with a negative one gets a LAPACK `dsyevd` call for its
 eigenvectors, and is rebuilt (`psd_project` uses the same clamp).
 
 `solve` takes two options, the tolerance and the iteration cap
@@ -78,7 +108,10 @@ deterministic given its arguments. The interior-point plan, which holds the
 equilibration (Ruiz sweeps on the CSR arrays of A), the factor of A A' and
 the layout of the Newton system, reads neither c nor b, so a program builds
 it once and keeps it; `ConicProgram.with_objective` hands it to a copy with
-another objective. Distinct calls share nothing else.
+another objective. Distinct `solve` calls share nothing else; the D
+directions of one `solve_many` call share that plan and the lockstep's
+batched kernels, which compute each row as a lone solve does, so a
+direction's result does not depend on the others or on their order.
 """
 
 from __future__ import annotations
@@ -178,20 +211,30 @@ def _clamp(M: np.ndarray) -> Optional[np.ndarray]:
     """The symmetric M with its negative eigenvalues set to zero (M is then
     overwritten), or None when it has none. Only then are eigenvectors taken:
     on blocks of side 35-153 they cost 1.3-2 times the eigenvalues alone."""
-    if _dsyevd(M.copy(), 0)[0][0] >= 0.0:
+    if _eigenvalues(M)[0] >= 0.0:
         return None
-    w, V = _dsyevd(M, 1)
+    w, V = _dsyevd(M)
     return (V * np.maximum(w, 0.0)) @ V.T
 
 
-def _dsyevd(M: np.ndarray, compute_v: int) -> tuple:
-    """(ascending eigenvalues, eigenvectors when compute_v) of the symmetric
-    matrix M, which is overwritten; raises as np.linalg.eigh does when they
-    do not converge (a NaN entry, say)."""
-    # one direct LAPACK call: numpy's eigh wrapper costs more than the work on
-    # these blocks. M is symmetric, so M.T is a Fortran-ordered view LAPACK
-    # can work in without a copy.
-    w, V, info = lapack.dsyevd(M.T, compute_v=compute_v, lower=1, overwrite_a=1)
+def _eigenvalues(M: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix M (numpy's eigvalsh,
+    whose slow calls under two OpenBLAS threads stay far below dsyevd's at
+    sides 136-153); raises LinAlgError, as LAPACK's dsyevd does, when they
+    are not finite (a NaN entry, say)."""
+    w = np.linalg.eigvalsh(M)
+    if not np.all(np.isfinite(w)):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
+
+
+def _dsyevd(M: np.ndarray) -> tuple:
+    """(ascending eigenvalues, eigenvectors) of the symmetric matrix M, which
+    is overwritten; raises as np.linalg.eigh does when they do not converge."""
+    # one direct LAPACK call: numpy's eigh is slowed by the threaded BLAS on
+    # these blocks (see the module docstring). M is symmetric, so M.T is a
+    # Fortran-ordered view LAPACK can work in without a copy.
+    w, V, info = lapack.dsyevd(M.T, compute_v=1, lower=1, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return w, V
@@ -331,13 +374,13 @@ def _project(program: ConicProgram, v: np.ndarray) -> np.ndarray:
 
 def _dist_dual_cone(program: ConicProgram, v: np.ndarray) -> float:
     """Distance-like measure of v to K* (free components must vanish); a
-    NaN in v gives NaN, or LinAlgError from a PSD block's _dsyevd."""
+    NaN in v gives NaN, or LinAlgError from a PSD block's _eigenvalues."""
     norms = [0.0]
     for blk, sl in zip(program.blocks, program.block_slices()):
         if blk.kind == "free":
             norms.append(np.linalg.norm(v[sl]))
         else:
-            part = _dsyevd(smat(v[sl], blk.size), 0)[0] if blk.kind == "psd" else v[sl]
+            part = _eigenvalues(smat(v[sl], blk.size)) if blk.kind == "psd" else v[sl]
             norms.append(np.linalg.norm(np.minimum(part, 0.0)))
     return float(np.max(norms))
 
@@ -424,7 +467,7 @@ def solve(program: ConicProgram, opts: Optional[SolveOptions] = None,
     sol = None if warm is None else _accept_start(program, warm, opts.tol)
     route = "start accepted at iteration 0"
     if sol is None:
-        sol, stop = _interior_point(program, opts)
+        ((sol, stop),), _ = _interior_point([program], opts)
         route = "interior point"
         if sol is None or (sol.status != "optimal" and sol.iterations < opts.max_iters):
             route = f"ADMM hand-off, interior point stopped by {stop}"
@@ -432,6 +475,35 @@ def solve(program: ConicProgram, opts: Optional[SolveOptions] = None,
     log.debug("solve %d rows: %s; %s after %d iterations, worst residual %.3g",
               program.num_rows, route, sol.status, sol.iterations, sol.residuals.worst())
     return sol
+
+
+def solve_many(program: ConicProgram, objectives, opts: Optional[SolveOptions] = None) -> list:
+    """solve(program.with_objective(c), opts) for every objective c (rows
+    of `objectives`), the interior-point method run on all of them in
+    lockstep on the program's one plan. Each direction's lockstep point is
+    then its start: solve(program.with_objective(c_d), opts, warm=Start(x_d,
+    y_d)) applies the stopping rule again on the original data and returns a
+    passing point at iteration 0, and a direction the lockstep left short
+    goes on alone (the cold solve, then the ADMM hand-off). So every
+    Solution is one `solve` call's, certified by its own residuals, and
+    does not depend on the other objectives. Logs one debug event on the
+    `momentlab` logger: the number of objectives, the lockstep steps, how
+    many were accepted at iteration 0, and each one that went on alone with
+    why the lockstep stopped it."""
+    opts = opts or SolveOptions()
+    programs = [program.with_objective(c) for c in objectives]
+    if not programs:
+        return []
+    results, steps = _interior_point(programs, opts)
+    out, alone = [], []
+    for d, (prog, (sol, stop)) in enumerate(zip(programs, results)):
+        out.append(solve(prog, opts, None if sol is None else Start(sol.x, sol.y)))
+        if out[-1].iterations:
+            alone.append(f"{d} (stopped by {stop})")
+    log.debug("solve_many %d objectives, %d rows: %d lockstep steps; %d accepted at "
+              "iteration 0; went on alone: %s", len(programs), program.num_rows, steps,
+              len(programs) - len(alone), ", ".join(alone) or "none")
+    return out
 
 
 def _measure(program: ConicProgram, x: np.ndarray, y: np.ndarray,
@@ -515,6 +587,7 @@ class _Group:
         pos[rows * s + cols] = pos[cols * s + rows] = np.arange(t)
         self.pos = (np.arange(g)[:, None] * t + pos).ravel()
         self.full_inv_w = self.inv_w[self.pos]
+        self.at = self.packed[self.pos]  # the column of A behind each such entry
         if slack:
             self.G = sp.csr_matrix((v, (i, q)), shape=(k, g * t))
         # each row as its full symmetric matrices, flattened into row i of a
@@ -541,29 +614,46 @@ class _Group:
                 shape=(g * (hi - lo) * s, g * s))))
 
     def full(self, v: np.ndarray) -> np.ndarray:
-        """The (count, s, s) stack of the blocks' matrices, from the vector
-        v of their packed entries in group order."""
+        """The (D, count, s, s) stacks of the blocks' matrices in the rows v
+        (D, n) of vectors over A's columns."""
         s = self.size
-        return (v[self.pos] * self.full_inv_w).reshape(self.count, s, s)
+        return (v.take(self.at, axis=1) * self.full_inv_w).reshape(-1, self.count, s, s)
+
+    def full_rows(self, r: np.ndarray) -> np.ndarray:
+        """The stacks of a slack group whose packed entries are the rows r
+        (D, m), over A's rows, divided by D at the group's rows R."""
+        s = self.size
+        return (r.take(self.row_at, axis=1) / self.D_at * self.full_inv_w).reshape(
+            -1, self.count, s, s)
 
     def pack(self, M: np.ndarray) -> np.ndarray:
-        """The packed entries, in group order, of the symmetric stack M."""
-        return M.reshape(-1)[self.tri] / self.inv_w
+        """The packed entries (D, count t), in group order, of the symmetric
+        stacks M."""
+        return M.reshape(M.shape[0], -1).take(self.tri, axis=1) / self.inv_w
 
-    def schur(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """sum over the blocks of the k x k matrix <V_i, P V_j Q> of each
-        block's rows V_i, symmetrized. V_j Q is a sparse product, P (V_j Q) a
-        stack of s x s products and the inner products one more sparse
-        product: no dense product here has an inner dimension above s, which
-        keeps it off threaded dgemm."""
-        g, k, s = self.count, self.k, self.size
-        C = np.empty((k, k))
+    def schur(self, P: np.ndarray, Q: np.ndarray) -> list:
+        """Per direction d, the sum over the blocks of the k x k matrix
+        <V_i, P_d V_j Q_d> of each block's rows V_i, symmetrized; P and Q are
+        (D, count, s, s). V_j Q is a sparse product, P (V_j Q) a stack of
+        s x s products and the inner products one more sparse product: no
+        dense product here has an inner dimension above s, which keeps it
+        off threaded dgemm. A chunk's product takes the Q of as many
+        directions as keep each work array within SCHUR_CHUNK doubles, and
+        each direction's matrix is an array of its own."""
+        D, g, k, s = P.shape[0], self.count, self.k, self.size
+        C = [np.empty((k, k)) for _ in range(D)]
         for lo, stacked in self.chunks:
             c = stacked.shape[0] // (g * s)
-            T = (stacked @ Q.reshape(g * s, s)).reshape(g, c, s, s)
-            W = np.matmul(P[:, None], T).transpose(0, 2, 3, 1).reshape(g * s * s, c)
-            C[:, lo:lo + c] = self.flat @ W
-        return 0.5 * (C + C.T)
+            batch = max(1, SCHUR_CHUNK // (c * g * s * s))
+            for d0 in range(0, D, batch):
+                n = min(batch, D - d0)
+                Qn = Q[d0:d0 + n].transpose(1, 2, 0, 3).reshape(g * s, n * s)
+                T = (stacked @ Qn).reshape(g, c, s, n, s).transpose(3, 0, 1, 2, 4)
+                W = np.matmul(P[d0:d0 + n, :, None], T).transpose(1, 3, 4, 0, 2)
+                part = (self.flat @ W.reshape(g * s * s, n * c)).reshape(k, n, c)
+                for i in range(n):
+                    C[d0 + i][:, lo:lo + c] = part[:, i]
+        return [0.5 * (Cd + Cd.T) for Cd in C]
 
 
 class _InteriorPlan:
@@ -636,6 +726,7 @@ class _InteriorPlan:
                 grp = _Group(True, s, starts, self.free.size, index[col[sel]], row_q[row[sel]],
                              val[sel] / D[row_q[row[sel]]])
                 grp.rows, grp.D = entry_row[cols], D
+                grp.row_at, grp.D_at = grp.rows[grp.pos], D[grp.pos]
             else:
                 sel = in_O & (entry_group[col] == gid)
                 grp = _Group(False, s, starts, self.O.size, o_index[row[sel]],
@@ -675,6 +766,9 @@ class _InteriorPlan:
         self.A_free_T = self.A_free.T.tocsr()
         size = self.O.size + self.free.size  # K's CSC arrays, every entry stored
         self.dense_pattern = (np.tile(np.arange(size), size), np.arange(size + 1) * size)
+        self.K = np.zeros((size, size))  # K's blocks that no step changes
+        self.K[:self.O.size, self.O.size:] = self.A_free_O
+        self.K[self.O.size:, :self.O.size] = self.A_free_O.T
         self.free_lu = None  # without free columns, or with dependent ones, no dual projection
         if self.free.size:
             try:
@@ -707,146 +801,232 @@ class _InteriorPlan:
         return x, z
 
 
+class _Stopped(Exception):
+    """Directions of a lockstep step that cannot take it: their positions in
+    the step's batch, each with the message of its LinAlgError."""
+
+    def __init__(self, reasons: dict):
+        super().__init__(reasons)
+        self.reasons = reasons
+
+
+def _each(fn, M: np.ndarray) -> np.ndarray:
+    """fn of the stacks M (D, ...), one batched call; when it raises
+    LinAlgError, the directions whose own stacks raise it, as _Stopped."""
+    try:
+        return fn(M)
+    except np.linalg.LinAlgError:
+        reasons = {}
+        for d in range(M.shape[0]):
+            try:
+                fn(M[d:d + 1])
+            except np.linalg.LinAlgError as err:
+                reasons[d] = str(err)
+        if not reasons:
+            raise
+        raise _Stopped(reasons) from None
+
+
+def _dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The dot product of each row of U (D, n) with the same row of V (D,
+    n), or with V (n,): a stack of vector products, which numpy hands to
+    BLAS ddot row by row, so each row sums as `u @ v` does (einsum and
+    gemv sum in other orders)."""
+    return np.matmul(U[:, None, :], V[..., None])[:, 0, 0]
+
+
+def _least_eigenvalue(M: np.ndarray) -> float:
+    """The least eigenvalue of the symmetric M, which is overwritten, from
+    one scipy dsyevd call; NaN when LAPACK fails (a NaN entry, say)."""
+    w, _, info = lapack.dsyevd(M.T, compute_v=0, lower=1, overwrite_a=1)
+    return w[0] if info == 0 else math.nan
+
+
+def _mul(A: sp.csr_matrix, V: np.ndarray) -> np.ndarray:
+    """A times every row of V (D, n): one sparse product, returned as
+    C-ordered rows so that each row's sums run as in a lone solve (a sparse
+    product sums each column of a block of vectors as it sums one vector)."""
+    if V.shape[0] == 1:
+        return (A @ V[0])[None]
+    return np.ascontiguousarray((A @ V.T).T)
+
+
+def _lu_rows(lu, R: np.ndarray) -> np.ndarray:
+    """The sparse LU factor's solution for every row of R, as rows."""
+    if R.shape[0] == 1:
+        return lu.solve(R[0])[None]
+    return np.ascontiguousarray(lu.solve(np.ascontiguousarray(R.T)).T)
+
+
+def _factor_newton(K: np.ndarray, pattern: tuple):
+    """The solve of one direction's K from its factor: dgetrf below 10^4
+    entries, which OpenBLAS runs on one thread, and SuperLU above it on K's
+    dense columns: under two OpenBLAS threads dgetrf, dpotrf and dsytrf on
+    166 rows can take 50-180 ms a call (whenever the BLAS worker waits for a
+    CPU); splu never does."""
+    if K.size < 10_000:
+        lu, piv, info = lapack.dgetrf(K, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("singular Newton system")
+        return lambda rhs: lapack.dgetrs(lu, piv, rhs)[0]
+    dense = sp.csc_matrix((K.ravel(), *pattern), shape=K.shape)
+    try:
+        return spla.splu(dense, permc_spec="NATURAL").solve
+    except RuntimeError as err:  # exactly singular
+        raise np.linalg.LinAlgError(str(err)) from err
+
+
 class _Newton:
-    """The Newton system at one interior point (x, s): per group the stacked
-    X and S, their inverse roots (_inverse_roots) and the pair (P, Q) of the
-    operator V -> sym(P V Q) (X, S^-1 on kept blocks: the HKM direction;
-    S, X^-1 on slack blocks, where the roles of the two sides swap), and the
-    LU factor of K = [[M, A[O, free]], [A[O, free]', -N]] (solve_K)."""
+    """The Newton systems at D interior points (x, s), rows of (D, n)
+    arrays: per group the stacked X and S (D, count, s, s), the pair (P, Q)
+    of the operator V -> sym(P V Q) (X, S^-1 on kept blocks: the HKM
+    direction; S, X^-1 on slack blocks, where the roles of the two sides
+    swap) and the inverse roots of X and S (_inverse_roots) stacked for the
+    step lengths, and per direction the factor of K = [[M, A[O, free]],
+    [A[O, free]', -N]] (solve_K), which the predictor, the corrector and its
+    refinement reuse. A direction whose Cholesky factor or K fails raises
+    _Stopped."""
 
     def __init__(self, plan: _InteriorPlan, x: np.ndarray, s: np.ndarray):
         self.plan = plan
-        self.ratio = x[plan.nonneg] / s[plan.nonneg]
+        self.ratio = x.take(plan.nonneg, axis=1) / s.take(plan.nonneg, axis=1)
         o, nf = plan.O.size, plan.free.size
-        K = np.zeros((o + nf, o + nf))
-        self.mats = []
+        self.mats, self.roots, schur = [], [], []
         for grp in plan.groups:
-            X, S = grp.full(x[grp.packed]), grp.full(s[grp.packed])
-            Rx, Rs = _inverse_roots(X), _inverse_roots(S)
+            X, S = grp.full(x), grp.full(s)
+            Rx, Rs = _each(_inverse_roots, X), _each(_inverse_roots, S)
             R = Rx if grp.slack else Rs
-            P, Q = (S if grp.slack else X), R @ R.transpose(0, 2, 1)
-            if grp.slack:
-                K[o:, o:] -= grp.schur(P, Q)
-            else:
-                K[:o, :o] += grp.schur(P, Q)
-            self.mats.append((X, S, Rx, Rs, P, Q))
-        if plan.nonneg.size:
-            Anz = plan.A_nonneg_O
-            K[:o, :o] += (Anz @ sp.diags(self.ratio) @ Anz.T).toarray()
-        K[:o, o:] = plan.A_free_O
-        K[o:, :o] = plan.A_free_O.T
-        if not K.size:
-            self.solve_K = None
-        elif K.size < 10_000:
-            # OpenBLAS runs dgetrf on one thread below 10^4 entries
-            lu, piv, info = lapack.dgetrf(K, overwrite_a=1)
-            if info != 0:
-                raise np.linalg.LinAlgError("singular Newton system")
-            self.solve_K = lambda rhs: lapack.dgetrs(lu, piv, rhs)[0]
-        else:
-            # SuperLU on K's dense columns: under two OpenBLAS threads dgetrf,
-            # dpotrf and dsytrf on 166 rows can take 50-180 ms a call
-            # (whenever the BLAS worker waits for a CPU); splu never does
-            dense = sp.csc_matrix((K.ravel(), *plan.dense_pattern), shape=K.shape)
-            try:
-                self.solve_K = spla.splu(dense, permc_spec="NATURAL").solve
-            except RuntimeError as err:  # exactly singular
-                raise np.linalg.LinAlgError(str(err)) from err
+            P, Q = (S if grp.slack else X), R @ R.swapaxes(-1, -2)
+            schur.append(grp.schur(P, Q))
+            self.mats.append((X, S, P, Q))
+            self.roots.append(np.concatenate((Rx, Rs)))
+        self.solve_K, reasons = None, {}
+        if o + nf:
+            # one K at a time, dropped once factored: D of them at once would
+            # raise glibc's mmap threshold (see _Group) and the peak memory
+            self.solve_K = []
+            for d, ratio in enumerate(self.ratio):
+                K = plan.K.copy()
+                for grp, C in zip(plan.groups, schur):
+                    if grp.slack:
+                        K[o:, o:] -= C[d]
+                    else:
+                        K[:o, :o] += C[d]
+                if plan.nonneg.size:
+                    Anz = plan.A_nonneg_O
+                    K[:o, :o] += (Anz @ sp.diags(ratio) @ Anz.T).toarray()
+                try:
+                    self.solve_K.append(_factor_newton(K, plan.dense_pattern))
+                except np.linalg.LinAlgError as err:
+                    reasons[d] = str(err)
+        if reasons:
+            raise _Stopped(reasons)
 
     def op(self, j: int, V: np.ndarray) -> np.ndarray:
-        P, Q = self.mats[j][4:]
+        P, Q = self.mats[j][2:]
         W = P @ V @ Q
-        return 0.5 * (W + W.transpose(0, 2, 1))
+        return 0.5 * (W + W.swapaxes(-1, -2))
 
     def direction(self, rp: np.ndarray, rd: np.ndarray, T: list, tn: np.ndarray,
                   polish: bool = False) -> tuple:
-        """(dx, dy, ds) solving A dx = rp, A'dy + ds = rd (ds = 0 on free
-        entries) and the linearized complementarity: dX = T - op(dS) on kept
-        blocks, dS = T - op(dX) on slack ones (T per group), and dx = tn -
-        (x/s) ds on nonnegative entries. With `polish`, IPM_REFINE steps of
-        iterative refinement on the residuals of the two linear equations
-        follow, and then their projections: dx onto A dx = rp, and dy onto
-        the free columns' A_f'dy = rd_f."""
+        """(dx, dy, ds), rows per direction, solving A dx = rp, A'dy + ds = rd
+        (ds = 0 on free entries) and the linearized complementarity: dX = T -
+        op(dS) on kept blocks, dS = T - op(dX) on slack ones (T per group),
+        and dx = tn - (x/s) ds on nonnegative entries. With `polish`,
+        IPM_REFINE steps of iterative refinement on the residuals of the two
+        linear equations follow, and then their projections: dx onto A dx =
+        rp, and dy onto the free columns' A_f'dy = rd_f."""
         plan = self.plan
         dx, dy, ds = self._solve(rp, rd, T, tn)
         zero = [np.zeros_like(t) for t in T]
         for _ in range(IPM_REFINE if polish else 0):
             # ds is 0 on the free entries, so ey there is the free columns' own residual
-            ey = rd - plan.AT @ dy - ds
-            cx, cy, cs = self._solve(rp - plan.A @ dx, ey, zero, np.zeros_like(tn))
+            ey = rd - _mul(plan.AT, dy) - ds
+            cx, cy, cs = self._solve(rp - _mul(plan.A, dx), ey, zero, np.zeros_like(tn))
             dx, dy, ds = dx + cx, dy + cy, ds + cs
         if polish:
-            dx += plan.AT @ plan.gram_lu.solve(rp - plan.A @ dx)
+            dx += _mul(plan.AT, _lu_rows(plan.gram_lu, rp - _mul(plan.A, dx)))
             if plan.free_lu is not None:
-                dy += plan.A_free @ plan.free_lu.solve(rd[plan.free] - plan.A_free_T @ dy)
-                ds = rd - plan.AT @ dy
-                ds[plan.free] = 0.0
+                dy += _mul(plan.A_free, _lu_rows(plan.free_lu,
+                                                  rd.take(plan.free, axis=1)
+                                                  - _mul(plan.A_free_T, dy)))
+                ds = rd - _mul(plan.AT, dy)
+                ds[:, plan.free] = 0.0
         return dx, dy, ds
 
     def _solve(self, rp: np.ndarray, rd: np.ndarray, T: list, tn: np.ndarray) -> tuple:
         plan = self.plan
         o = plan.O.size
-        u = np.zeros_like(rd)
-        h2 = rd[plan.free].copy()
-        w = rd[plan.slack_packed]
+        u = np.zeros_like(rd) if plan.kept else None
+        h2 = rd.take(plan.free, axis=1)
+        w = rd.take(plan.slack_packed, axis=1)
         for j, grp in enumerate(plan.groups):
             if grp.slack:
-                V = grp.full(rp[grp.rows] / grp.D)
-                w[grp.span] -= grp.pack(T[j] - self.op(j, V))
+                w[:, grp.span] -= grp.pack(T[j] - self.op(j, grp.full_rows(rp)))
             else:
-                u[grp.packed] = grp.pack(T[j] - self.op(j, grp.full(rd[grp.packed])))
+                u[:, grp.packed] = grp.pack(T[j] - self.op(j, grp.full(rd)))
         if plan.G is not None:
-            h2 -= plan.G @ w
-        u[plan.nonneg] = tn - self.ratio * rd[plan.nonneg]
-        rhs = np.concatenate((((rp - plan.A @ u) if plan.kept else rp)[plan.O], h2))
-        sol = rhs if self.solve_K is None else self.solve_K(rhs)
+            h2 -= _mul(plan.G, w)
+        if plan.nonneg.size:
+            u[:, plan.nonneg] = tn - self.ratio * rd.take(plan.nonneg, axis=1)
+        rhs = np.concatenate((((rp - _mul(plan.A, u)) if plan.kept else rp).take(plan.O, axis=1),
+                              h2), axis=1)
+        sol = rhs if self.solve_K is None else np.array([f(r) for f, r in zip(self.solve_K, rhs)])
         dy = np.zeros_like(rp)
-        dy[plan.O] = sol[:o]
+        dy[:, plan.O] = sol[:, :o]
         dx = np.zeros_like(rd)
-        dx[plan.free] = sol[o:]
+        dx[:, plan.free] = sol[:, o:]
         if plan.G is not None:
-            dx[plan.slack_packed] = rp[plan.slack_rows] / plan.slack_D - plan.GT @ sol[o:]
+            dx[:, plan.slack_packed] = (rp.take(plan.slack_rows, axis=1) / plan.slack_D
+                                        - _mul(plan.GT, sol[:, o:]))
         for j, grp in enumerate(plan.groups):
             if grp.slack:
-                dS = T[j] - self.op(j, grp.full(dx[grp.packed]))
-                dy[grp.rows] = (rd[grp.packed] - grp.pack(dS)) / grp.D
-        ds = rd - plan.AT @ dy
-        ds[plan.free] = 0.0
+                dS = T[j] - self.op(j, grp.full(dx))
+                dy[:, grp.rows] = (rd.take(grp.packed, axis=1) - grp.pack(dS)) / grp.D
+        ds = rd - _mul(plan.AT, dy)
+        ds[:, plan.free] = 0.0
         for j, grp in enumerate(plan.groups):
             if not grp.slack:
-                dx[grp.packed] = grp.pack(T[j] - self.op(j, grp.full(ds[grp.packed])))
-        dx[plan.nonneg] = tn - self.ratio * ds[plan.nonneg]
+                dx[:, grp.packed] = grp.pack(T[j] - self.op(j, grp.full(ds)))
+        if plan.nonneg.size:
+            dx[:, plan.nonneg] = tn - self.ratio * ds.take(plan.nonneg, axis=1)
         return dx, dy, ds
 
-    def step_to_boundary(self, v: np.ndarray, dv: np.ndarray, primal: bool) -> float:
-        """The largest step t with v + t dv in K (inf when every t is), v
-        being x (primal) or s."""
-        nn = self.plan.nonneg
-        t = math.inf
-        down = dv[nn] < 0.0
-        if down.any():
-            t = float(np.min(-v[nn][down] / dv[nn][down]))
-        for grp, (_, _, Rx, Rs, _, _) in zip(self.plan.groups, self.mats):
-            R = Rx if primal else Rs
-            low = min(_dsyevd(Z, 0)[0][0] for Z in R.transpose(0, 2, 1) @ grp.full(dv[grp.packed]) @ R)
-            if low < 0.0:
-                t = min(t, -1.0 / low)
-        return t
+    def steps_to_boundary(self, x: np.ndarray, dx: np.ndarray, s: np.ndarray,
+                          ds: np.ndarray) -> tuple:
+        """Per direction, the largest steps tp with x + tp dx in K and td with
+        s + td ds in K (inf when every step is, NaN when an eigenvalue fails):
+        on the PSD blocks, minus the inverse of the least eigenvalue of
+        R' dV R, R the inverse root of the block of x or s."""
+        nn, D = self.plan.nonneg, x.shape[0]
+        dv = np.concatenate((dx, ds))
+        t = np.full(2 * D, math.inf)
+        if nn.size:
+            v = np.concatenate((x, s))
+            t = np.min(np.where(dv[:, nn] < 0.0, -v[:, nn] / dv[:, nn], math.inf), axis=1)
+        for grp, R in zip(self.plan.groups, self.roots):
+            Z = R.swapaxes(-1, -2) @ grp.full(dv) @ R
+            # scipy's dsyevd, not numpy's eigvalsh (see the module docstring)
+            low = np.array([_least_eigenvalue(M) for M in Z.reshape(-1, grp.size, grp.size)])
+            low = low.reshape(Z.shape[:2]).min(axis=1)
+            t = np.where(low >= 0.0, t, np.minimum(t, -1.0 / low))
+        return t[:D], t[D:]
 
     def predictor(self) -> list:
         """The complementarity right-hand sides with sigma = 0: -X on kept
         blocks, -S on slack ones."""
         return [-(S if grp.slack else X) for grp, (X, S, *_) in zip(self.plan.groups, self.mats)]
 
-    def corrector(self, sigma_mu: float, dx: np.ndarray, ds: np.ndarray) -> list:
-        """Mehrotra's right-hand sides after the predictor (dx, ds): sigma mu
-        S^-1 - X - sym(dX dS S^-1) on kept blocks, sigma mu X^-1 - S -
-        sym(dS dX X^-1) on slack ones."""
+    def corrector(self, sigma_mu: np.ndarray, dx: np.ndarray, ds: np.ndarray) -> list:
+        """Mehrotra's right-hand sides after the predictor (dx, ds), with
+        sigma mu per direction: sigma mu S^-1 - X - sym(dX dS S^-1) on kept
+        blocks, sigma mu X^-1 - S - sym(dS dX X^-1) on slack ones."""
         out = []
-        for grp, (X, S, _, _, _, Q) in zip(self.plan.groups, self.mats):
-            dX, dS = grp.full(dx[grp.packed]), grp.full(ds[grp.packed])
+        for grp, (X, S, _, Q) in zip(self.plan.groups, self.mats):
+            dX, dS = grp.full(dx), grp.full(ds)
             W = (dS @ dX if grp.slack else dX @ dS) @ Q
-            out.append(sigma_mu * Q - (S if grp.slack else X) - 0.5 * (W + W.transpose(0, 2, 1)))
+            out.append(sigma_mu[:, None, None, None] * Q - (S if grp.slack else X)
+                       - 0.5 * (W + W.swapaxes(-1, -2)))
         return out
 
 
@@ -856,102 +1036,145 @@ def _inverse_roots(M: np.ndarray) -> np.ndarray:
     eigenvalues of M^-1/2 N M^-1/2. Batched numpy Cholesky and inverse, not
     dpotri or dtrtrs: under two OpenBLAS threads those take 8-40 ms on
     blocks of side 6-20, against 0.003 ms on one."""
-    return np.linalg.inv(np.linalg.cholesky(M)).transpose(0, 2, 1)
+    return np.linalg.inv(np.linalg.cholesky(M)).swapaxes(-1, -2)
 
 
-def _interior_point(program: ConicProgram, opts: SolveOptions) -> tuple:
-    """Primal-dual path following on the equilibrated program, with the HKM
+def _interior_point(programs: list, opts: SolveOptions) -> tuple:
+    """Primal-dual path following on the equilibrated programs, which share
+    A, b and the cone and differ in c, all D of them in lockstep: the HKM
     direction and Mehrotra's predictor-corrector (SDPT3), free columns
     through the augmented system and nonnegative ones as diagonal terms.
-    Returns (solution, why it stopped): the first step's point that passes
-    the stopping rule, as `optimal`, or else the best one met as
-    `max_iters`, or None when no step reached a point with finite
-    residuals. It stops short after IPM_MAX_ITERS steps, or opts.max_iters,
-    or at a non-finite step, or once neither step length reaches
-    IPM_MIN_STEP, or when a Cholesky factor or the Newton system fails.
+    Returns ([(solution, why it stopped) per program], lockstep steps). A
+    program's solution is its first step's point that passes the stopping
+    rule, as `optimal`, or else the best one met as `max_iters`, or None
+    when no step reached a point with finite residuals. A program stops
+    short after IPM_MAX_ITERS steps, or opts.max_iters, or at a non-finite
+    step, or once neither step length reaches IPM_MIN_STEP, or when a
+    Cholesky factor or its Newton system fails; a program that stops is
+    masked out, and the others go on.
 
     A step's point is screened from the scaled residuals the next step
     needs anyway: the primal residual and the gap are the rule's own, and
     as the slack s lies inside K*, the scaled dual residual rd bounds the
     rule's dual residual, dist(s + rd, K*) <= |rd|. Only a point whose bound
     passes is measured in full (_measure), and only that measure accepts it."""
-    plan = program._interior
+    plan = programs[0]._interior
+    D = len(programs)
     if plan.degree == 0:
-        return None, "a program without cone entries"
+        return [(None, "a program without cone entries")] * D, 0
     A, d_row, d_col, AT, nn = plan.A, plan.d_row, plan.d_col, plan.AT, plan.nonneg
-    b, c, b_scale, c_scale = _scaled_vectors(program, d_row, d_col)
-    b_norm, c_norm = 1.0 + np.linalg.norm(program.b), 1.0 + np.linalg.norm(program.c)
+    scaled = [_scaled_vectors(program, d_row, d_col) for program in programs]
+    b, b_scale = scaled[0][0], scaled[0][2]
+    c = np.array([vec for _, vec, _, _ in scaled])
+    c_scale = np.array([scale for *_, scale in scaled])
+    b_norm = 1.0 + np.linalg.norm(programs[0].b)
+    c_norm = np.array([1.0 + np.linalg.norm(program.c) for program in programs])
 
-    def screen(rp, rd):
-        pv, dv = b_scale * c_scale * float(c @ x), b_scale * c_scale * float(b @ y)
-        return max(b_scale * float(np.linalg.norm(rp / d_row)) / b_norm,
-                   c_scale * float(np.linalg.norm(rd / d_col)) / c_norm,
-                   abs(pv - dv) / (1.0 + abs(pv) + abs(dv)))
+    def point(d, xd, yd):
+        x_orig, y_orig = d_col * xd * b_scale, c_scale[d] * (d_row * yd)
+        return (x_orig, y_orig, *_measure(programs[d], x_orig, y_orig))
 
-    def point():
-        x_orig, y_orig = d_col * x * b_scale, c_scale * (d_row * y)
-        return (x_orig, y_orig, *_measure(program, x_orig, y_orig))
-
-    x, s = plan.start(b, c)
-    y = np.zeros(A.shape[0])
-    rp, rd = b - A @ x, c - AT @ y - s
-    best, best_bound, found, steps = None, math.inf, None, 0
+    # the state holds the programs still stepping, row i being program live[i]
+    x, s = (np.array(parts) for parts in zip(*(plan.start(b, cd) for cd in c)))
+    y = np.zeros((D, A.shape[0]))
+    rp, rd = b - _mul(A, x), c - _mul(AT, y) - s
+    best_x, best_y, best_bound = x.copy(), y.copy(), np.full(D, math.inf)
+    live = np.arange(D)
+    found, stop, taken, steps = [None] * D, [None] * D, np.zeros(D, dtype=int), 0
     cap = min(IPM_MAX_ITERS, opts.max_iters)
-    stop = f"the cap of {cap} steps"
+
+    def retire(keep):
+        """Drop the rows not in `keep` from the state, each program's best
+        point measured when no step's point passed."""
+        nonlocal x, y, s, rp, rd, c, best_x, best_y, best_bound, live
+        for i in np.flatnonzero(~keep):
+            d = live[i]
+            taken[d] = steps
+            if found[d] is None and best_bound[i] < math.inf:
+                try:
+                    found[d] = point(d, best_x[i], best_y[i])
+                except np.linalg.LinAlgError:
+                    pass
+        x, y, s, rp, rd, c, best_x, best_y, best_bound, live = (
+            v[keep] for v in (x, y, s, rp, rd, c, best_x, best_y, best_bound, live))
+
     # an infeasible or unbounded program drives the iterates to overflow;
-    # that ends the loop through LinAlgError or a non-finite step, and a
-    # point whose residuals overflow is never the best one
+    # that stops it through LinAlgError or a non-finite step, and a point
+    # whose residuals overflow is never the best one
     with np.errstate(all="ignore"):
-        for _ in range(cap):
-            mu = float(x @ s) / plan.degree
-            newton = None  # free the last step's system first: it keeps peak memory down
+        while live.size and steps < cap:
+            mu = _dots(x, s) / plan.degree
+            newton = None  # free the last step's systems first: it keeps peak memory down
             try:
                 newton = _Newton(plan, x, s)
-                dx, dy, ds = newton.direction(rp, rd, newton.predictor(), -x[nn])
-                tp = min(1.0, newton.step_to_boundary(x, dx, True))
-                td = min(1.0, newton.step_to_boundary(s, ds, False))
-                mu_aff = float((x + tp * dx) @ (s + td * ds)) / plan.degree
-                sigma = min(1.0, max(0.0, mu_aff / mu) ** max(1.0, 3.0 * min(tp, td) ** 2))
-                tn = sigma * mu / s[nn] - x[nn] - dx[nn] * ds[nn] / s[nn]
-                dx, dy, ds = newton.direction(rp, rd, newton.corrector(sigma * mu, dx, ds), tn,
-                                              polish=True)
-                tp = min(1.0, IPM_STEP * newton.step_to_boundary(x, dx, True))
-                td = min(1.0, IPM_STEP * newton.step_to_boundary(s, ds, False))
-                if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))
-                        and np.all(np.isfinite(ds)) and math.isfinite(tp) and math.isfinite(td)):
-                    stop = "a non-finite step"
-                    break
-                x, y, s = x + tp * dx, y + td * dy, s + td * ds
-                s[plan.free] = 0.0
-                steps += 1
-                rp, rd = b - A @ x, c - AT @ y - s
-                bound = screen(rp, rd)
-                if bound < best_bound:
-                    best, best_bound = (x, y), bound
-                if bound <= opts.tol:
-                    found = point()
-                    if found[4].worst() <= opts.tol:
-                        stop = "the stopping rule"
-                        break
-                    found = None
-            except np.linalg.LinAlgError as err:
-                stop = f"LinAlgError '{err}' at step {steps}"
-                break
-            if max(tp, td) < IPM_MIN_STEP:
-                stop = "steps below IPM_MIN_STEP"
-                break
-        if found is None and best is not None:
-            x, y = best
-            try:
-                found = point()
-            except np.linalg.LinAlgError:
-                pass
-    if found is None:
-        return None, stop
-    x_orig, y_orig, pv, dv, res = found
-    return Solution(status="optimal" if res.worst() <= opts.tol else "max_iters",
-                    primal_value=pv, dual_value=dv, blocks=program.unpack(x_orig),
-                    x=x_orig, y=y_orig, residuals=res, iterations=steps), stop
+            except _Stopped as err:
+                for i, why in err.reasons.items():
+                    stop[live[i]] = f"LinAlgError '{why}' at step {steps}"
+                retire(np.array([i not in err.reasons for i in range(live.size)]))
+                continue
+            dx, dy, ds = newton.direction(rp, rd, newton.predictor(), -x[:, nn])
+            tp, td = (np.minimum(1.0, t) for t in newton.steps_to_boundary(x, dx, s, ds))
+            mu_aff = _dots(x + tp[:, None] * dx, s + td[:, None] * ds) / plan.degree
+            # Python floats: numpy's power rounds apart from C's pow in about
+            # one case in twenty
+            sigma = np.array([min(1.0, max(0.0, a / m) ** max(1.0, 3.0 * min(p, q) ** 2))
+                              for a, m, p, q in zip(mu_aff.tolist(), mu.tolist(),
+                                                    tp.tolist(), td.tolist())])
+            tn = x[:, nn]
+            if nn.size:
+                tn = (sigma * mu)[:, None] / s[:, nn] - tn - dx[:, nn] * ds[:, nn] / s[:, nn]
+            dx, dy, ds = newton.direction(rp, rd, newton.corrector(sigma * mu, dx, ds), tn,
+                                          polish=True)
+            tp, td = (np.minimum(1.0, IPM_STEP * t)[:, None]
+                      for t in newton.steps_to_boundary(x, dx, s, ds))
+            ok = np.isfinite(np.concatenate((dx, dy, ds, tp, td), axis=1)).all(axis=1)
+            if not ok.all():
+                for i in np.flatnonzero(~ok):
+                    stop[live[i]] = "a non-finite step"
+                dx, dy, ds, tp, td = (v[ok] for v in (dx, dy, ds, tp, td))
+                retire(ok)
+            x, y, s = x + tp * dx, y + td * dy, s + td * ds
+            s[:, plan.free] = 0.0
+            steps += 1
+            rp, rd = b - _mul(A, x), c - _mul(AT, y) - s
+            # the screen: a bound on every residual of the stopping rule
+            scale = b_scale * c_scale[live]
+            pv, dv = scale * _dots(c, x), scale * _dots(y, b)
+            rps, rds = rp / d_row, rd / d_col
+            bound = np.maximum(np.maximum(b_scale * np.sqrt(_dots(rps, rps)) / b_norm,
+                                          c_scale[live] * np.sqrt(_dots(rds, rds)) / c_norm[live]),
+                               np.abs(pv - dv) / (1.0 + np.abs(pv) + np.abs(dv)))
+            better = bound < best_bound
+            if better.all():  # x and y are new arrays every step: no copy is needed
+                best_x, best_y, best_bound = x, y, bound
+            elif better.any():
+                best_x[better], best_y[better] = x[better], y[better]
+                best_bound[better] = bound[better]
+            done = np.maximum(tp, td)[:, 0] < IPM_MIN_STEP
+            for i in np.flatnonzero(done):
+                stop[live[i]] = "steps below IPM_MIN_STEP"
+            for i in np.flatnonzero(bound <= opts.tol):
+                try:
+                    point_i = point(live[i], x[i], y[i])
+                except np.linalg.LinAlgError as err:
+                    point_i = None
+                    stop[live[i]] = f"LinAlgError '{err}' at step {steps}"
+                if point_i is not None and point_i[4].worst() <= opts.tol:
+                    found[live[i]], stop[live[i]] = point_i, "the stopping rule"
+                done[i] = stop[live[i]] is not None
+            if done.any():
+                retire(~done)
+        retire(np.zeros(live.size, dtype=bool))
+    out = []
+    for d, program in enumerate(programs):
+        sol = None
+        if found[d] is not None:
+            x_orig, y_orig, pv, dv, res = found[d]
+            sol = Solution(status="optimal" if res.worst() <= opts.tol else "max_iters",
+                           primal_value=pv, dual_value=dv, blocks=program.unpack(x_orig),
+                           x=x_orig, y=y_orig, residuals=res, iterations=int(taken[d]))
+        out.append((sol, stop[d] or f"the cap of {cap} steps"))
+    return out, steps
 
 
 # ----------------------------------------------------------------------------

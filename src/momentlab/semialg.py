@@ -456,18 +456,19 @@ def local_extremum(fs: Sequence[Polynomial], X: SemiAlgebraicSet, starts: np.nda
     Each round takes a search direction at a row's best point (see
     `directions`): a Newton step on the tangent space of the active
     constraints where the Lagrangian is concave there, the projected gradient
-    elsewhere. A backtracking line search along it restores each trial point
-    onto X (Gauss-Newton) and accepts the first that improves the objective
-    (ascent with `maximize`, descent without). Each row follows the rules of
-    a one-point polish; masks keep the rows apart, and a row that finishes
-    drops out. A round restores every live row's trial point in one
-    restore_feasibility call and computes every new search direction in one
-    batched solve. The distinct objectives are compiled once, and each row
-    gathers its own coefficient columns. Returns (points, values): a
-    feasible point per row and its objective value, or NaN where the start's
-    restoration fails. Local solvers routinely stop short on curved
-    constraint surfaces; this keeps grid-plus-polish estimates trustworthy
-    to round-off.
+    elsewhere, and the model's rising eigenvector where the gradient step
+    would gain nothing (near a saddle). A backtracking line search along it
+    restores each trial point onto X (Gauss-Newton) and accepts the first
+    that improves the objective (ascent with `maximize`, descent without).
+    Each row follows the rules of a one-point polish; masks keep the rows
+    apart, and a row that finishes drops out. A round restores every live
+    row's trial point in one restore_feasibility call and computes every new
+    search direction in one batched solve. The distinct objectives are
+    compiled once, and each row gathers its own coefficient columns.
+    Returns (points, values): a feasible point per row and its objective
+    value, or NaN where the start's restoration fails. Local solvers
+    routinely stop short on curved constraint surfaces; this keeps
+    grid-plus-polish estimates trustworthy to round-off.
     """
     starts = np.array(np.atleast_2d(starts), dtype=float)
     objectives: dict = {}
@@ -497,10 +498,12 @@ def local_extremum(fs: Sequence[Polynomial], X: SemiAlgebraicSet, starts: np.nda
         multipliers lam and the projector P on their null space. Where the
         Lagrangian's Hessian H = H_f - sum_i lam_i H_gi is negative definite
         on that null space, d is the Newton step -P (P H P - (I - P))^-1 P g;
-        elsewhere it is the projected gradient P g. The outer P drops the
-        round-off of P g off the null space, which the inverse would keep at
-        full size and which near the optimum moves the point off the active
-        surface by more than the step gains."""
+        elsewhere it is the projected gradient P g, or, where the quadratic
+        model gains nothing along P g over the row's step but P H P has a
+        positive eigenvalue, that eigenvalue's eigenvector signed to ascend.
+        The outer P drops the round-off of P g off the null space, which the
+        inverse would keep at full size and which near the optimum moves the
+        point off the active surface by more than the step gains."""
         z = best_x[rows]
         _, g, hf = jet(rows, z, 2)
         vals, jac, hess = X.compiled.jet(z, 2)
@@ -516,9 +519,21 @@ def local_extremum(fs: Sequence[Polynomial], X: SemiAlgebraicSet, starts: np.nda
         proj = np.eye(X.n) - np.swapaxes(v, 1, 2) @ v
         pg = _apply(proj, g)
         h = hf - (lam[..., None, None] * hess).sum(axis=1)
-        w, q = np.linalg.eigh(proj @ h @ proj - (np.eye(X.n) - proj))
-        newton = w.max(axis=1) < 0.0
+        M = proj @ h @ proj - (np.eye(X.n) - proj)
+        w, q = np.linalg.eigh(M)
+        newton = w[:, -1] < 0.0
         d = pg.copy()
+        # near a saddle's stable axis the gradient points back to the saddle:
+        # where the model gains nothing along it over the row's step t but
+        # curves up along its top eigenvector, that eigenvector, signed to
+        # ascend, is the direction
+        norm = np.linalg.norm(pg, axis=1)
+        unit = pg / np.where(norm > 0.0, norm, 1.0)[:, None]
+        t = step[rows]
+        gain = t * norm + 0.5 * t * t * (unit * _apply(M, unit)).sum(axis=1)
+        rising = (w[:, -1] > 0.0) & (gain <= 0.0)
+        top = q[rising, :, -1]
+        d[rising] = top * np.where((g[rising] * top).sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
         q, w = q[newton], w[newton]
         d[newton] = -_apply(proj[newton], _apply(q, _apply(np.swapaxes(q, 1, 2), pg[newton]) / w))
         return d, newton, 0.5 * np.abs((g * d).sum(axis=1)), np.abs(lam).sum(axis=1)

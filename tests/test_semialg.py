@@ -403,10 +403,9 @@ X1, X2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     (make_catalog_set("sphere", n=2), 0.6 * X1 - 1.7 * X2,
      rejection_sample(make_catalog_set("sphere", n=2), 4, seed=12), float(np.hypot(0.6, 1.7))),
     # starts 2e-3 from a saddle along its four diagonals, where the Hessian
-    # is indefinite and the direction is the gradient; the maximum 1 sits at
-    # (+-1, 0) on the boundary. The gradient takes longer from near the
-    # saddle's stable axis x1 = 0: one start 60 degrees off the x1 axis
-    # makes 17 calls, one 85 degrees off makes 52.
+    # is indefinite; the maximum 1 sits at (+-1, 0) on the boundary. Starts
+    # nearer the saddle's stable axis x1 = 0 are in
+    # test_local_extremum_leaves_a_saddle_along_its_rising_axis.
     (make_catalog_set("ball", n=2), X1 * X1 - X2 * X2,
      np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]) * 2e-3 / np.sqrt(2), 1.0),
 ], ids=["interior", "equality", "saddle"])
@@ -426,6 +425,27 @@ def test_local_extremum_reaches_the_maximum_in_few_rounds(X, f, starts, top, mon
     np.testing.assert_allclose(values, top, rtol=0, atol=1e-12)
     assert (violation_many(X, points) <= FEASIBILITY_TOL).all()
     assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("degrees", [60.0, 85.0])
+def test_local_extremum_leaves_a_saddle_along_its_rising_axis(degrees, monkeypatch):
+    # x1^2 - x2^2 on the unit disk from 2e-3 off its saddle, `degrees` off the
+    # x1 axis: the gradient points back toward the saddle along the stable
+    # axis x1 = 0, and the projected gradient alone made 17 and 52 calls
+    X = make_catalog_set("ball", n=2)
+    calls = []
+    original = semialg.restore_feasibility
+
+    def recorder(X, points):
+        calls.append(points)
+        return original(X, points)
+
+    monkeypatch.setattr(semialg, "restore_feasibility", recorder)
+    angle = np.radians(degrees)
+    start = 2e-3 * np.array([[np.cos(angle), np.sin(angle)]])
+    _, (value,) = semialg.local_extremum([X1 * X1 - X2 * X2], X, start, maximize=True)
+    assert abs(value - 1.0) <= 1e-12
+    assert len(calls) <= 10
 
 
 @pytest.mark.parametrize("terms, start", [
