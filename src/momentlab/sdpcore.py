@@ -27,14 +27,18 @@ iterates are (D, n) arrays, each group's matrices (D, count, s, s) stacks
 with one batched Cholesky and inverse, and one sparse product takes every
 direction's columns, while each direction keeps its own factor of K, step
 lengths, sigma, screen, measure and stopping rule and is masked out once it
-stops. `solve` runs the same loop with D = 1. Each row rounds as a loop over
-one objective does: its dot products go to BLAS ddot, sigma is taken in
-Python floats, and the step lengths' eigenvalues come from scipy's
-`dsyevd`, one matrix a call. (numpy's `eigvalsh` runs another OpenBLAS
-build, which rounds apart in the last bit, and the path amplifies that: it
-moved 2 of the 200 direction values of four `distance` passes by 1.5e-8.)
-So a direction's values do not depend on D, and they equal those of the
-one-objective loop this loop replaced, bit for bit. Each direction's
+stops. `solve` runs the same loop with D = 1. So that a lone solve costs
+no more than a loop over one objective, the per-direction bookkeeping is
+in Python floats, a single row is assigned and dotted as a vector (`_put`,
+`_dots`), X and S share one Cholesky and inverse call, the predictor and
+corrector share the residuals' part of their right-hand sides, and a
+role's groups are gathered and packed together (`_Side`). Each row rounds
+as a loop over one objective does: its dot products go to BLAS ddot, sigma
+is taken in Python floats, and the step lengths' eigenvalues come from
+scipy's `dsyevd`, one matrix a call. (numpy's `eigvalsh` runs another
+OpenBLAS build, which rounds apart in the last bit, and the path amplifies
+that: it moved 2 of the 200 direction values of four `distance` passes by
+1.5e-8.) So a direction's values do not depend on D. Each direction's
 lockstep point is then handed to `solve` as its start, so the stopping rule
 is applied again on that direction's own data and a passing point comes
 back at iteration 0; a direction the lockstep left short gets the cold
@@ -73,17 +77,17 @@ shapes are far slower than on one thread:
       side 136, zero                  (numpy eigvalsh 0.7 ms, up to 28 ms)
 
 Products up to (84 x 100)(100 x 84), gemv, scipy's `dsyevd` with and
-without vectors on blocks up to side 35, and numpy's batched Cholesky,
-inverse and `eigvalsh` on the blocks met here are not slowed, nor is
-`dgetrf` below 10^4 entries, which OpenBLAS runs on one thread. So K is
-factored by `dgetrf` up to 99 rows and by SuperLU above, inverses come from
-those batched calls, the step lengths from `dsyevd` (the interior point
-meets blocks up to side 35), the cone's eigenvalues from `eigvalsh`, and no
-dense product has an inner dimension above a block's side. (The rows at
-sides 136 and 153 are the start checks of the simplex upper series, Q,
-r = 16: 15 checks per process, three processes per kernel. With
-`eigvalsh`, scipy's eigenvector call at side 153 has the slow calls:
-median 5 ms, up to 128 ms.)
+without vectors on blocks up to side 35, and numpy's batched Cholesky and
+inverse on the blocks met here are not slowed, nor is `dgetrf` below 10^4
+entries, which OpenBLAS runs on one thread. So K is factored by `dgetrf`
+up to 99 rows and by SuperLU above, inverses come from those batched
+calls, every eigenvalue from `dsyevd` (`_dsyevd`), and no dense product has
+an inner dimension above a block's side. The rows at sides 136 and 153 are
+the start checks of the simplex upper series (Q, r = 16; 15 checks per
+process, three processes per kernel), the only blocks above side 35 met
+so far. Whether numpy's `eigvalsh` serves them better is open: its own
+slow calls at side 136 reach 28 ms, and with it the slow calls at side 153
+move to the eigenvector call (median 5 ms, up to 128 ms).
 
 The ADMM is operator splitting: the over-relaxed Douglas–Rachford
 fixed-point map on one variable w. With z = Π_K(w) and u = w − z (the
@@ -97,8 +101,8 @@ projection onto K.
 PSD blocks are stored in symmetric-packed form with sqrt(2) off-diagonal
 scaling so the flattening is an isometry and dual residuals keep their
 meaning. The projection onto K and the distance to K* go block by block:
-`smat` expands a PSD block and `eigvalsh` takes its eigenvalues; only a
-block with a negative one gets a LAPACK `dsyevd` call for its
+`smat` expands a PSD block and one LAPACK `dsyevd` call takes its
+eigenvalues; only a block with a negative one gets a second call, for its
 eigenvectors, and is rebuilt (`psd_project` uses the same clamp).
 
 `solve` takes two options, the tolerance and the iteration cap
@@ -211,30 +215,20 @@ def _clamp(M: np.ndarray) -> Optional[np.ndarray]:
     """The symmetric M with its negative eigenvalues set to zero (M is then
     overwritten), or None when it has none. Only then are eigenvectors taken:
     on blocks of side 35-153 they cost 1.3-2 times the eigenvalues alone."""
-    if _eigenvalues(M)[0] >= 0.0:
+    if _dsyevd(M.copy(), 0)[0][0] >= 0.0:
         return None
-    w, V = _dsyevd(M)
+    w, V = _dsyevd(M, 1)
     return (V * np.maximum(w, 0.0)) @ V.T
 
 
-def _eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric matrix M (numpy's eigvalsh,
-    whose slow calls under two OpenBLAS threads stay far below dsyevd's at
-    sides 136-153); raises LinAlgError, as LAPACK's dsyevd does, when they
-    are not finite (a NaN entry, say)."""
-    w = np.linalg.eigvalsh(M)
-    if not np.all(np.isfinite(w)):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return w
-
-
-def _dsyevd(M: np.ndarray) -> tuple:
-    """(ascending eigenvalues, eigenvectors) of the symmetric matrix M, which
-    is overwritten; raises as np.linalg.eigh does when they do not converge."""
-    # one direct LAPACK call: numpy's eigh is slowed by the threaded BLAS on
-    # these blocks (see the module docstring). M is symmetric, so M.T is a
-    # Fortran-ordered view LAPACK can work in without a copy.
-    w, V, info = lapack.dsyevd(M.T, compute_v=1, lower=1, overwrite_a=1)
+def _dsyevd(M: np.ndarray, compute_v: int) -> tuple:
+    """(ascending eigenvalues, eigenvectors when compute_v) of the symmetric
+    matrix M, which is overwritten; raises as np.linalg.eigh does when they
+    do not converge (a NaN entry, say)."""
+    # one direct LAPACK call: numpy's eigh wrapper costs more than the work on
+    # these blocks. M is symmetric, so M.T is a Fortran-ordered view LAPACK
+    # can work in without a copy.
+    w, V, info = lapack.dsyevd(M.T, compute_v=compute_v, lower=1, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return w, V
@@ -374,13 +368,13 @@ def _project(program: ConicProgram, v: np.ndarray) -> np.ndarray:
 
 def _dist_dual_cone(program: ConicProgram, v: np.ndarray) -> float:
     """Distance-like measure of v to K* (free components must vanish); a
-    NaN in v gives NaN, or LinAlgError from a PSD block's _eigenvalues."""
+    NaN in v gives NaN, or LinAlgError from a PSD block's _dsyevd."""
     norms = [0.0]
     for blk, sl in zip(program.blocks, program.block_slices()):
         if blk.kind == "free":
             norms.append(np.linalg.norm(v[sl]))
         else:
-            part = _eigenvalues(smat(v[sl], blk.size)) if blk.kind == "psd" else v[sl]
+            part = _dsyevd(smat(v[sl], blk.size), 0)[0] if blk.kind == "psd" else v[sl]
             norms.append(np.linalg.norm(np.minimum(part, 0.0)))
     return float(np.max(norms))
 
@@ -613,24 +607,6 @@ class _Group:
                 (w[sel], ((j[sel] * (hi - lo) + i[sel] - lo) * s + a[sel], j[sel] * s + b[sel])),
                 shape=(g * (hi - lo) * s, g * s))))
 
-    def full(self, v: np.ndarray) -> np.ndarray:
-        """The (D, count, s, s) stacks of the blocks' matrices in the rows v
-        (D, n) of vectors over A's columns."""
-        s = self.size
-        return (v.take(self.at, axis=1) * self.full_inv_w).reshape(-1, self.count, s, s)
-
-    def full_rows(self, r: np.ndarray) -> np.ndarray:
-        """The stacks of a slack group whose packed entries are the rows r
-        (D, m), over A's rows, divided by D at the group's rows R."""
-        s = self.size
-        return (r.take(self.row_at, axis=1) / self.D_at * self.full_inv_w).reshape(
-            -1, self.count, s, s)
-
-    def pack(self, M: np.ndarray) -> np.ndarray:
-        """The packed entries (D, count t), in group order, of the symmetric
-        stacks M."""
-        return M.reshape(M.shape[0], -1).take(self.tri, axis=1) / self.inv_w
-
     def schur(self, P: np.ndarray, Q: np.ndarray) -> list:
         """Per direction d, the sum over the blocks of the k x k matrix
         <V_i, P_d V_j Q_d> of each block's rows V_i, symmetrized; P and Q are
@@ -656,15 +632,63 @@ class _Group:
         return [0.5 * (Cd + Cd.T) for Cd in C]
 
 
+class _Side:
+    """Groups side by side (the kept ones, the slack ones, or all): one
+    gather of a vector builds every group's stacks and one take packs them,
+    where a call per group would pay numpy's cost per call once a group."""
+
+    def __init__(self, groups: list):
+        def joined(arrays, dtype=float):
+            return np.concatenate(arrays + [[]]).astype(dtype)
+
+        self.groups = groups
+        sizes = [grp.count * grp.size * grp.size for grp in groups]
+        starts = np.cumsum([0] + sizes)
+        self.spans = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+        self.packed = joined([grp.packed for grp in groups], np.intp)
+        self.at = joined([grp.at for grp in groups], np.intp)
+        self.full_inv_w = joined([grp.full_inv_w for grp in groups])
+        self.tri = joined([grp.tri + a for grp, a in zip(groups, starts)], np.intp)
+        self.inv_w = joined([grp.inv_w for grp in groups])
+        if groups and groups[0].slack:
+            self.rows = joined([grp.rows for grp in groups], np.intp)
+            self.D = joined([grp.D for grp in groups])
+            self.row_at = joined([grp.rows[grp.pos] for grp in groups], np.intp)
+            self.D_at = joined([grp.D[grp.pos] for grp in groups])
+
+    def _split(self, F: np.ndarray) -> list:
+        return [F[:, sl].reshape(-1, grp.count, grp.size, grp.size)
+                for grp, sl in zip(self.groups, self.spans)]
+
+    def full(self, v: np.ndarray) -> list:
+        """Per group, the (D, count, s, s) stacks of the blocks' matrices in
+        the rows v (D, n) of vectors over A's columns."""
+        if not self.groups:
+            return []
+        return self._split(v.take(self.at, axis=1) * self.full_inv_w)
+
+    def full_rows(self, r: np.ndarray) -> list:
+        """Per slack group, the stacks whose packed entries are the rows r
+        (D, m), over A's rows, divided by D at the group's rows R."""
+        return self._split(r.take(self.row_at, axis=1) / self.D_at * self.full_inv_w)
+
+    def pack(self, mats: list) -> np.ndarray:
+        """The packed entries (D, ...), group after group, of the symmetric
+        stacks mats, one per group."""
+        F = [M.reshape(M.shape[0], -1) for M in mats]
+        F = F[0] if len(F) == 1 else np.concatenate(F, axis=1)
+        return F.take(self.tri, axis=1) / self.inv_w
+
+
 class _InteriorPlan:
     """What the interior-point method and the ADMM read of a program's A,
     built once: the equilibrated A (_equilibrate) and, from its coordinate
     arrays, the free and nonnegative columns, the rows O left once the
-    slack blocks' rows are eliminated, the PSD blocks in _Groups, each
-    block's row norms for the start, and the factors of A A' and A_f' A_f
-    the corrector's projections use. A moment program's slacks are slack
-    blocks, so its Newton system has the size of its moments plus its rows
-    outside the slack rows."""
+    slack blocks' rows are eliminated, the PSD blocks in _Groups (and side
+    by side in _Sides), each block's row norms for the start, and the
+    factors of A A' and A_f' A_f the corrector's projections use. A moment
+    program's slacks are slack blocks, so its Newton system has the size of
+    its moments plus its rows outside the slack rows."""
 
     def __init__(self, program: ConicProgram):
         A, self.d_row, self.d_col = _equilibrate(program)
@@ -726,26 +750,21 @@ class _InteriorPlan:
                 grp = _Group(True, s, starts, self.free.size, index[col[sel]], row_q[row[sel]],
                              val[sel] / D[row_q[row[sel]]])
                 grp.rows, grp.D = entry_row[cols], D
-                grp.row_at, grp.D_at = grp.rows[grp.pos], D[grp.pos]
             else:
                 sel = in_O & (entry_group[col] == gid)
                 grp = _Group(False, s, starts, self.O.size, o_index[row[sel]],
                              entry_q[col[sel]], val[sel])
             self.groups.append(grp)
 
-        # the slack groups' entries side by side, for one product with G and
-        # one with G' per solve
-        slack_groups = [grp for grp in self.groups if grp.slack]
-        offset = 0
-        for grp in slack_groups:
-            grp.span = slice(offset, offset + grp.packed.size)
-            offset = grp.span.stop
-        self.slack_packed = np.concatenate([grp.packed for grp in slack_groups] + [[]]).astype(np.intp)
-        self.slack_rows = np.concatenate([grp.rows for grp in slack_groups] + [[]]).astype(np.intp)
-        self.slack_D = np.concatenate([grp.D for grp in slack_groups] + [[]])
+        # the groups side by side, kept ones first (as they sort), and the
+        # slack ones' G in one product with G and one with G' per solve
+        self.every = _Side(self.groups)
+        self.kept = _Side([grp for grp in self.groups if not grp.slack])
+        self.slack = _Side([grp for grp in self.groups if grp.slack])
+        slack_groups = self.slack.groups
         self.G = sp.hstack([grp.G for grp in slack_groups], format="csr") if slack_groups else None
         self.GT = None if self.G is None else self.G.T.tocsr()
-        self.kept = self.nonneg.size > 0 or len(slack_groups) < len(self.groups)
+        self.uses_u = self.nonneg.size > 0 or bool(self.kept.groups)
         sel = in_O & ~in_cone
         self.A_free_O = np.zeros((self.O.size, self.free.size))
         self.A_free_O[o_index[row[sel]], index[col[sel]]] = val[sel]
@@ -766,9 +785,6 @@ class _InteriorPlan:
         self.A_free_T = self.A_free.T.tocsr()
         size = self.O.size + self.free.size  # K's CSC arrays, every entry stored
         self.dense_pattern = (np.tile(np.arange(size), size), np.arange(size + 1) * size)
-        self.K = np.zeros((size, size))  # K's blocks that no step changes
-        self.K[:self.O.size, self.O.size:] = self.A_free_O
-        self.K[self.O.size:, :self.O.size] = self.A_free_O.T
         self.free_lu = None  # without free columns, or with dependent ones, no dual projection
         if self.free.size:
             try:
@@ -827,19 +843,33 @@ def _each(fn, M: np.ndarray) -> np.ndarray:
         raise _Stopped(reasons) from None
 
 
-def _dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _pairs(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The rows u_0, v_0, u_1, v_1, ... of U and V (D, n), as (2 D, n)."""
+    out = np.empty((U.shape[0], 2, U.shape[1]))
+    out[:, 0], out[:, 1] = U, V
+    return out.reshape(-1, U.shape[1])
+
+
+def _dots(U: np.ndarray, V: np.ndarray) -> list:
     """The dot product of each row of U (D, n) with the same row of V (D,
-    n), or with V (n,): a stack of vector products, which numpy hands to
-    BLAS ddot row by row, so each row sums as `u @ v` does (einsum and
-    gemv sum in other orders)."""
-    return np.matmul(U[:, None, :], V[..., None])[:, 0, 0]
+    n), or with V (n,), as Python floats: a stack of vector products, which
+    numpy hands to BLAS ddot row by row, so each row sums as `u @ v` does
+    (einsum and gemv sum in other orders). A single row is one `u @ v`, at
+    a third of the stack's cost."""
+    if U.shape[0] == 1:
+        return [float(U[0] @ (V if V.ndim == 1 else V[0]))]
+    return np.matmul(U[:, None, :], V[..., None])[:, 0, 0].tolist()
 
 
-def _least_eigenvalue(M: np.ndarray) -> float:
-    """The least eigenvalue of the symmetric M, which is overwritten, from
-    one scipy dsyevd call; NaN when LAPACK fails (a NaN entry, say)."""
-    w, _, info = lapack.dsyevd(M.T, compute_v=0, lower=1, overwrite_a=1)
-    return w[0] if info == 0 else math.nan
+def _put(U: np.ndarray, cols: np.ndarray, V) -> None:
+    """U[:, cols] = V for the rows U (D, n). A single row is assigned as a
+    vector: numpy's fancy assignment into a 2-D array costs about twice as
+    much (4.7 against 2.5 us for 1200 of 3000 entries on a 2-vCPU VM), and a
+    lone solve makes about 30 of them a step."""
+    if U.shape[0] == 1:
+        U[0][cols] = V[0] if isinstance(V, np.ndarray) else V
+    else:
+        U[:, cols] = V
 
 
 def _mul(A: sp.csr_matrix, V: np.ndarray) -> np.ndarray:
@@ -878,35 +908,40 @@ def _factor_newton(K: np.ndarray, pattern: tuple):
 
 class _Newton:
     """The Newton systems at D interior points (x, s), rows of (D, n)
-    arrays: per group the stacked X and S (D, count, s, s), the pair (P, Q)
-    of the operator V -> sym(P V Q) (X, S^-1 on kept blocks: the HKM
-    direction; S, X^-1 on slack blocks, where the roles of the two sides
-    swap) and the inverse roots of X and S (_inverse_roots) stacked for the
-    step lengths, and per direction the factor of K = [[M, A[O, free]],
+    arrays, with their residuals rp and rd: per group the stacked X and S
+    (D, count, s, s), the pair (P, Q) of the operator V -> sym(P V Q) (X,
+    S^-1 on kept blocks: the HKM direction; S, X^-1 on slack blocks, where
+    the roles of the two sides swap) and the inverse roots of X and S
+    (_inverse_roots, one call on both), kept for the step lengths in the row
+    order of _pairs; per direction the factor of K = [[M, A[O, free]],
     [A[O, free]', -N]] (solve_K), which the predictor, the corrector and its
-    refinement reuse. A direction whose Cholesky factor or K fails raises
-    _Stopped."""
+    refinement reuse; and the part of the predictor's and the corrector's
+    right-hand sides that rp and rd give (base). A direction whose Cholesky
+    factor or K fails raises _Stopped."""
 
-    def __init__(self, plan: _InteriorPlan, x: np.ndarray, s: np.ndarray):
-        self.plan = plan
+    def __init__(self, plan: _InteriorPlan, x: np.ndarray, s: np.ndarray, rp: np.ndarray,
+                 rd: np.ndarray):
+        self.plan, self.rp, self.rd = plan, rp, rd
         self.ratio = x.take(plan.nonneg, axis=1) / s.take(plan.nonneg, axis=1)
         o, nf = plan.O.size, plan.free.size
         self.mats, self.roots, schur = [], [], []
-        for grp in plan.groups:
-            X, S = grp.full(x), grp.full(s)
-            Rx, Rs = _each(_inverse_roots, X), _each(_inverse_roots, S)
-            R = Rx if grp.slack else Rs
-            P, Q = (S if grp.slack else X), R @ R.swapaxes(-1, -2)
+        for grp, XS in zip(plan.groups, plan.every.full(_pairs(x, s))):
+            XS = XS.reshape(-1, 2, grp.count, grp.size, grp.size)
+            R = _each(_inverse_roots, XS)
+            X, S, Rq = XS[:, 0], XS[:, 1], R[:, 0 if grp.slack else 1]
+            P, Q = (S if grp.slack else X), Rq @ Rq.swapaxes(-1, -2)
             schur.append(grp.schur(P, Q))
             self.mats.append((X, S, P, Q))
-            self.roots.append(np.concatenate((Rx, Rs)))
+            self.roots.append(R.reshape(-1, grp.count, grp.size, grp.size))
         self.solve_K, reasons = None, {}
         if o + nf:
             # one K at a time, dropped once factored: D of them at once would
             # raise glibc's mmap threshold (see _Group) and the peak memory
             self.solve_K = []
             for d, ratio in enumerate(self.ratio):
-                K = plan.K.copy()
+                K = np.zeros((o + nf, o + nf))
+                K[:o, o:] = plan.A_free_O
+                K[o:, :o] = plan.A_free_O.T
                 for grp, C in zip(plan.groups, schur):
                     if grp.slack:
                         K[o:, o:] -= C[d]
@@ -921,14 +956,21 @@ class _Newton:
                     reasons[d] = str(err)
         if reasons:
             raise _Stopped(reasons)
+        self.base = self._base(rp, rd)
 
     def op(self, j: int, V: np.ndarray) -> np.ndarray:
         P, Q = self.mats[j][2:]
         W = P @ V @ Q
         return 0.5 * (W + W.swapaxes(-1, -2))
 
-    def direction(self, rp: np.ndarray, rd: np.ndarray, T: list, tn: np.ndarray,
-                  polish: bool = False) -> tuple:
+    def _base(self, rp: np.ndarray, rd: np.ndarray) -> list:
+        """Per group, op of the residuals' matrices: of rd on kept blocks, and
+        on slack ones of rp at their rows R, divided by D."""
+        plan = self.plan
+        mats = plan.kept.full(rd) + (plan.slack.full_rows(rp) if plan.G is not None else [])
+        return [self.op(j, V) for j, V in enumerate(mats)]
+
+    def direction(self, T: list, tn: np.ndarray, polish: bool = False) -> tuple:
         """(dx, dy, ds), rows per direction, solving A dx = rp, A'dy + ds = rd
         (ds = 0 on free entries) and the linearized complementarity: dX = T -
         op(dS) on kept blocks, dS = T - op(dX) on slack ones (T per group),
@@ -936,13 +978,13 @@ class _Newton:
         IPM_REFINE steps of iterative refinement on the residuals of the two
         linear equations follow, and then their projections: dx onto A dx =
         rp, and dy onto the free columns' A_f'dy = rd_f."""
-        plan = self.plan
-        dx, dy, ds = self._solve(rp, rd, T, tn)
-        zero = [np.zeros_like(t) for t in T]
+        plan, rp, rd = self.plan, self.rp, self.rd
+        dx, dy, ds = self._solve(rp, rd, self.base, T, tn)
+        zero = [np.zeros(t.shape) for t in T]
         for _ in range(IPM_REFINE if polish else 0):
             # ds is 0 on the free entries, so ey there is the free columns' own residual
-            ey = rd - _mul(plan.AT, dy) - ds
-            cx, cy, cs = self._solve(rp - _mul(plan.A, dx), ey, zero, np.zeros_like(tn))
+            ex, ey = rp - _mul(plan.A, dx), rd - _mul(plan.AT, dy) - ds
+            cx, cy, cs = self._solve(ex, ey, self._base(ex, ey), zero, np.zeros(tn.shape))
             dx, dy, ds = dx + cx, dy + cy, ds + cs
         if polish:
             dx += _mul(plan.AT, _lu_rows(plan.gram_lu, rp - _mul(plan.A, dx)))
@@ -951,66 +993,67 @@ class _Newton:
                                                   rd.take(plan.free, axis=1)
                                                   - _mul(plan.A_free_T, dy)))
                 ds = rd - _mul(plan.AT, dy)
-                ds[:, plan.free] = 0.0
+                _put(ds, plan.free, 0.0)
         return dx, dy, ds
 
-    def _solve(self, rp: np.ndarray, rd: np.ndarray, T: list, tn: np.ndarray) -> tuple:
-        plan = self.plan
-        o = plan.O.size
-        u = np.zeros_like(rd) if plan.kept else None
+    def _solve(self, rp: np.ndarray, rd: np.ndarray, base: list, T: list,
+               tn: np.ndarray) -> tuple:
+        plan, kept, slack = self.plan, self.plan.kept, self.plan.slack
+        o, nk = plan.O.size, len(kept.groups)
+        u = np.zeros(rd.shape) if plan.uses_u else None
         h2 = rd.take(plan.free, axis=1)
-        w = rd.take(plan.slack_packed, axis=1)
-        for j, grp in enumerate(plan.groups):
-            if grp.slack:
-                w[:, grp.span] -= grp.pack(T[j] - self.op(j, grp.full_rows(rp)))
-            else:
-                u[:, grp.packed] = grp.pack(T[j] - self.op(j, grp.full(rd)))
+        if nk:
+            _put(u, kept.packed, kept.pack([t - v for t, v in zip(T[:nk], base)]))
         if plan.G is not None:
+            w = rd.take(slack.packed, axis=1) - slack.pack(
+                [t - v for t, v in zip(T[nk:], base[nk:])])
             h2 -= _mul(plan.G, w)
         if plan.nonneg.size:
-            u[:, plan.nonneg] = tn - self.ratio * rd.take(plan.nonneg, axis=1)
-        rhs = np.concatenate((((rp - _mul(plan.A, u)) if plan.kept else rp).take(plan.O, axis=1),
+            _put(u, plan.nonneg, tn - self.ratio * rd.take(plan.nonneg, axis=1))
+        rhs = np.concatenate((((rp - _mul(plan.A, u)) if plan.uses_u else rp).take(plan.O, axis=1),
                               h2), axis=1)
         sol = rhs if self.solve_K is None else np.array([f(r) for f, r in zip(self.solve_K, rhs)])
-        dy = np.zeros_like(rp)
-        dy[:, plan.O] = sol[:, :o]
-        dx = np.zeros_like(rd)
-        dx[:, plan.free] = sol[:, o:]
+        dy = np.zeros(rp.shape)
+        _put(dy, plan.O, sol[:, :o])
+        dx = np.zeros(rd.shape)
+        _put(dx, plan.free, sol[:, o:])
         if plan.G is not None:
-            dx[:, plan.slack_packed] = (rp.take(plan.slack_rows, axis=1) / plan.slack_D
-                                        - _mul(plan.GT, sol[:, o:]))
-        for j, grp in enumerate(plan.groups):
-            if grp.slack:
-                dS = T[j] - self.op(j, grp.full(dx))
-                dy[:, grp.rows] = (rd.take(grp.packed, axis=1) - grp.pack(dS)) / grp.D
+            _put(dx, slack.packed,
+                 rp.take(slack.rows, axis=1) / slack.D - _mul(plan.GT, sol[:, o:]))
+            dS = [T[j] - self.op(j, V) for j, V in enumerate(slack.full(dx), nk)]
+            _put(dy, slack.rows, (rd.take(slack.packed, axis=1) - slack.pack(dS)) / slack.D)
         ds = rd - _mul(plan.AT, dy)
-        ds[:, plan.free] = 0.0
-        for j, grp in enumerate(plan.groups):
-            if not grp.slack:
-                dx[:, grp.packed] = grp.pack(T[j] - self.op(j, grp.full(ds)))
+        _put(ds, plan.free, 0.0)
+        if nk:
+            _put(dx, kept.packed,
+                 kept.pack([T[j] - self.op(j, V) for j, V in enumerate(kept.full(ds))]))
         if plan.nonneg.size:
-            dx[:, plan.nonneg] = tn - self.ratio * ds.take(plan.nonneg, axis=1)
+            _put(dx, plan.nonneg, tn - self.ratio * ds.take(plan.nonneg, axis=1))
         return dx, dy, ds
 
     def steps_to_boundary(self, x: np.ndarray, dx: np.ndarray, s: np.ndarray,
-                          ds: np.ndarray) -> tuple:
+                          ds: np.ndarray) -> np.ndarray:
         """Per direction, the largest steps tp with x + tp dx in K and td with
-        s + td ds in K (inf when every step is, NaN when an eigenvalue fails):
-        on the PSD blocks, minus the inverse of the least eigenvalue of
-        R' dV R, R the inverse root of the block of x or s."""
-        nn, D = self.plan.nonneg, x.shape[0]
-        dv = np.concatenate((dx, ds))
-        t = np.full(2 * D, math.inf)
+        s + td ds in K, as the rows of a (2, D) array (inf when every step
+        is, NaN when an eigenvalue fails): on the PSD blocks, minus the
+        inverse of the least eigenvalue of R' dV R, R the inverse root of the
+        block of x or s."""
+        nn = self.plan.nonneg
+        dv = _pairs(dx, ds)  # the rows of the roots
+        t = [math.inf] * dv.shape[0]
         if nn.size:
-            v = np.concatenate((x, s))
-            t = np.min(np.where(dv[:, nn] < 0.0, -v[:, nn] / dv[:, nn], math.inf), axis=1)
-        for grp, R in zip(self.plan.groups, self.roots):
-            Z = R.swapaxes(-1, -2) @ grp.full(dv) @ R
-            # scipy's dsyevd, not numpy's eigvalsh (see the module docstring)
-            low = np.array([_least_eigenvalue(M) for M in Z.reshape(-1, grp.size, grp.size)])
-            low = low.reshape(Z.shape[:2]).min(axis=1)
-            t = np.where(low >= 0.0, t, np.minimum(t, -1.0 / low))
-        return t[:D], t[D:]
+            v, dn = _pairs(x, s).take(nn, axis=1), dv.take(nn, axis=1)
+            t = np.min(np.where(dn < 0.0, -v / dn, math.inf), axis=1).tolist()
+        for R, V in zip(self.roots, self.plan.every.full(dv)):
+            for i, Z in enumerate(R.swapaxes(-1, -2) @ V @ R):
+                for M in Z:
+                    try:
+                        low = _dsyevd(M, 0)[0][0]
+                    except np.linalg.LinAlgError:
+                        low = math.nan
+                    if not low >= 0.0:  # a NaN step stays NaN: min(nan, t) is nan
+                        t[i] = min(t[i], -1.0 / low) if low < 0.0 else math.nan
+        return np.array(t).reshape(-1, 2).T
 
     def predictor(self) -> list:
         """The complementarity right-hand sides with sigma = 0: -X on kept
@@ -1022,8 +1065,9 @@ class _Newton:
         sigma mu per direction: sigma mu S^-1 - X - sym(dX dS S^-1) on kept
         blocks, sigma mu X^-1 - S - sym(dS dX X^-1) on slack ones."""
         out = []
-        for grp, (X, S, _, Q) in zip(self.plan.groups, self.mats):
-            dX, dS = grp.full(dx), grp.full(ds)
+        every = self.plan.every
+        for grp, (X, S, _, Q), dX, dS in zip(every.groups, self.mats, every.full(dx),
+                                             every.full(ds)):
             W = (dS @ dX if grp.slack else dX @ dS) @ Q
             out.append(sigma_mu[:, None, None, None] * Q - (S if grp.slack else X)
                        - 0.5 * (W + W.swapaxes(-1, -2)))
@@ -1066,105 +1110,102 @@ def _interior_point(programs: list, opts: SolveOptions) -> tuple:
     scaled = [_scaled_vectors(program, d_row, d_col) for program in programs]
     b, b_scale = scaled[0][0], scaled[0][2]
     c = np.array([vec for _, vec, _, _ in scaled])
-    c_scale = np.array([scale for *_, scale in scaled])
+    c_scale = [scale for *_, scale in scaled]
     b_norm = 1.0 + np.linalg.norm(programs[0].b)
-    c_norm = np.array([1.0 + np.linalg.norm(program.c) for program in programs])
+    c_norm = [1.0 + np.linalg.norm(program.c) for program in programs]
 
     def point(d, xd, yd):
         x_orig, y_orig = d_col * xd * b_scale, c_scale[d] * (d_row * yd)
         return (x_orig, y_orig, *_measure(programs[d], x_orig, y_orig))
 
-    # the state holds the programs still stepping, row i being program live[i]
+    # the state holds the programs still stepping, row i being program
+    # live[i]; the per-program bookkeeping is in Python floats and lists,
+    # which a lone solve reaches faster than numpy's (1,) arrays
     x, s = (np.array(parts) for parts in zip(*(plan.start(b, cd) for cd in c)))
     y = np.zeros((D, A.shape[0]))
     rp, rd = b - _mul(A, x), c - _mul(AT, y) - s
-    best_x, best_y, best_bound = x.copy(), y.copy(), np.full(D, math.inf)
-    live = np.arange(D)
-    found, stop, taken, steps = [None] * D, [None] * D, np.zeros(D, dtype=int), 0
+    live = list(range(D))
+    best = [(math.inf, None, None)] * D  # per program: its least bound, that step's x and y
+    found, stop, taken, steps = [None] * D, [None] * D, [0] * D, 0
     cap = min(IPM_MAX_ITERS, opts.max_iters)
 
-    def retire(keep):
-        """Drop the rows not in `keep` from the state, each program's best
-        point measured when no step's point passed."""
-        nonlocal x, y, s, rp, rd, c, best_x, best_y, best_bound, live
-        for i in np.flatnonzero(~keep):
-            d = live[i]
-            taken[d] = steps
-            if found[d] is None and best_bound[i] < math.inf:
-                try:
-                    found[d] = point(d, best_x[i], best_y[i])
-                except np.linalg.LinAlgError:
-                    pass
-        x, y, s, rp, rd, c, best_x, best_y, best_bound, live = (
-            v[keep] for v in (x, y, s, rp, rd, c, best_x, best_y, best_bound, live))
+    def retire(halt: dict):
+        """Drop the rows in `halt`, {row: why it stopped}, from the state."""
+        nonlocal x, y, s, rp, rd, c, live
+        for i, why in halt.items():
+            stop[live[i]], taken[live[i]] = why, steps
+        keep = [i for i in range(len(live)) if i not in halt]
+        x, y, s, rp, rd, c = (v[keep] for v in (x, y, s, rp, rd, c))
+        live = [live[i] for i in keep]
 
     # an infeasible or unbounded program drives the iterates to overflow;
     # that stops it through LinAlgError or a non-finite step, and a point
     # whose residuals overflow is never the best one
     with np.errstate(all="ignore"):
-        while live.size and steps < cap:
-            mu = _dots(x, s) / plan.degree
+        while live and steps < cap:
+            mu = [v / plan.degree for v in _dots(x, s)]
             newton = None  # free the last step's systems first: it keeps peak memory down
             try:
-                newton = _Newton(plan, x, s)
+                newton = _Newton(plan, x, s, rp, rd)
             except _Stopped as err:
-                for i, why in err.reasons.items():
-                    stop[live[i]] = f"LinAlgError '{why}' at step {steps}"
-                retire(np.array([i not in err.reasons for i in range(live.size)]))
+                retire({i: f"LinAlgError '{why}' at step {steps}"
+                        for i, why in err.reasons.items()})
                 continue
-            dx, dy, ds = newton.direction(rp, rd, newton.predictor(), -x[:, nn])
-            tp, td = (np.minimum(1.0, t) for t in newton.steps_to_boundary(x, dx, s, ds))
-            mu_aff = _dots(x + tp[:, None] * dx, s + td[:, None] * ds) / plan.degree
-            # Python floats: numpy's power rounds apart from C's pow in about
-            # one case in twenty
-            sigma = np.array([min(1.0, max(0.0, a / m) ** max(1.0, 3.0 * min(p, q) ** 2))
-                              for a, m, p, q in zip(mu_aff.tolist(), mu.tolist(),
-                                                    tp.tolist(), td.tolist())])
+            dx, dy, ds = newton.direction(newton.predictor(), -x[:, nn])
+            tp, td = np.minimum(1.0, newton.steps_to_boundary(x, dx, s, ds))
+            mu_aff = [v / plan.degree for v in _dots(x + tp[:, None] * dx, s + td[:, None] * ds)]
+            # sigma in Python floats: numpy's power rounds apart from C's pow
+            # in about one case in twenty
+            sigma_mu = np.array([min(1.0, max(0.0, a / m) ** max(1.0, 3.0 * min(p, q) ** 2)) * m
+                                 for a, m, p, q in zip(mu_aff, mu, tp.tolist(), td.tolist())])
             tn = x[:, nn]
             if nn.size:
-                tn = (sigma * mu)[:, None] / s[:, nn] - tn - dx[:, nn] * ds[:, nn] / s[:, nn]
-            dx, dy, ds = newton.direction(rp, rd, newton.corrector(sigma * mu, dx, ds), tn,
-                                          polish=True)
-            tp, td = (np.minimum(1.0, IPM_STEP * t)[:, None]
-                      for t in newton.steps_to_boundary(x, dx, s, ds))
+                tn = sigma_mu[:, None] / s[:, nn] - tn - dx[:, nn] * ds[:, nn] / s[:, nn]
+            dx, dy, ds = newton.direction(newton.corrector(sigma_mu, dx, ds), tn, polish=True)
+            tp, td = np.minimum(1.0, IPM_STEP * newton.steps_to_boundary(x, dx, s, ds))[:, :, None]
             ok = np.isfinite(np.concatenate((dx, dy, ds, tp, td), axis=1)).all(axis=1)
             if not ok.all():
-                for i in np.flatnonzero(~ok):
-                    stop[live[i]] = "a non-finite step"
+                retire({i: "a non-finite step" for i in np.flatnonzero(~ok).tolist()})
+                if not live:
+                    break
                 dx, dy, ds, tp, td = (v[ok] for v in (dx, dy, ds, tp, td))
-                retire(ok)
             x, y, s = x + tp * dx, y + td * dy, s + td * ds
-            s[:, plan.free] = 0.0
+            _put(s, plan.free, 0.0)
             steps += 1
             rp, rd = b - _mul(A, x), c - _mul(AT, y) - s
             # the screen: a bound on every residual of the stopping rule
-            scale = b_scale * c_scale[live]
-            pv, dv = scale * _dots(c, x), scale * _dots(y, b)
             rps, rds = rp / d_row, rd / d_col
-            bound = np.maximum(np.maximum(b_scale * np.sqrt(_dots(rps, rps)) / b_norm,
-                                          c_scale[live] * np.sqrt(_dots(rds, rds)) / c_norm[live]),
-                               np.abs(pv - dv) / (1.0 + np.abs(pv) + np.abs(dv)))
-            better = bound < best_bound
-            if better.all():  # x and y are new arrays every step: no copy is needed
-                best_x, best_y, best_bound = x, y, bound
-            elif better.any():
-                best_x[better], best_y[better] = x[better], y[better]
-                best_bound[better] = bound[better]
-            done = np.maximum(tp, td)[:, 0] < IPM_MIN_STEP
-            for i in np.flatnonzero(done):
-                stop[live[i]] = "steps below IPM_MIN_STEP"
-            for i in np.flatnonzero(bound <= opts.tol):
+            halt = {}
+            for i, (cx, yb, pp, dd, p, q) in enumerate(zip(
+                    _dots(c, x), _dots(y, b), _dots(rps, rps), _dots(rds, rds), tp[:, 0].tolist(),
+                    td[:, 0].tolist())):
+                d = live[i]
+                pv, dv = b_scale * c_scale[d] * cx, b_scale * c_scale[d] * yb
+                bound = max(b_scale * math.sqrt(pp) / b_norm,
+                            c_scale[d] * math.sqrt(dd) / c_norm[d],
+                            abs(pv - dv) / (1.0 + abs(pv) + abs(dv)))
+                if bound < best[d][0]:  # copies: a row's view would keep all D rows
+                    best[d] = (bound, x[i].copy(), y[i].copy())
+                if bound <= opts.tol:
+                    try:
+                        measured = point(d, x[i], y[i])
+                    except np.linalg.LinAlgError as err:
+                        halt[i] = f"LinAlgError '{err}' at step {steps}"
+                        continue
+                    if measured[4].worst() <= opts.tol:
+                        found[d], halt[i] = measured, "the stopping rule"
+                        continue
+                if max(p, q) < IPM_MIN_STEP:
+                    halt[i] = "steps below IPM_MIN_STEP"
+            if halt:
+                retire(halt)
+        retire({i: f"the cap of {cap} steps" for i in range(len(live))})
+        for d, (_, xd, yd) in enumerate(best):
+            if found[d] is None and xd is not None:
                 try:
-                    point_i = point(live[i], x[i], y[i])
-                except np.linalg.LinAlgError as err:
-                    point_i = None
-                    stop[live[i]] = f"LinAlgError '{err}' at step {steps}"
-                if point_i is not None and point_i[4].worst() <= opts.tol:
-                    found[live[i]], stop[live[i]] = point_i, "the stopping rule"
-                done[i] = stop[live[i]] is not None
-            if done.any():
-                retire(~done)
-        retire(np.zeros(live.size, dtype=bool))
+                    found[d] = point(d, xd, yd)
+                except np.linalg.LinAlgError:
+                    pass
     out = []
     for d, program in enumerate(programs):
         sol = None
@@ -1172,8 +1213,8 @@ def _interior_point(programs: list, opts: SolveOptions) -> tuple:
             x_orig, y_orig, pv, dv, res = found[d]
             sol = Solution(status="optimal" if res.worst() <= opts.tol else "max_iters",
                            primal_value=pv, dual_value=dv, blocks=program.unpack(x_orig),
-                           x=x_orig, y=y_orig, residuals=res, iterations=int(taken[d]))
-        out.append((sol, stop[d] or f"the cap of {cap} steps"))
+                           x=x_orig, y=y_orig, residuals=res, iterations=taken[d])
+        out.append((sol, stop[d]))
     return out, steps
 
 

@@ -100,3 +100,33 @@ def test_solve_many_logs_one_event(caplog):
     alone = events[0].split("went on alone: ")[1].split(", ")
     assert accepted + len(alone) == 8
     assert all(entry.endswith("(stopped by the cap of 10 steps)") for entry in alone)
+
+
+def test_solve_many_counts_only_the_steps_some_direction_took(caplog, monkeypatch):
+    # from the lockstep's fourth step on, every step length is NaN: both
+    # directions stop at step 3 by a non-finite step, and the lone solves,
+    # which step one direction at a time, are left alone
+    original = sdpcore._Newton.steps_to_boundary
+    lockstep_calls = []
+
+    def failing(self, x, dx, s, ds):
+        t = original(self, x, dx, s, ds)
+        if x.shape[0] > 1:
+            lockstep_calls.append(x.shape[0])
+            if len(lockstep_calls) > 6:
+                t[:] = np.nan
+        return t
+
+    monkeypatch.setattr(sdpcore._Newton, "steps_to_boundary", failing)
+    program, objectives = directions("circle-T2", count=2)
+    with caplog.at_level("DEBUG", logger="momentlab"):
+        many = solve_many(program, objectives)
+    events = [rec.getMessage() for rec in caplog.records
+              if rec.name == "momentlab" and rec.getMessage().startswith("solve_many")]
+    assert events == ["solve_many 2 objectives, 28 rows: 3 lockstep steps; 0 accepted at "
+                      "iteration 0; went on alone: 0 (stopped by a non-finite step), "
+                      "1 (stopped by a non-finite step)"]
+    for sol, c in zip(many, objectives):
+        lone = solve(program.with_objective(c))
+        assert sol.status == lone.status == "optimal"
+        assert sol.iterations == lone.iterations
