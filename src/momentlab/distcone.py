@@ -97,7 +97,11 @@ def sampled_support(X: SemiAlgebraicSet, k: int, directions: int,
     sampled_extremum call polishes the 4 best points of every direction
     together. It depends on neither the certificate nor the level, so a
     distance series computes it once; the result keeps the pool, which
-    estimate_minimum(f, X, seed) would draw again."""
+    estimate_minimum(f, X, seed) would draw again. k must be at least 1: at
+    k = 0 the one direction is the constant, whose moment is 1 in both
+    bodies, so every distance would read 0."""
+    if k < 1:
+        raise ValueError(f"need a truncation order k >= 1, got {k}")
     if directions < 1:
         raise ValueError("need at least one direction")
     rng = np.random.default_rng(seed)

@@ -393,7 +393,11 @@ def run_ladder(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
     is its own sdpcore.solve call and stops only on its own residual test at
     `opts.tol`. A moment side whose SOS side is not `optimal`, or that is
     asked for alone, is solved cold. A row's `seconds` is its solve; the
-    level's assembly is charged to the side solved first.
+    level's assembly is charged to the side solved first. Logs one debug
+    event per level on the `momentlab` logger: the certificate, r and the
+    set's name, each side's status, iterations and seconds, and whether the
+    moment side's start was accepted at iteration 0, turned down, or none
+    was given.
 
     The monotonicity check derives its slack from the solve tolerance
     `opts.tol`. Only rows with status `optimal` are compared; every other row
@@ -405,18 +409,23 @@ def run_ladder(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
         start = time.perf_counter()
         mom = build_moment_relaxation(f, X, certificate, r, max_psd_size=max_psd_size)
         rels = {side: mom if side == "moment" else _sos_side(mom) for side in sides}
-        rows, sos_sol = {}, None
+        rows, sos_sol, started = {}, None, "none"
         for side in sorted(sides, key=lambda side: side != "sos"):  # the SOS side first
             warm = None if sos_sol is None else _moment_start(mom, sos_sol)
             value, sol = solve_relaxation(rels[side], opts, warm)
             if side == "sos" and sol.status == "optimal":
                 sos_sol = sol
+            if side == "moment" and warm is not None:
+                started = "accepted at iteration 0" if sol.iterations == 0 else "turned down"
             stop = time.perf_counter()
             rows[side] = RelaxationResult(level=r, certificate=certificate, side=side,
                                           value=value, status=sol.status, gap=np.nan,
                                           seconds=stop - start, iterations=sol.iterations)
             start = stop
         results += [rows[side] for side in sides]
+        log.debug("ladder %s r=%d on %s: %s; moment start %s", certificate, r, X.name,
+                  "; ".join(f"{side} {rows[side].status} after {rows[side].iterations} "
+                            f"iterations in {rows[side].seconds:.3g} s" for side in sides), started)
 
     by_key = {(res.level, res.side): res for res in results}
     if len(sides) == 2:

@@ -48,9 +48,11 @@ solve and the ADMM hand-off of a lone `solve`. Every Solution is thus one
 The interior-point method is primal-dual path following with the HKM
 direction and Mehrotra's predictor-corrector (SDPT3: Toh, Todd & Tütüncü
 1999) on the equilibrated program. Free columns enter through the
-augmented system and nonnegative ones as diagonal terms. A PSD block whose
-columns are single entries in rows of their own (a moment program's slacks
-L_J y − slack_J = 0) is eliminated with those rows, so the Newton system
+augmented system. The method knows one cone: a nonnegative entry is a PSD
+block of side 1, on which the HKM direction and Mehrotra's corrector are
+the LP's diagonal terms. A PSD block whose columns are single entries in
+rows of their own (a moment program's slacks L_J y − slack_J = 0) is
+eliminated with those rows, so the Newton system
 K = [[M, A_f], [A_f', −N]] has the size of the free columns plus the other
 rows. The Schur complements M and N are assembled sparsely, as SDPA does
 (Fujisawa, Kojima & Nakata 1997): per block, the sparse rows V_i times Q,
@@ -87,7 +89,11 @@ the start checks of the simplex upper series (Q, r = 16; 15 checks per
 process, three processes per kernel), the only blocks above side 35 met
 so far. Whether numpy's `eigvalsh` serves them better is open: its own
 slow calls at side 136 reach 28 ms, and with it the slow calls at side 153
-move to the eigenvector call (median 5 ms, up to 128 ms).
+move to the eigenvector call (median 5 ms, up to 128 ms). The step lengths
+take one `dsyevd` call per matrix, so each nonnegative entry costs a call
+per step length; the only nonnegative block built, the R certificate's
+multipliers of the squared equalities, has one entry per equality, and the
+catalog sets have at most one.
 
 The ADMM is operator splitting: the over-relaxed Douglas–Rachford
 fixed-point map on one variable w. With z = Π_K(w) and u = w − z (the
@@ -259,6 +265,10 @@ class ConicProgram:
         if A.shape != (b.size, n):
             raise ValueError(f"constraint matrix shape {A.shape} incompatible with "
                              f"{b.size} rows and {n} columns")
+        for name, data in (("objective c", c), ("right-hand side b", b),
+                           ("constraint matrix A", A.data)):
+            if not np.all(np.isfinite(data)):
+                raise ValueError(f"{name} has an entry that is not finite")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -683,12 +693,14 @@ class _Side:
 class _InteriorPlan:
     """What the interior-point method and the ADMM read of a program's A,
     built once: the equilibrated A (_equilibrate) and, from its coordinate
-    arrays, the free and nonnegative columns, the rows O left once the
-    slack blocks' rows are eliminated, the PSD blocks in _Groups (and side
-    by side in _Sides), each block's row norms for the start, and the
-    factors of A A' and A_f' A_f the corrector's projections use. A moment
-    program's slacks are slack blocks, so its Newton system has the size of
-    its moments plus its rows outside the slack rows."""
+    arrays, the free columns, the rows O left once the slack blocks' rows
+    are eliminated, the PSD blocks in _Groups (and side by side in _Sides),
+    each block's row norms for the start, and the factors of A A' and
+    A_f' A_f the corrector's projections use. Each entry of a nonnegative
+    block is a PSD block of side 1 here, so every cone column is a PSD
+    block's. A moment program's slacks are slack blocks, so its Newton
+    system has the size of its moments plus its rows outside the slack
+    rows."""
 
     def __init__(self, program: ConicProgram):
         A, self.d_row, self.d_col = _equilibrate(program)
@@ -697,23 +709,22 @@ class _InteriorPlan:
         m, n = A.shape
         row = np.repeat(np.arange(m), np.diff(A.indptr))
         col, val = A.indices, A.data
-        FREE, NONNEG, PSD = 0, 1, 2
-        kind = np.empty(n, dtype=np.int8)
-        block = np.full(n, -1)  # PSD block of each column
+        block = np.full(n, -1)  # PSD block of each column, -1 on free ones
         psd = []                # (side, first column) per PSD block
         for blk, sl in zip(program.blocks, program.block_slices()):
-            kind[sl] = {"free": FREE, "nonneg": NONNEG, "psd": PSD}[blk.kind]
-            if blk.kind == "psd":
-                block[sl] = len(psd)
-                psd.append((blk.size, sl.start))
-        self.free, self.nonneg = np.flatnonzero(kind == FREE), np.flatnonzero(kind == NONNEG)
-        self.degree = self.nonneg.size + sum(s for s, _ in psd)
-        index = np.full(n, -1)  # position of a free or nonnegative column among its kind
-        index[self.free], index[self.nonneg] = np.arange(self.free.size), np.arange(self.nonneg.size)
+            if blk.kind != "free":  # a nonnegative entry is a PSD block of side 1
+                side = blk.size if blk.kind == "psd" else 1
+                t = side * (side + 1) // 2
+                for c0 in range(sl.start, sl.stop, t):
+                    block[c0:c0 + t] = len(psd)
+                    psd.append((side, c0))
+        self.free = np.flatnonzero(block < 0)
+        self.degree = sum(s for s, _ in psd)
+        index = np.full(n, -1)  # position of a free column among the free ones
+        index[self.free] = np.arange(self.free.size)
 
         # slack blocks: every column one entry, in a row with no other cone entry
-        col_kind = kind[col]
-        in_cone = col_kind != FREE
+        in_cone = block[col] >= 0
         cone_entries = np.bincount(row[in_cone], minlength=m)
         entries = np.bincount(col, minlength=n)
         entry_row, entry_val = np.zeros(n, dtype=np.intp), np.zeros(n)
@@ -764,20 +775,14 @@ class _InteriorPlan:
         slack_groups = self.slack.groups
         self.G = sp.hstack([grp.G for grp in slack_groups], format="csr") if slack_groups else None
         self.GT = None if self.G is None else self.G.T.tocsr()
-        self.uses_u = self.nonneg.size > 0 or bool(self.kept.groups)
+        self.uses_u = bool(self.kept.groups)
         sel = in_O & ~in_cone
         self.A_free_O = np.zeros((self.O.size, self.free.size))
         self.A_free_O[o_index[row[sel]], index[col[sel]]] = val[sel]
-        sel = in_O & (col_kind == NONNEG)
-        self.A_nonneg_O = sp.csr_matrix((val[sel], (o_index[row[sel]], index[col[sel]])),
-                                        shape=(self.O.size, self.nonneg.size))
-        # row norms of A on each PSD block and on the nonnegative columns
-        sq = np.bincount(np.where(block[col] >= 0, block[col], len(psd)) * m + row,
+        # row norms of A on each PSD block
+        sq = np.bincount(np.where(in_cone, block[col], len(psd)) * m + row,
                          weights=val * val, minlength=(len(psd) + 1) * m).reshape(-1, m)
         self.row_norms = np.sqrt(sq[:len(psd)])
-        self.nonneg_row_norms = np.sqrt(np.bincount(row[col_kind == NONNEG],
-                                                    weights=val[col_kind == NONNEG] ** 2,
-                                                    minlength=m))
         self.psd = psd
         sel = ~in_cone
         self.A_free = sp.csr_matrix((val[sel], (row[sel], index[col[sel]])),
@@ -794,25 +799,18 @@ class _InteriorPlan:
                 pass
 
     def start(self, b: np.ndarray, c: np.ndarray) -> tuple:
-        """(x, s) of the starting point: xi I and eta I on each PSD block and
-        xi, eta on the nonnegative entries, with SDPT3's infeasible start
+        """(x, s) of the starting point: xi I and eta I on each PSD block
+        (a nonnegative entry is one of side 1), with SDPT3's infeasible start
         (Toh, Todd & Tutuncu 1999): xi = max(10, sqrt(d), d max_i (1 + |b_i|)
         / (1 + |A_i|)) and eta = max(10, sqrt(d), |A_i|, |c|) over a block of
         side d, |A_i| being the norm of row i of A on the block."""
         x, z = np.zeros(self.A.shape[1]), np.zeros(self.A.shape[1])
-
-        def scales(d: int, row_norms: np.ndarray, c_part: np.ndarray) -> tuple:
-            root = math.sqrt(d)
-            return (max(10.0, root, d * float(np.max((1.0 + np.abs(b)) / (1.0 + row_norms)))),
-                    max(10.0, root, float(row_norms.max()), float(np.linalg.norm(c_part))))
-
-        if self.nonneg.size:
-            x[self.nonneg], z[self.nonneg] = scales(self.nonneg.size, self.nonneg_row_norms,
-                                                    c[self.nonneg])
         for (s, c0), norms in zip(self.psd, self.row_norms):
             rows, cols = packed_indices(s)
             ix = c0 + np.arange(rows.size)
-            xi, eta = scales(s, norms, c[ix])
+            root = math.sqrt(s)
+            xi = max(10.0, root, s * float(np.max((1.0 + np.abs(b)) / (1.0 + norms))))
+            eta = max(10.0, root, float(norms.max()), float(np.linalg.norm(c[ix])))
             x[ix], z[ix] = xi * (rows == cols), eta * (rows == cols)
         return x, z
 
@@ -922,7 +920,6 @@ class _Newton:
     def __init__(self, plan: _InteriorPlan, x: np.ndarray, s: np.ndarray, rp: np.ndarray,
                  rd: np.ndarray):
         self.plan, self.rp, self.rd = plan, rp, rd
-        self.ratio = x.take(plan.nonneg, axis=1) / s.take(plan.nonneg, axis=1)
         o, nf = plan.O.size, plan.free.size
         self.mats, self.roots, schur = [], [], []
         for grp, XS in zip(plan.groups, plan.every.full(_pairs(x, s))):
@@ -938,7 +935,7 @@ class _Newton:
             # one K at a time, dropped once factored: D of them at once would
             # raise glibc's mmap threshold (see _Group) and the peak memory
             self.solve_K = []
-            for d, ratio in enumerate(self.ratio):
+            for d in range(x.shape[0]):
                 K = np.zeros((o + nf, o + nf))
                 K[:o, o:] = plan.A_free_O
                 K[o:, :o] = plan.A_free_O.T
@@ -947,9 +944,6 @@ class _Newton:
                         K[o:, o:] -= C[d]
                     else:
                         K[:o, :o] += C[d]
-                if plan.nonneg.size:
-                    Anz = plan.A_nonneg_O
-                    K[:o, :o] += (Anz @ sp.diags(ratio) @ Anz.T).toarray()
                 try:
                     self.solve_K.append(_factor_newton(K, plan.dense_pattern))
                 except np.linalg.LinAlgError as err:
@@ -970,21 +964,21 @@ class _Newton:
         mats = plan.kept.full(rd) + (plan.slack.full_rows(rp) if plan.G is not None else [])
         return [self.op(j, V) for j, V in enumerate(mats)]
 
-    def direction(self, T: list, tn: np.ndarray, polish: bool = False) -> tuple:
+    def direction(self, T: list, polish: bool = False) -> tuple:
         """(dx, dy, ds), rows per direction, solving A dx = rp, A'dy + ds = rd
         (ds = 0 on free entries) and the linearized complementarity: dX = T -
-        op(dS) on kept blocks, dS = T - op(dX) on slack ones (T per group),
-        and dx = tn - (x/s) ds on nonnegative entries. With `polish`,
-        IPM_REFINE steps of iterative refinement on the residuals of the two
-        linear equations follow, and then their projections: dx onto A dx =
-        rp, and dy onto the free columns' A_f'dy = rd_f."""
+        op(dS) on kept blocks, dS = T - op(dX) on slack ones (T per group).
+        With `polish`, IPM_REFINE steps of iterative refinement on the
+        residuals of the two linear equations follow, and then their
+        projections: dx onto A dx = rp, and dy onto the free columns' A_f'dy
+        = rd_f."""
         plan, rp, rd = self.plan, self.rp, self.rd
-        dx, dy, ds = self._solve(rp, rd, self.base, T, tn)
+        dx, dy, ds = self._solve(rp, rd, self.base, T)
         zero = [np.zeros(t.shape) for t in T]
         for _ in range(IPM_REFINE if polish else 0):
             # ds is 0 on the free entries, so ey there is the free columns' own residual
             ex, ey = rp - _mul(plan.A, dx), rd - _mul(plan.AT, dy) - ds
-            cx, cy, cs = self._solve(ex, ey, self._base(ex, ey), zero, np.zeros(tn.shape))
+            cx, cy, cs = self._solve(ex, ey, self._base(ex, ey), zero)
             dx, dy, ds = dx + cx, dy + cy, ds + cs
         if polish:
             dx += _mul(plan.AT, _lu_rows(plan.gram_lu, rp - _mul(plan.A, dx)))
@@ -996,8 +990,7 @@ class _Newton:
                 _put(ds, plan.free, 0.0)
         return dx, dy, ds
 
-    def _solve(self, rp: np.ndarray, rd: np.ndarray, base: list, T: list,
-               tn: np.ndarray) -> tuple:
+    def _solve(self, rp: np.ndarray, rd: np.ndarray, base: list, T: list) -> tuple:
         plan, kept, slack = self.plan, self.plan.kept, self.plan.slack
         o, nk = plan.O.size, len(kept.groups)
         u = np.zeros(rd.shape) if plan.uses_u else None
@@ -1008,8 +1001,6 @@ class _Newton:
             w = rd.take(slack.packed, axis=1) - slack.pack(
                 [t - v for t, v in zip(T[nk:], base[nk:])])
             h2 -= _mul(plan.G, w)
-        if plan.nonneg.size:
-            _put(u, plan.nonneg, tn - self.ratio * rd.take(plan.nonneg, axis=1))
         rhs = np.concatenate((((rp - _mul(plan.A, u)) if plan.uses_u else rp).take(plan.O, axis=1),
                               h2), axis=1)
         sol = rhs if self.solve_K is None else np.array([f(r) for f, r in zip(self.solve_K, rhs)])
@@ -1027,23 +1018,19 @@ class _Newton:
         if nk:
             _put(dx, kept.packed,
                  kept.pack([T[j] - self.op(j, V) for j, V in enumerate(kept.full(ds))]))
-        if plan.nonneg.size:
-            _put(dx, plan.nonneg, tn - self.ratio * ds.take(plan.nonneg, axis=1))
         return dx, dy, ds
 
     def steps_to_boundary(self, x: np.ndarray, dx: np.ndarray, s: np.ndarray,
                           ds: np.ndarray) -> np.ndarray:
         """Per direction, the largest steps tp with x + tp dx in K and td with
         s + td ds in K, as the rows of a (2, D) array (inf when every step
-        is, NaN when an eigenvalue fails): on the PSD blocks, minus the
-        inverse of the least eigenvalue of R' dV R, R the inverse root of the
-        block of x or s."""
-        nn = self.plan.nonneg
+        is, NaN when an eigenvalue fails): minus the inverse of the least
+        eigenvalue of R' dV R per block, R the inverse root of the block of
+        x or s. x and s, the points this Newton system was built at, are not
+        read again: their inverse roots were kept when it was. One `dsyevd`
+        call per block, side 1 too."""
         dv = _pairs(dx, ds)  # the rows of the roots
         t = [math.inf] * dv.shape[0]
-        if nn.size:
-            v, dn = _pairs(x, s).take(nn, axis=1), dv.take(nn, axis=1)
-            t = np.min(np.where(dn < 0.0, -v / dn, math.inf), axis=1).tolist()
         for R, V in zip(self.roots, self.plan.every.full(dv)):
             for i, Z in enumerate(R.swapaxes(-1, -2) @ V @ R):
                 for M in Z:
@@ -1087,7 +1074,7 @@ def _interior_point(programs: list, opts: SolveOptions) -> tuple:
     """Primal-dual path following on the equilibrated programs, which share
     A, b and the cone and differ in c, all D of them in lockstep: the HKM
     direction and Mehrotra's predictor-corrector (SDPT3), free columns
-    through the augmented system and nonnegative ones as diagonal terms.
+    through the augmented system and every cone entry in a PSD block.
     Returns ([(solution, why it stopped) per program], lockstep steps). A
     program's solution is its first step's point that passes the stopping
     rule, as `optimal`, or else the best one met as `max_iters`, or None
@@ -1106,7 +1093,7 @@ def _interior_point(programs: list, opts: SolveOptions) -> tuple:
     D = len(programs)
     if plan.degree == 0:
         return [(None, "a program without cone entries")] * D, 0
-    A, d_row, d_col, AT, nn = plan.A, plan.d_row, plan.d_col, plan.AT, plan.nonneg
+    A, d_row, d_col, AT = plan.A, plan.d_row, plan.d_col, plan.AT
     scaled = [_scaled_vectors(program, d_row, d_col) for program in programs]
     b, b_scale = scaled[0][0], scaled[0][2]
     c = np.array([vec for _, vec, _, _ in scaled])
@@ -1151,17 +1138,14 @@ def _interior_point(programs: list, opts: SolveOptions) -> tuple:
                 retire({i: f"LinAlgError '{why}' at step {steps}"
                         for i, why in err.reasons.items()})
                 continue
-            dx, dy, ds = newton.direction(newton.predictor(), -x[:, nn])
+            dx, dy, ds = newton.direction(newton.predictor())
             tp, td = np.minimum(1.0, newton.steps_to_boundary(x, dx, s, ds))
             mu_aff = [v / plan.degree for v in _dots(x + tp[:, None] * dx, s + td[:, None] * ds)]
             # sigma in Python floats: numpy's power rounds apart from C's pow
             # in about one case in twenty
             sigma_mu = np.array([min(1.0, max(0.0, a / m) ** max(1.0, 3.0 * min(p, q) ** 2)) * m
                                  for a, m, p, q in zip(mu_aff, mu, tp.tolist(), td.tolist())])
-            tn = x[:, nn]
-            if nn.size:
-                tn = sigma_mu[:, None] / s[:, nn] - tn - dx[:, nn] * ds[:, nn] / s[:, nn]
-            dx, dy, ds = newton.direction(newton.corrector(sigma_mu, dx, ds), tn, polish=True)
+            dx, dy, ds = newton.direction(newton.corrector(sigma_mu, dx, ds), polish=True)
             tp, td = np.minimum(1.0, IPM_STEP * newton.steps_to_boundary(x, dx, s, ds))[:, :, None]
             ok = np.isfinite(np.concatenate((dx, dy, ds, tp, td), axis=1)).all(axis=1)
             if not ok.all():

@@ -572,3 +572,12 @@ def test_run_experiment_short_nonzero_series_records_fit_failure(tmp_path, monke
     assert bundle.exact == []
     assert bundle.rate_fits == {}
     assert bundle.failures == ["rate fit T: need at least 3 positive points to fit, have 2"]
+
+
+def test_cli_solve_names_an_objective_coefficient_that_is_not_finite(tmp_path, capsys):
+    # json reads NaN and the schema's number takes it; the solve used to
+    # fail inside the ADMM's projection with "Eigenvalues did not converge"
+    path = write_problem(tmp_path, {**BALL_PROBLEM, "objective": [[[1], float("nan")]]})
+    code = main(["solve", "--problem", str(path), "--level", "1"])
+    assert code == 2
+    assert "error: objective c has an entry that is not finite" in capsys.readouterr().err

@@ -348,3 +348,21 @@ def test_distance_series_samples_one_pool(tmp_path, monkeypatch):
     bundle = run_experiment(config)
     assert len(bundle.distance_csv.read_text().splitlines()) == 3
     assert pools == [4]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_support_gap_turns_down_a_direction_that_is_not_finite(value):
+    # it used to run 100 000 ADMM evaluations and end at max_iters
+    X = make_catalog_set("ball", n=1)
+    with pytest.raises(ValueError, match="^objective c has an entry that is not finite$"):
+        support_gap(X, "T", 1, 2, np.array([value, 0.0, 1.0]))
+
+
+def test_a_distance_needs_a_truncation_order_of_at_least_one():
+    # at k = 0 the one direction is the constant, whose moment is 1 in both
+    # bodies: the bound read 0.0
+    X = make_catalog_set("ball", n=1)
+    with pytest.raises(ValueError, match=r"^need a truncation order k >= 1, got 0$"):
+        hausdorff_lower_bound(X, "T", 1, 0, directions=2, seed=0)
+    with pytest.raises(ValueError, match=r"k >= 1"):
+        sampled_support(X, 0, 2, 0)

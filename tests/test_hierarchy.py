@@ -466,3 +466,29 @@ def test_no_assembled_block_lies_in_the_span_of_the_equality_rows(X, certificate
         if spec.constraint_kind == "psd" and spec.label not in kept:
             L = localizing_operator(spec.weight, spec.matrix_order, 2 * r).toarray()
             assert np.linalg.matrix_rank(np.vstack([E, L])) == rank, spec.label
+
+
+def test_run_ladder_logs_one_event_per_level(caplog):
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    f = x1 ** 3 - x1 * x2 + x2 ** 4 + 0.3 * x2
+    X = make_catalog_set("sphere", n=2, R=1.0)
+    quiet = run_ladder(f, X, "R", (2, 3))
+    with caplog.at_level("DEBUG", logger="momentlab"):
+        logged = run_ladder(f, X, "R", (2, 3))
+        alone = run_ladder(f, X, "R", (2,), sides=("moment",))
+    events = [rec.getMessage() for rec in caplog.records
+              if rec.name == "momentlab" and rec.getMessage().startswith("ladder")]
+    assert len(events) == 3
+    for event, r, (moment, sos) in zip(events, (2, 3), zip(logged.results[::2],
+                                                           logged.results[1::2])):
+        assert event.startswith(f"ladder R r={r} on sphere(n=2,R=1): moment optimal after 0 "
+                                f"iterations in ")
+        assert f"; sos optimal after {sos.iterations} iterations in " in event
+        assert event.endswith("; moment start accepted at iteration 0")
+    (row,) = alone.results
+    assert events[2].startswith(f"ladder R r=2 on sphere(n=2,R=1): moment optimal after "
+                                f"{row.iterations} iterations in ")
+    assert events[2].endswith("; moment start none")
+    for before, after in zip(quiet.results, logged.results):
+        assert (before.value, before.status, before.iterations) == (
+            after.value, after.status, after.iterations)

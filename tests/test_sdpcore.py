@@ -587,3 +587,52 @@ def test_stengle_r6_is_optimal_from_a_cold_start_on_both_sides():
         value, sol = solve_relaxation(build(1 - x ** 2, X, "Q", 6), opts)
         assert sol.status == "optimal"
         assert value == pytest.approx(-1.0 / 24.0, abs=1e-6)
+
+
+def as_psd_of_side_one(program):
+    """`program` with each nonnegative entry written as a PSD block of side 1."""
+    blocks = []
+    for blk in program.blocks:
+        blocks += [Block("psd", 1)] * blk.size if blk.kind == "nonneg" else [blk]
+    return ConicProgram(tuple(blocks), program.c, program.A, program.b)
+
+
+def circle_r_sos_program():
+    """The R certificate's SOS program on the circle at r = 3: one
+    nonnegative multiplier of the squared equality."""
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    f = x1 ** 3 - x1 * x2 + x2 ** 4 + 0.3 * x2
+    return build_sos_relaxation(f, make_catalog_set("sphere", n=2), "R", 3).program
+
+
+@pytest.mark.parametrize("make, tol", [(small_lp, 1e-7), (circle_r_sos_program, 1e-9)],
+                         ids=["small_lp", "circle-R3-sos"])
+def test_a_nonneg_block_is_solved_as_psd_blocks_of_side_one(make, tol):
+    program = make()
+    assert any(blk.kind == "nonneg" for blk in program.blocks)
+    opts = SolveOptions(tol=tol)
+    sol, twin = solve(program, opts), solve(as_psd_of_side_one(program), opts)
+    assert sol.status == twin.status == "optimal"
+    assert sol.iterations == twin.iterations > 0
+    assert np.array_equal(sol.x, twin.x)
+    assert np.array_equal(sol.y, twin.y)
+
+
+def test_the_interior_point_plan_holds_nonneg_entries_as_side_one_blocks():
+    plan = small_lp()._interior
+    assert [(grp.size, grp.count) for grp in plan.kept.groups] == [(1, 2)]
+    assert plan.slack.groups == []
+    assert plan.degree == 2
+
+
+@pytest.mark.parametrize("part", ["c", "b", "A"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_program_data_that_is_not_finite_is_turned_down(part, value):
+    lp = small_lp()
+    data = {"c": lp.c.copy(), "b": lp.b.copy(), "A": lp.A.toarray()}
+    data[part].flat[0] = value
+    name = {"c": "objective c", "b": "right-hand side b", "A": "constraint matrix A"}[part]
+    with pytest.raises(ValueError, match=f"^{name} has an entry that is not finite$"):
+        ConicProgram(lp.blocks, data["c"], sp.csr_matrix(data["A"]), data["b"])
+    with pytest.raises(ValueError, match="^objective c has an entry"):
+        lp.with_objective(np.array([value, 1.0]))

@@ -130,3 +130,11 @@ def test_solve_many_counts_only_the_steps_some_direction_took(caplog, monkeypatc
         lone = solve(program.with_objective(c))
         assert sol.status == lone.status == "optimal"
         assert sol.iterations == lone.iterations
+
+
+def test_solve_many_turns_down_an_objective_with_a_nan():
+    program, objectives = directions("circle-T2", count=3)
+    objectives[1] = objectives[1].copy()
+    objectives[1][2] = np.nan
+    with pytest.raises(ValueError, match="^objective c has an entry that is not finite$"):
+        solve_many(program, objectives)
