@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -92,6 +93,20 @@ PROBLEM_SCHEMA = {
 _CUSTOM_SET_KEYS = ("n", "inequalities", "equalities", "radius", "box", "name")
 
 
+def _check_terms(where: str, pairs, n: int) -> None:
+    """ProblemFormatError naming the first [exponent, coefficient] pair of
+    `pairs` whose exponent vector is not of length n or whose coefficient is
+    not finite (json reads NaN and Infinity, and the schema's number takes
+    them)."""
+    for idx, (alpha, coeff) in enumerate(pairs):
+        if len(alpha) != n:
+            raise ProblemFormatError(f"{where}[{idx}]: exponent vector of length "
+                                     f"{len(alpha)} does not match n = {n}")
+        if not math.isfinite(coeff):
+            raise ProblemFormatError(f"{where}[{idx}]: coefficient {coeff!r} of exponent "
+                                     f"{alpha} is not finite")
+
+
 def _build_set(doc: dict) -> SemiAlgebraicSet:
     doc = dict(doc)
     n = doc.get("n")
@@ -99,11 +114,7 @@ def _build_set(doc: dict) -> SemiAlgebraicSet:
     def polys(key):
         out = []
         for idx, pairs in enumerate(doc.get(key, [])):
-            for pair_idx, (alpha, _) in enumerate(pairs):
-                if len(alpha) != n:
-                    raise ProblemFormatError(
-                        f"set.{key}[{idx}][{pair_idx}]: exponent vector of length "
-                        f"{len(alpha)} does not match n = {n}")
+            _check_terms(f"set.{key}[{idx}]", pairs, n)
             out.append(Polynomial.from_pairs(n, pairs))
         return out
 
@@ -162,11 +173,7 @@ def parse_problem(path):
     if err is not None:
         raise ProblemFormatError(f"{path}: {err.json_path}: {err.message}")
     X = _build_set(doc["set"])
-    for idx, (alpha, _) in enumerate(doc["objective"]):
-        if len(alpha) != X.n:
-            raise ProblemFormatError(
-                f"{path}: objective[{idx}]: exponent vector of length "
-                f"{len(alpha)} does not match n = {X.n}")
+    _check_terms(f"{path}: objective", doc["objective"], X.n)
     f = Polynomial.from_pairs(X.n, doc["objective"])
     metadata = {"name": doc.get("name", Path(path).stem),
                 "set": doc["set"], "path": str(path)}

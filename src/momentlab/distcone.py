@@ -141,15 +141,11 @@ def hausdorff_lower_bound(X: SemiAlgebraicSet, certificate: str, r: int, k: int,
         if have != want:
             raise ValueError(f"support was sampled with {name}={have}, not {want}")
     basis = monomial_basis(X.n, k)
-    rel = None
-    objectives = []
-    for c in support.directions:
-        p = Polynomial.from_vector(basis, c)
-        # the feasible set is direction-independent: build once, then swap
-        # objectives, which keeps the scaling, factor and solver plans
-        rel = (build_moment_relaxation(-p, X, certificate, r, max_psd_size)
-               if rel is None else rel.with_objective(-p))
-        objectives.append(rel.program.c)
+    ps = [Polynomial.from_vector(basis, c) for c in support.directions]
+    # the feasible set is direction-independent: build once, then read each
+    # direction's objective vector off the one relaxation
+    rel = build_moment_relaxation(-ps[0], X, certificate, r, max_psd_size)
+    objectives = [rel.objective_vector(-p) for p in ps]
     # one lockstep interior-point run over the level's directions; each
     # direction is still its own solve call, certified by its own residuals,
     # and its value depends neither on the other directions nor their order

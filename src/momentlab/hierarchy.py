@@ -12,8 +12,17 @@ force to zero: a factor of g_J is a constant multiple of an equality h, and
 h's shift rows reach the block's top degree, so L_J y = 0 on every feasible
 y and h's multiplier absorbs the SOS term sigma_J g_J. Such a block has no
 interior, and leaving it out keeps both sides' values (the simplest case of
-facial reduction). The sphere's redundant ball inequality is one; R keeps
-it, having only the scalar l_y(h^2) = 0.
+facial reduction).
+
+On a set whose only equality is a nonzero multiple of a centred sphere's
+h = R^2 - |x|^2, T and Q are built over the standard monomials of R[x]/(h)
+instead (momentkit.SphereQuotient; build_moment_relaxation). Over monomials
+M_r(y) holds the multiples of h in its kernel on every feasible y, so
+neither side has a strictly feasible point; over the quotient the equality
+rows, h's multiplier and the sphere's ball block vanish. This is facial
+reduction (Borwein & Wolkowicz 1981; Permenter & Parrilo 2018). R keeps
+monomials and the ball block: its equality binds only as l_y(h^2) = 0,
+which does not put y in the quotient.
 
 A level is one conic primal-dual pair, built once: build_moment_relaxation
 stacks, per spec, momentkit's sparse operator (localizing_operator for a PSD
@@ -43,12 +52,15 @@ import scipy.sparse as sp
 
 from momentlab import sdpcore
 from momentlab.momentkit import (
+    SphereQuotient,
     TruncatedSequence,
     localizing_operator,
     preordering_products,
     shift_operator,
+    sphere_quotient,
+    sphere_radius_sq,
 )
-from momentlab.polycore import Polynomial, count_monomials, half_degree, monomial_basis
+from momentlab.polycore import Polynomial, count_monomials, half_degree, l1_norm, monomial_basis
 from momentlab.sdpcore import Block, ConicProgram, Solution, SolveOptions, Start
 from momentlab.semialg import POOL_SIZE, SemiAlgebraicSet, rejection_sample, sampled_extremum
 
@@ -100,27 +112,42 @@ class Relaxation:
     # sos side: per equality spec, the slice of x that holds its multiplier;
     # the bound variable c is x[0]
     tau_layout: list = field(default_factory=list)
+    # on a sphere's quotient (_quotient), the moment coordinates are the
+    # standard monomials of degree <= 2r; None on monomials
+    quotient: Optional[SphereQuotient] = None
 
     def value(self, sol: Solution) -> float:
         """Bound carried by a solution: mlb on the moment side, lb on the SOS side."""
         return sol.primal_value if self.kind.side == "moment" else -sol.primal_value
+
+    def objective_vector(self, f: Polynomial) -> np.ndarray:
+        """The c of this moment-side program with objective l_y(f), as the
+        builder writes it (_coefficients)."""
+        if self.y_slice is None:
+            raise ValueError("objective swaps need a moment-side relaxation")
+        _check_level(f, self.domain, self.level)
+        c = np.zeros(self.program.num_vars)
+        c[self.y_slice] = _coefficients(f, self.domain.n, self.level, self.quotient)
+        return c
 
     def with_objective(self, f: Polynomial) -> "Relaxation":
         """This moment-side relaxation with objective l_y(f). The copy shares
         the program's interior-point plan, its scaling and A A' factor among
         it (ConicProgram.with_objective), so a sweep over objectives builds
         and factors once."""
-        if self.y_slice is None:
-            raise ValueError("objective swaps need a moment-side relaxation")
-        _check_level(f, self.domain, self.level)
-        c = np.zeros(self.program.num_vars)
-        c[self.y_slice] = f.coefficient_vector(monomial_basis(self.domain.n, 2 * self.level))
-        return replace(self, program=self.program.with_objective(c), objective=f)
+        return replace(self, program=self.program.with_objective(self.objective_vector(f)),
+                       objective=f)
 
     def pseudo_moments(self, sol: Solution):
+        """The order-2r sequence of a moment-side solution, over the
+        monomials; on a sphere's quotient, y = phi' z, so a monomial's moment
+        is the moment of its normal form."""
         if self.y_slice is None:
             raise ValueError("not a moment-side relaxation")
-        return TruncatedSequence(self.domain.n, 2 * self.level, sol.x[self.y_slice])
+        y = sol.x[self.y_slice]
+        if self.quotient is not None:
+            y = self.quotient.phi.T @ y
+        return TruncatedSequence(self.domain.n, 2 * self.level, y)
 
 
 def _check_level(f: Polynomial, X: SemiAlgebraicSet, r: int) -> None:
@@ -130,10 +157,37 @@ def _check_level(f: Polynomial, X: SemiAlgebraicSet, r: int) -> None:
         raise LevelTooLowError(f"level r={r} below required {need}")
 
 
-def _spec_operator(spec, order: int) -> sp.csr_matrix:
+def _quotient(X: SemiAlgebraicSet, certificate: str, r: int) -> Optional[SphereQuotient]:
+    """The quotient a level of T or Q is built over when X's only equality
+    is a nonzero multiple of a centred sphere's R^2 - |x|^2, else None.
+
+    There S_h y = 0 says l_y(h q) = 0 for every q of degree <= 2r - 2, so y
+    is phi' z, z over the standard monomials of degree <= 2r, and M_r(y)'s
+    rows at the other monomials are combinations of the standard ones. R
+    keeps monomials: its equality binds only as l_y(h^2) = 0, a weaker
+    program whose y need not lie in the quotient."""
+    if certificate == "R" or len(X.equalities) != 1:
+        return None
+    radius_sq = sphere_radius_sq(X.equalities[0])
+    return None if radius_sq is None else sphere_quotient(X.n, 2 * r, radius_sq)
+
+
+def _coefficients(f: Polynomial, n: int, r: int,
+                  quotient: Optional[SphereQuotient]) -> np.ndarray:
+    """f's coefficients over the moment coordinates of level r: the
+    monomials of degree <= 2r, or the standard monomials of its normal form."""
+    if quotient is None:
+        return f.coefficient_vector(monomial_basis(n, 2 * r))
+    return quotient.normal_form(f)
+
+
+def _spec_operator(spec, order: int, quotient: Optional[SphereQuotient]) -> sp.csr_matrix:
     """The linear map in y that one spec constrains: packed localizing rows
     L for a PSD block, shift rows S for an equality (all of M_t(h y), or the
-    scalar l_y(h^2) of R's order-0 specs)."""
+    scalar l_y(h^2) of R's order-0 specs). On a sphere's quotient, the
+    packed localizing rows at the standard monomials, acting on z."""
+    if quotient is not None:
+        return quotient.localizing_operator(spec.weight, spec.matrix_order)
     if spec.constraint_kind == "psd":
         return localizing_operator(spec.weight, spec.matrix_order, order)
     return shift_operator(spec.weight, 2 * spec.matrix_order, order)
@@ -167,6 +221,20 @@ def _forcing_equality(spec, X: SemiAlgebraicSet, eq_specs: Sequence):
     return None
 
 
+def _left_out(spec, X: SemiAlgebraicSet, eq_specs: Sequence,
+              quotient: Optional[SphereQuotient]) -> Optional[str]:
+    """Why the PSD spec g_J is left out, or None to assemble it. On a
+    sphere's quotient, when NF(g_J) = 0 up to rounding (|NF(g_J)|_1 <=
+    1e-12 |g_J|_1): g_J is a multiple of h, so its localizing operator is
+    zero. On monomials, when the equality rows force it to zero
+    (_forcing_equality)."""
+    if quotient is not None:
+        zero = np.abs(quotient.normal_form(spec.weight)).sum() <= 1e-12 * l1_norm(spec.weight)
+        return "zero modulo h1" if zero else None
+    eq = _forcing_equality(spec, X, eq_specs)
+    return None if eq is None else f"forced zero by {eq.label}"
+
+
 def build_moment_relaxation(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
                             r: int, max_psd_size: int = 400) -> Relaxation:
     """Level-r moment program: minimize l_y(f) over y0 = 1 and the localizing
@@ -176,46 +244,57 @@ def build_moment_relaxation(f: Polynomial, X: SemiAlgebraicSet, certificate: str
     L_J y - slack_J = 0 per assembled PSD spec, then S_h y = 0 per equality.
     A PSD spec g_J of T or Q is left out when the equality rows force L_J y
     to zero (_forcing_equality): a factor of g_J is a constant multiple of an
-    equality h, and h's shift rows reach the block's top degree. The sphere's
-    redundant ball inequality is such a spec. Both sides keep their values,
-    the block having no interior; `psd_specs` lists the assembled specs, and
-    one debug event on the "momentlab" logger names those left out."""
+    equality h, and h's shift rows reach the block's top degree. Both sides
+    keep their values, the block having no interior; `psd_specs` lists the
+    assembled specs, and one debug event on the "momentlab" logger names
+    those left out.
+
+    For T and Q on a set whose only equality is a nonzero multiple of
+    R^2 - |x|^2 (_quotient), y is z, the moments of the standard monomials of
+    degree <= 2r, and `quotient` holds the basis: L_J is the localizing
+    operator at the standard rows read through y = phi' z, there are no
+    S_h rows, and a spec whose weight is zero modulo h (the sphere's ball
+    inequality among them) is left out. Objectives enter as normal forms,
+    and pseudo_moments reads back monomials. R keeps monomials (_quotient)."""
     _check_level(f, X, r)
     specs = preordering_products(X, r, kind=certificate)
-    eq_specs = [s for s in specs if s.constraint_kind != "psd"]
+    quotient = _quotient(X, certificate, r)
+    # on a sphere's quotient the equality is the basis, and has no rows
+    eq_specs = [] if quotient else [s for s in specs if s.constraint_kind != "psd"]
     psd_specs, left_out = [], []
     for spec in specs:
         if spec.constraint_kind == "psd":
-            eq = _forcing_equality(spec, X, eq_specs)
-            if eq is None:
+            why = _left_out(spec, X, eq_specs, quotient)
+            if why is None:
                 psd_specs.append(spec)
             else:
-                left_out.append(f"{spec.label} (forced zero by {eq.label})")
+                left_out.append(f"{spec.label} ({why})")
     log.debug("build %s r=%d on %s: %d PSD blocks, left out %s", certificate, r, X.name,
               len(psd_specs), ", ".join(left_out) or "none")
-    sizes = [count_monomials(X.n, spec.matrix_order) for spec in psd_specs]
+    sizes = [count_monomials(X.n, spec.matrix_order) if quotient is None
+             else quotient.size(spec.matrix_order) for spec in psd_specs]
     if max(sizes) > max_psd_size:
         raise ValueError(f"PSD block of size {max(sizes)} exceeds cap {max_psd_size}")
-    big = monomial_basis(X.n, 2 * r)
-    blocks = [Block("free", len(big))] + [Block("psd", size) for size in sizes]
+    n_y = count_monomials(X.n, 2 * r) if quotient is None else len(quotient.std)
+    blocks = [Block("free", n_y)] + [Block("psd", size) for size in sizes]
 
     k = len(psd_specs)
-    grid = [[sp.csr_matrix(([1.0], ([0], [0])), shape=(1, len(big)))] + [None] * k]
+    grid = [[sp.csr_matrix(([1.0], ([0], [0])), shape=(1, n_y))] + [None] * k]
     for j, spec in enumerate(psd_specs):
-        row = [-_spec_operator(spec, 2 * r)] + [None] * k
+        row = [-_spec_operator(spec, 2 * r, quotient)] + [None] * k
         row[1 + j] = sp.identity(blocks[1 + j].scalar_len)
         grid.append(row)
-    grid += [[_spec_operator(spec, 2 * r)] + [None] * k for spec in eq_specs]
+    grid += [[_spec_operator(spec, 2 * r, quotient)] + [None] * k for spec in eq_specs]
     A = sp.bmat(grid, format="csr")
 
     c = np.zeros(A.shape[1])
-    c[:len(big)] = f.coefficient_vector(big)
+    c[:n_y] = _coefficients(f, X.n, r, quotient)
     rhs = np.zeros(A.shape[0])
     rhs[0] = 1.0
     program = ConicProgram(tuple(blocks), c, A, rhs)
     return Relaxation(program=program, kind=HierarchyKind(certificate, "moment"),
                       level=r, objective=f, domain=X, psd_specs=psd_specs,
-                      eq_specs=eq_specs, y_slice=slice(0, len(big)))
+                      eq_specs=eq_specs, y_slice=slice(0, n_y), quotient=quotient)
 
 
 def build_sos_relaxation(f: Polynomial, X: SemiAlgebraicSet, certificate: str,
@@ -301,25 +380,42 @@ class CertificateExtract:
 
 def certificate_extract(sol: Solution, rel: Relaxation) -> CertificateExtract:
     """Gram matrices per certificate term and the l1 reconstruction residual
-    of f - c* against the recovered representation."""
+    of f - c* against the recovered representation. Contributions are
+    polynomials over the monomials. On a sphere's quotient the multiplier
+    tau of h comes from dividing f - c* - (the Gram terms) by h exactly, and
+    the residual is the remainder's l1 norm, so f - c* = (the terms) +
+    remainder in R[x]."""
     if rel.kind.side != "sos":
         raise ValueError("certificates live on the SOS side")
     if sol.status != "optimal":
         raise ValueError(f"cannot extract a certificate from status {sol.status!r}")
-    A, x = rel.program.A, sol.x
+    A, x, quotient = rel.program.A, sol.x, rel.quotient
     big = monomial_basis(rel.domain.n, 2 * rel.level)
     grams = [(sl, G) for blk, sl, G in zip(rel.program.blocks, rel.program.block_slices(),
                                            sol.blocks) if blk.kind == "psd"]
 
     def term(spec, cols: slice, gram: np.ndarray) -> CertificateTerm:
         # a block's columns of A are its transposed operator, so A x on them
-        # is the coefficient vector of that term of the certificate
-        return CertificateTerm(spec.weight, gram,
-                               Polynomial.from_vector(big, A[:, cols] @ x[cols]))
+        # is the coefficient vector of that term of the certificate; on a
+        # sphere's quotient the operator before the normal form gives it
+        # over the monomials
+        op = (A[:, cols] if quotient is None
+              else quotient.localizing_rows(spec.weight, spec.matrix_order).T)
+        return CertificateTerm(spec.weight, gram, Polynomial.from_vector(big, op @ x[cols]))
 
     terms = [term(spec, sl, G) for spec, (sl, G) in zip(rel.psd_specs, grams)]
-    terms += [term(spec, loc, np.empty((0, 0))) for spec, loc in rel.tau_layout]
-    residual = float(np.abs(rel.program.b - A @ x).sum())
+    if quotient is None:
+        terms += [term(spec, loc, np.empty((0, 0))) for spec, loc in rel.tau_layout]
+        residual = float(np.abs(rel.program.b - A @ x).sum())
+    else:
+        # f - c - (the Gram terms) lies in (h) up to the solve's residuals:
+        # dividing it by h gives the multiplier tau and the residual's remainder
+        h = rel.domain.equalities[0]
+        rest = rel.objective - float(x[0]) - sum((t.contribution for t in terms),
+                                                 Polynomial.zero(rel.domain.n))
+        tau, remainder = quotient.divide(rest, h)
+        terms.append(CertificateTerm(h, np.empty((0, 0)), tau * h))
+        residual = float(l1_norm(remainder))
     return CertificateExtract(bound=float(x[0]), terms=terms, residual=residual)
 
 

@@ -2,9 +2,10 @@
 
 Covers the Riesz functional, the sparse localizing operator y -> svec M_t(g y)
 behind moment matrices, localizing matrices and both sides of the hierarchy
-programs, enumeration of preordering products, liftings into the graph space
-of the inequality map, order/dimension projections, and the pushforward
-transform of sequences under an invertible linear change of variables.
+programs, the quotient by a centred sphere (its standard monomials and normal
+forms), enumeration of preordering products, liftings into the graph space of
+the inequality map, order/dimension projections, and the pushforward transform
+of sequences under an invertible linear change of variables.
 """
 
 from __future__ import annotations
@@ -210,6 +211,108 @@ def localizing_matrix(y: TruncatedSequence, g: Polynomial, r: int) -> np.ndarray
     if t < 0:
         raise DegreeOverflowError(f"level r={r} below half-degree of weight {half_degree(g)}")
     return localizing_matrix_at_order(y, g, t)
+
+
+# ----------------------------------------------------------------------------
+# the quotient by a centred sphere
+
+
+def sphere_radius_sq(h: Polynomial):
+    """R^2 when h is a nonzero multiple c (R^2 - |x|^2) of a centred sphere's
+    polynomial, R > 0; None for any other h."""
+    zero = (0,) * h.n
+    squares = [zero[:i] + (2,) + zero[i + 1:] for i in range(h.n)]
+    if h.terms.keys() != {zero, *squares}:
+        return None
+    lead = h.terms[squares[-1]]
+    radius_sq = h.terms[zero] / -lead
+    if any(h.terms[a] != lead for a in squares) or not radius_sq > 0.0:
+        return None
+    return radius_sq
+
+
+@dataclass(frozen=True)
+class SphereQuotient:
+    """R[x]/(h) for h = R^2 - |x|^2, truncated at degree `order`.
+
+    Its basis is the standard monomials, those whose last exponent is at most
+    1: x_n^2 = R^2 - sum_{i<n} x_i^2 modulo h lowers no degree, so every
+    monomial has a normal form NF over them, and those of degree <= t span
+    the polynomials of degree <= t modulo h. `std` holds their positions in
+    monomial_basis(n, order), in graded-lex order, so those of degree <= t
+    come first. Column alpha of `phi` is NF(x^alpha) over them. A sequence y
+    of that order with l_y(h q) = 0 for every q of degree <= order - 2 is
+    phi' z, z its values on the standard monomials (z = y[std])."""
+
+    n: int
+    order: int
+    radius_sq: float
+    std: np.ndarray
+    phi: sp.csr_matrix
+
+    def size(self, t: int) -> int:
+        """The number of standard monomials of degree <= t."""
+        degrees = monomial_basis(self.n, self.order).exponent_array[self.std].sum(axis=1)
+        return int(np.count_nonzero(degrees <= t))
+
+    def normal_form(self, p: Polynomial) -> np.ndarray:
+        """NF(p) over the standard monomials; deg p <= order."""
+        return self.phi @ p.coefficient_vector(monomial_basis(self.n, self.order))
+
+    def localizing_rows(self, g: Polynomial, t: int) -> sp.csr_matrix:
+        """Sparse L over the monomials of degree <= order with L y =
+        svec(M_t(g y)), M_t's rows and columns indexed by the standard
+        monomials of degree <= t; as for localizing_operator, L' svec(G) is
+        the coefficient vector of g * v' G v, v those monomials."""
+        if 2 * t + g.degree > self.order:
+            raise DegreeOverflowError(
+                f"localizing matrix of order {t} for deg-{g.degree} weight needs "
+                f"sequence order {2 * t + g.degree}, got {self.order}")
+        expo = monomial_basis(self.n, self.order).exponent_array[self.std[:self.size(t)]]
+        rows, cols = packed_indices(len(expo))
+        return _shift_rows(g, expo[rows] + expo[cols], packed_weights(len(expo)), self.order)
+
+    def localizing_operator(self, g: Polynomial, t: int) -> sp.csr_matrix:
+        """localizing_rows(g, t) acting on z: L z = svec(M_t(g phi' z))."""
+        return (self.localizing_rows(g, t) @ self.phi.T).tocsr()
+
+    def divide(self, p: Polynomial, h: Polynomial) -> tuple:
+        """(q, rem) with p = q h + rem, rem over the standard monomials, for h
+        a nonzero multiple of R^2 - |x|^2 with x_n^2 coefficient `lead`. Each
+        term a x^alpha with alpha_n >= 2, highest last exponent first, becomes
+        a x^beta (h / lead + R^2 - sum_{i<n} x_i^2), beta = alpha - 2 e_n."""
+        n, lead = p.n, h.coefficient((0,) * (p.n - 1) + (2,))
+        rem, quo = dict(p.terms), {}
+        for e in range(max((a[-1] for a in rem), default=0), 1, -1):
+            for alpha in [a for a in rem if a[-1] == e]:
+                coeff = rem.pop(alpha)
+                beta = alpha[:-1] + (e - 2,)
+                quo[beta] = quo.get(beta, 0.0) + coeff / lead
+                rem[beta] = rem.get(beta, 0.0) + coeff * self.radius_sq
+                for i in range(n - 1):
+                    gamma = beta[:i] + (beta[i] + 2,) + beta[i + 1:]
+                    rem[gamma] = rem.get(gamma, 0.0) - coeff
+        return Polynomial(n, quo), Polynomial(n, rem)
+
+
+@lru_cache(maxsize=None)
+def sphere_quotient(n: int, order: int, radius_sq: float) -> SphereQuotient:
+    """The SphereQuotient of R^2 - |x|^2 in n variables at degree `order`."""
+    basis = monomial_basis(n, order)
+    expo = basis.exponent_array
+    std = np.flatnonzero(expo[:, -1] <= 1)
+    phi = np.zeros((len(std), len(basis)))
+    phi[np.arange(len(std)), std] = 1.0
+    # x^alpha = R^2 x^beta - sum_{i<n} x^(beta + 2 e_i) modulo h, beta =
+    # alpha - 2 e_n: every term has a lower last exponent, so is done first
+    twice = 2 * np.eye(n, dtype=np.int64)
+    for a in np.argsort(expo[:, -1], kind="stable"):
+        if expo[a, -1] >= 2:
+            beta = expo[a] - twice[-1]
+            phi[:, a] = (radius_sq * phi[:, basis.index(beta)]
+                         - phi[:, basis.positions(beta + twice[:-1])].sum(axis=1))
+    std.flags.writeable = False
+    return SphereQuotient(n, order, radius_sq, std, sp.csr_matrix(phi))
 
 
 # ----------------------------------------------------------------------------

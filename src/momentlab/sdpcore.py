@@ -1020,15 +1020,13 @@ class _Newton:
                  kept.pack([T[j] - self.op(j, V) for j, V in enumerate(kept.full(ds))]))
         return dx, dy, ds
 
-    def steps_to_boundary(self, x: np.ndarray, dx: np.ndarray, s: np.ndarray,
-                          ds: np.ndarray) -> np.ndarray:
+    def steps_to_boundary(self, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
         """Per direction, the largest steps tp with x + tp dx in K and td with
-        s + td ds in K, as the rows of a (2, D) array (inf when every step
-        is, NaN when an eigenvalue fails): minus the inverse of the least
-        eigenvalue of R' dV R per block, R the inverse root of the block of
-        x or s. x and s, the points this Newton system was built at, are not
-        read again: their inverse roots were kept when it was. One `dsyevd`
-        call per block, side 1 too."""
+        s + td ds in K, x and s the points this Newton system was built at,
+        as the rows of a (2, D) array (inf when every step is, NaN when an
+        eigenvalue fails): minus the inverse of the least eigenvalue of
+        R' dV R per block, R the inverse root of the block of x or s, kept
+        when the system was built. One `dsyevd` call per block, side 1 too."""
         dv = _pairs(dx, ds)  # the rows of the roots
         t = [math.inf] * dv.shape[0]
         for R, V in zip(self.roots, self.plan.every.full(dv)):
@@ -1139,14 +1137,14 @@ def _interior_point(programs: list, opts: SolveOptions) -> tuple:
                         for i, why in err.reasons.items()})
                 continue
             dx, dy, ds = newton.direction(newton.predictor())
-            tp, td = np.minimum(1.0, newton.steps_to_boundary(x, dx, s, ds))
+            tp, td = np.minimum(1.0, newton.steps_to_boundary(dx, ds))
             mu_aff = [v / plan.degree for v in _dots(x + tp[:, None] * dx, s + td[:, None] * ds)]
             # sigma in Python floats: numpy's power rounds apart from C's pow
             # in about one case in twenty
             sigma_mu = np.array([min(1.0, max(0.0, a / m) ** max(1.0, 3.0 * min(p, q) ** 2)) * m
                                  for a, m, p, q in zip(mu_aff, mu, tp.tolist(), td.tolist())])
             dx, dy, ds = newton.direction(newton.corrector(sigma_mu, dx, ds), polish=True)
-            tp, td = np.minimum(1.0, IPM_STEP * newton.steps_to_boundary(x, dx, s, ds))[:, :, None]
+            tp, td = np.minimum(1.0, IPM_STEP * newton.steps_to_boundary(dx, ds))[:, :, None]
             ok = np.isfinite(np.concatenate((dx, dy, ds, tp, td), axis=1)).all(axis=1)
             if not ok.all():
                 retire({i: "a non-finite step" for i in np.flatnonzero(~ok).tolist()})

@@ -372,6 +372,23 @@ def test_criterion_6_sphere_slope():
             f"order-2 relaxation is exact, so every gap is zero; series {series}")
 
 
+def test_criterion_6_circle_series_needs_no_admm_hand_off(caplog):
+    # T and Q on a sphere are built over the standard monomials of
+    # R[x]/(1 - x^2 - y^2), where each direction program has a strictly
+    # feasible point; over monomials M_r(y) was singular on every feasible y,
+    # and 18 of these 120 solves went to the ADMM (0, 4, 3, 8 and 3 per level)
+    sphere = make_catalog_set("sphere", n=2, R=1.0)
+    support = distcone.sampled_support(sphere, 2, 24, 7)
+    with caplog.at_level("DEBUG", logger="momentlab"):
+        for r in (2, 3, 4, 5, 6):
+            distcone.hausdorff_lower_bound(sphere, "T", r, 2, directions=24, seed=7,
+                                           opts=TIGHT, support=support)
+    solves = [rec.getMessage() for rec in caplog.records
+              if rec.name == "momentlab" and rec.getMessage().startswith("solve ")]
+    assert len(solves) == 120
+    assert not [event for event in solves if "ADMM hand-off" in event]
+
+
 # ----------------------------------------------------------------------------
 # criterion 7: lifting suite
 

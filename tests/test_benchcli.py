@@ -575,9 +575,19 @@ def test_run_experiment_short_nonzero_series_records_fit_failure(tmp_path, monke
 
 
 def test_cli_solve_names_an_objective_coefficient_that_is_not_finite(tmp_path, capsys):
-    # json reads NaN and the schema's number takes it; the solve used to
-    # fail inside the ADMM's projection with "Eigenvalues did not converge"
+    # json reads NaN and the schema's number takes it; the file is refused
+    # before any solve, naming the term that holds it
     path = write_problem(tmp_path, {**BALL_PROBLEM, "objective": [[[1], float("nan")]]})
     code = main(["solve", "--problem", str(path), "--level", "1"])
     assert code == 2
-    assert "error: objective c has an entry that is not finite" in capsys.readouterr().err
+    assert ": objective[0]: coefficient nan of exponent [1] is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_parse_problem_names_a_constraint_coefficient_that_is_not_finite(tmp_path, value):
+    doc = {"objective": [[[1], 1.0]],
+           "set": {"n": 1, "inequalities": [[[[0], 1.0], [[2], value]]]}}
+    path = write_problem(tmp_path, doc)
+    with pytest.raises(ProblemFormatError, match=(
+            rf"^set\.inequalities\[0\]\[1\]: coefficient {value!r} of exponent \[2\] is not finite$")):
+        parse_problem(path)

@@ -21,8 +21,9 @@ from momentlab.momentkit import (
     moment_matrix,
     preordering_products,
     riesz_apply,
+    shift_operator,
 )
-from momentlab.polycore import Polynomial, l1_norm
+from momentlab.polycore import Polynomial, l1_norm, monomial_basis
 from momentlab.sdpcore import SolveOptions
 from momentlab.semialg import make_catalog_set
 
@@ -165,7 +166,10 @@ def test_sos_program_is_transpose_of_moment_program(X, certificate, r):
         assert np.array_equal(S[:, cols], sign * My[rows].T)
         row = rows.stop
     assert row == My.shape[0]
-    assert len(eq_cols) == len(X.equalities)
+    if mom.quotient is None:
+        assert len(eq_cols) == len(X.equalities)
+    else:  # T on a sphere: the equality is the quotient's basis, with no rows and no tau
+        assert eq_cols == [] and mom.eq_specs == [] and sos.program.blocks[0].size == 1
 
 
 def test_certificate_requires_sos_side():
@@ -424,6 +428,80 @@ def test_reduced_sphere_program_keeps_the_ball_block():
     assert [blk.size for blk in mom.program.blocks if blk.kind == "psd"] == [10, 6]
 
 
+# ----------------------------------------------------------------------------
+# T and Q on a sphere: the standard monomials of R[x]/(R^2 - |x|^2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("R", [1.0, 2.0])
+@pytest.mark.parametrize("certificate", ["T", "Q"])
+def test_sphere_quotient_bounds_a_linear_form_exactly(n, R, certificate):
+    # min x1 over the sphere of radius R is -R, exact at every level; the
+    # moment coordinates are the standard monomials (last exponent <= 1)
+    X = make_catalog_set("sphere", n=n, R=R)
+    f = Polynomial.variable(n, 0)
+    report = run_ladder(f, X, certificate, (2, 3, 4, 5), TIGHT)
+    assert len(report.results) == 8
+    for res in report.results:
+        assert res.status == "optimal", (res.level, res.side)
+        assert res.value == pytest.approx(-R, abs=1e-6)
+    mom = build_moment_relaxation(f, X, certificate, 2)
+    assert mom.quotient is not None and mom.eq_specs == []
+    assert mom.y_slice.stop == sum(a[-1] <= 1 for a in monomial_basis(n, 4).exponents)
+
+
+@pytest.mark.parametrize("n, R", [(2, 1.0), (3, 2.0)])
+def test_sphere_pseudo_moments_are_read_back_in_monomials(n, R):
+    # y = phi' z: the multiples of h have zero moments, l_y(f) is the bound,
+    # and M_r(y) is PSD to the solver's tolerance
+    X = make_catalog_set("sphere", n=n, R=R)
+    basis = monomial_basis(n, 4)
+    f = Polynomial.from_vector(basis, np.random.default_rng(n).normal(size=len(basis)))
+    rel = build_moment_relaxation(f, X, "T", 3)
+    value, sol = solve_relaxation(rel, TIGHT)
+    assert sol.status == "optimal"
+    y = rel.pseudo_moments(sol)
+    assert (y.n, y.order) == (n, 6)
+    assert np.abs(shift_operator(X.equalities[0], 4, 6) @ y.values).max() <= 1e-10
+    assert riesz_apply(y, f) == pytest.approx(value, abs=1e-12)
+    assert np.linalg.eigvalsh(moment_matrix(y, 3)).min() >= -TIGHT.tol
+
+
+def test_sphere_quotient_leaves_out_multiples_of_h_and_certifies_over_monomials(caplog):
+    # the half circle {x1 >= 0}: T's g1 = h and g1*g2 = h x1 are zero modulo
+    # h; the certificate found is an identity in R[x], tau h included
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    h = SPHERE.equalities[0]
+    X = make_catalog_set("custom", n=2, inequalities=[h, x1], equalities=[h])
+    with caplog.at_level("DEBUG", logger="momentlab"):
+        mom = build_moment_relaxation(x2, X, "T", 3)
+    assert [spec.label for spec in mom.psd_specs] == ["1", "g2"]
+    (record,) = [rec for rec in caplog.records if rec.name == "momentlab"]
+    assert "left out g1 (zero modulo h1), g1*g2 (zero modulo h1)" in record.getMessage()
+    sos = build_sos_relaxation(x2, X, "T", 3)
+    value, sol = solve_relaxation(sos, TIGHT)
+    assert value == pytest.approx(-1.0, abs=1e-6)
+    cert = certificate_extract(sol, sos)
+    assert [term.weight for term in cert.terms] == [Polynomial.constant(2, 1.0), x1, h]
+    assert cert.residual <= 1e-6
+    rest = x2 - cert.bound - sum((term.contribution for term in cert.terms), Polynomial.zero(2))
+    assert l1_norm(rest) == pytest.approx(cert.residual, abs=1e-12)
+
+
+def test_motzkin_on_the_2_sphere_is_optimal_without_a_hand_off(caplog):
+    # (x^2 + y^2 + z^2) M is a sum of squares, so Q is exact (0) from r=4;
+    # over monomials both levels ended max_iters after 100k ADMM evaluations
+    S2 = make_catalog_set("sphere", n=3, R=1.0)
+    motzkin = Polynomial(3, {(4, 2, 0): 1.0, (2, 4, 0): 1.0, (2, 2, 2): -3.0,
+                             (0, 0, 6): 1.0})
+    with caplog.at_level("DEBUG", logger="momentlab"):
+        report = run_ladder(motzkin, S2, "Q", (4, 5), TIGHT)
+    for res in report.results:
+        assert res.status == "optimal", (res.level, res.side)
+        assert abs(res.value) <= 1e-7
+    assert not [rec for rec in caplog.records if "ADMM hand-off" in rec.getMessage()]
+
+
 CUBIC = Polynomial(2, {(0, 0): 1.0, (3, 0): -1.0, (0, 2): -1.0})
 CUBIC_SET = make_catalog_set("custom", n=2, equalities=[CUBIC], inequalities=[
     CUBIC, Polynomial(2, {(0, 0): 1.0, (1, 0): 1.0})])
@@ -457,6 +535,18 @@ def test_no_assembled_block_lies_in_the_span_of_the_equality_rows(X, certificate
     n_y = mom.y_slice.stop
     A = mom.program.A.toarray()
     ends = 1 + np.cumsum([0] + [blk.scalar_len for blk in mom.program.blocks[1:]])
+    if mom.quotient is not None:
+        # a sphere's quotient has no equality rows: every assembled block has
+        # a nonzero operator, and a block left out has a zero one
+        assert A.shape[0] == ends[-1]
+        for spec, lo, hi in zip(mom.psd_specs, ends[:-1], ends[1:]):
+            assert np.abs(A[lo:hi, :n_y]).max() > 0, spec.label
+        kept = {spec.label for spec in mom.psd_specs}
+        for spec in preordering_products(X, r, kind=certificate):
+            if spec.constraint_kind == "psd" and spec.label not in kept:
+                L = mom.quotient.localizing_operator(spec.weight, spec.matrix_order)
+                assert np.abs(L.toarray()).max() <= 1e-12, spec.label
+        return
     E = A[ends[-1]:, :n_y]  # the rows S_h y = 0
     rank = np.linalg.matrix_rank(E)
     for spec, lo, hi in zip(mom.psd_specs, ends[:-1], ends[1:]):

@@ -19,11 +19,13 @@ from momentlab.momentkit import (
     sequence_from_measure,
     shift_operator,
     spec_matrix,
+    sphere_quotient,
+    sphere_radius_sq,
     transform_matrix,
     transform_sequence,
 )
-from momentlab.polycore import Polynomial, monomial_basis
-from momentlab.sdpcore import svec
+from momentlab.polycore import Polynomial, l1_norm, monomial_basis
+from momentlab.sdpcore import packed_indices, svec
 from momentlab.semialg import make_catalog_set
 
 
@@ -297,3 +299,62 @@ def test_sequence_serialization_round_trip(tmp_path):
     y.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header.split(",")[:4] == ["1", "x1", "x2", "x1^2"]
+
+
+# ----------------------------------------------------------------------------
+# the quotient by a centred sphere
+
+
+def test_sphere_radius_sq_reads_multiples_of_a_centred_sphere():
+    h = make_catalog_set("sphere", n=3, R=2.0).equalities[0]
+    assert sphere_radius_sq(h) == 4.0
+    assert sphere_radius_sq(-3.0 * h) == 4.0
+    x1 = Polynomial.variable(3, 0)
+    for other in (h + x1, h - 4.0, Polynomial(3, {(0, 0, 0): 1.0, (2, 0, 0): -1.0,
+                                                   (0, 2, 0): -2.0, (0, 0, 2): -1.0}),
+                  Polynomial(3, {(0, 0, 0): -1.0, (2, 0, 0): -1.0, (0, 2, 0): -1.0,
+                                 (0, 0, 2): -1.0})):
+        assert sphere_radius_sq(other) is None
+
+
+@pytest.mark.parametrize("n, R", [(1, 2.0), (2, 1.0), (3, 2.0)])
+def test_sphere_normal_form_agrees_with_the_polynomial_on_the_sphere(n, R):
+    # NF(p) is p modulo R^2 - |x|^2: over the standard monomials (last
+    # exponent at most 1), no higher in degree, and equal to p on the sphere
+    Q = sphere_quotient(n, 6, R * R)
+    basis = monomial_basis(n, 6)
+    std = [basis.monomial(i) for i in Q.std]
+    assert all(a[-1] <= 1 for a in std)
+    assert len(std) == sum(a[-1] <= 1 for a in basis.exponents)
+    assert [Q.size(t) for t in range(7)] == [sum(sum(a) <= t for a in std) for t in range(7)]
+    rng = np.random.default_rng(n)
+    p = Polynomial.from_vector(basis, rng.normal(size=len(basis)))
+    nf = Polynomial(n, zip(std, Q.normal_form(p)))
+    assert nf.degree <= p.degree
+    pts = rng.normal(size=(20, n))
+    pts *= R / np.linalg.norm(pts, axis=1, keepdims=True)
+    np.testing.assert_allclose(nf.eval_many(pts), p.eval_many(pts), rtol=1e-12, atol=1e-10)
+    # exact division by a multiple of the sphere's polynomial
+    h = -2.0 * make_catalog_set("sphere", n=n, R=R).equalities[0]
+    q, rem = Q.divide(p, h)
+    assert all(a[-1] <= 1 for a in rem.terms)
+    assert l1_norm(rem - nf) <= 1e-10
+    assert l1_norm(q * h + rem - p) <= 1e-10
+
+
+def test_sphere_localizing_rows_are_the_standard_rows_of_the_localizing_matrix():
+    # M_t(g y) at the standard monomials' rows and columns, and the operator
+    # on z is the same rows read through y = phi' z
+    Q = sphere_quotient(2, 6, 1.0)
+    g = Polynomial(2, {(0, 0): 0.5, (1, 0): 1.0, (0, 1): -2.0})
+    t = 2
+    y = TruncatedSequence(2, 6, np.random.default_rng(0).normal(size=28))
+    M = localizing_matrix_at_order(y, g, t)[np.ix_(Q.std[:Q.size(t)], Q.std[:Q.size(t)])]
+    np.testing.assert_allclose(Q.localizing_rows(g, t) @ y.values, svec(M), atol=1e-12)
+    z = np.random.default_rng(1).normal(size=len(Q.std))
+    np.testing.assert_allclose(Q.localizing_operator(g, t) @ z,
+                               Q.localizing_rows(g, t) @ (Q.phi.T @ z), atol=1e-12)
+    rows, _ = packed_indices(Q.size(t))
+    assert Q.localizing_rows(g, t).shape == (len(rows), 28)
+    with pytest.raises(DegreeOverflowError):
+        Q.localizing_rows(g, 3)
