@@ -183,10 +183,29 @@ def distance_to_set(X: SemiAlgebraicSet, points: np.ndarray,
                             np.reshape([] if pool is None else pool, (-1, X.n))])
     if not len(candidates):
         return np.full(len(x), np.inf)
-    zs = [Polynomial.variable(X.n, i) for i in range(X.n)]
-    fs = [-sum(((z - xi) ** 2 for z, xi in zip(zs, row)), Polynomial.zero(X.n)) for row in x]
+    fs = [_negative_squared_distance(row) for row in x]
     _, nearest = sampled_extremum(fs, X, candidates, 1, maximize=True)
     return np.linalg.norm(nearest - x, axis=1)
+
+
+def _negative_squared_distance(x: np.ndarray) -> Polynomial:
+    """-|z - x|^2 as a polynomial in z, written from its coefficients: -1 at
+    z_i^2, 2 x_i at z_i and -(x_1^2 + ... + x_n^2), summed in coordinate
+    order, at 1. The terms come in the order that the expression
+    -sum((z_i - x_i)^2) builds them (z_i^2, then z_i and the constant where
+    they are nonzero, each at its first appearance), so the compiled tables,
+    and every sum over them, are those of the symbolic construction."""
+    n = len(x)
+    const, terms = 0.0, {}
+    for i, xi in enumerate(map(float, x)):
+        unit = (0,) * i + (1,) + (0,) * (n - i - 1)
+        terms[tuple(2 * e for e in unit)] = -1.0
+        if xi != 0.0:
+            terms[unit] = 2.0 * xi
+            if xi * xi != 0.0:
+                const += xi * xi
+                terms[(0,) * n] = -const
+    return Polynomial(n, terms)
 
 
 @dataclass

@@ -76,8 +76,7 @@ class MonomialBasis:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.n:
             raise ValueError(f"points have dimension {pts.shape[1]}, basis has {self.n}")
-        expo = self.exponent_array
-        return np.prod(pts[:, None, :] ** expo[None, :, :], axis=2)
+        return _monomials(pts, self.exponent_array)
 
 
 @lru_cache(maxsize=None)
@@ -244,9 +243,10 @@ class Polynomial:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.n:
             raise ValueError(f"points have dimension {pts.shape[1]}, expected {self.n}")
+        exponents = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.n)
         out = np.zeros(pts.shape[0])
-        for alpha, c in self.terms.items():
-            out += c * np.prod(pts ** np.asarray(alpha), axis=1)
+        for c, term in zip(self.terms.values(), _monomials(pts, exponents).T):
+            out += c * term
         return out
 
     # -- misc --------------------------------------------------------------
@@ -291,6 +291,28 @@ def l1_norm(f: Polynomial) -> float:
 def half_degree(f: Polynomial) -> int:
     """ceil(deg(f) / 2); 0 for the zero polynomial."""
     return (f.degree + 1) // 2
+
+
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """x^0 .. x^top of every entry of x, along a new last axis, by repeated
+    products x^k = x^(k-1) * x. x^0 is 1 everywhere, as pow gives it, even
+    at inf and NaN."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((top + 1,) + x.shape)
+    out[0] = 1.0
+    for k in range(1, top + 1):
+        np.multiply(out[k - 1], x, out=out[k, ...])
+    return np.moveaxis(out, 0, -1)
+
+
+def _monomials(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """x^u for every row u of `exponents`, over the last axis of x: the
+    product over coordinates i of x_i^(u_i), each power x_i^e taken once
+    per point from _powers and gathered for every monomial that uses it."""
+    mono = np.ones(x.shape[:-1] + (len(exponents),))
+    for i, e in enumerate(exponents.T):
+        mono *= _powers(x[..., i], e.max(initial=0))[..., e]
+    return mono
 
 
 def eval_poly(f: Polynomial, x) -> float:
@@ -356,14 +378,17 @@ class CompiledPoly:
     def monomials(self, x) -> np.ndarray:
         """x^u for every row u of `exponents`, at a point or a batch: the
         product over coordinates i of x_i^(u_i), each power x_i^e taken once
-        per point and gathered for every monomial that uses it."""
+        per point and gathered for every monomial that uses it (_monomials).
+
+        The powers are repeated products (_powers), not pow with an array of
+        exponents, which calls libm pow once per entry and costs about forty
+        times as much; a power then differs from pow's by a few ulp. Every
+        product is elementwise, so a point's monomials still do not depend on
+        its batch-mates."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.n,):
             raise ValueError(f"points have dimension {x.shape[-1:]}, expected {self.n}")
-        mono = np.ones(x.shape[:-1] + (len(self.exponents),))
-        for i, e in enumerate(self.exponents.T):
-            mono *= (x[..., i, None] ** np.arange(e.max(initial=0) + 1))[..., e]
-        return mono
+        return _monomials(x, self.exponents)
 
     def __call__(self, x) -> np.ndarray:
         """Values f_1..f_k."""

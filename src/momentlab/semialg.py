@@ -345,7 +345,19 @@ def _apply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-norm least-squares solutions of A[i] x = b[i] over a stack."""
+    """Min-norm least-squares solutions of A[i] x = b[i] over a stack.
+
+    A stack of one row a (a point projected onto one equality, as on the
+    spheres) takes the closed form x = (a / |a|) (b / |a|), and 0 where
+    a = 0. That is the SVD's answer: one row has u = +-1, s = |a| and
+    v = +-a / |a|, and _svd's cutoff eps * n * s drops s only where a = 0.
+    Two or more rows go through _svd."""
+    if A.shape[-2] == 1:
+        a = A[..., 0, :]
+        norm = np.linalg.norm(a, axis=-1, keepdims=True)
+        nonzero = norm != 0.0
+        return (np.divide(a, norm, out=np.zeros_like(a), where=nonzero)
+                * np.divide(b, norm, out=np.zeros_like(b), where=nonzero))
     u, inv, vt = _svd(A)
     return _apply(np.swapaxes(vt, -1, -2), inv * _apply(np.swapaxes(u, -1, -2), b))
 

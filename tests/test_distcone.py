@@ -14,6 +14,7 @@ from momentlab.distcone import (
     sampled_support,
     support_gap,
 )
+from momentlab.distcone import _negative_squared_distance
 from momentlab.polycore import Polynomial, monomial_basis
 from momentlab.sdpcore import SolveOptions
 from momentlab.semialg import (
@@ -366,3 +367,18 @@ def test_a_distance_needs_a_truncation_order_of_at_least_one():
         hausdorff_lower_bound(X, "T", 1, 0, directions=2, seed=0)
     with pytest.raises(ValueError, match=r"k >= 1"):
         sampled_support(X, 0, 2, 0)
+
+
+def test_negative_squared_distance_has_the_symbolic_terms_in_their_order():
+    # the terms, their order and their bits equal those of -sum((z_i - x_i)^2)
+    # built by Polynomial arithmetic, including zero and signed-zero
+    # coordinates and squares that underflow, so the compiled tables of
+    # distance_to_set are unchanged
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3, 4):
+        zs = [Polynomial.variable(n, i) for i in range(n)]
+        for _ in range(300):
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-170, 150, size=n)
+            x[rng.random(n) < 0.3] = rng.choice([0.0, -0.0])
+            symbolic = -sum(((z - xi) ** 2 for z, xi in zip(zs, x)), Polynomial.zero(n))
+            assert list(_negative_squared_distance(x).terms.items()) == list(symbolic.terms.items())

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from momentlab.polycore import (
     l1_norm,
     monomial_label,
 )
+from momentlab.polycore import _powers
 
 
 def brute_force_monomials(n, r):
@@ -241,3 +243,33 @@ def test_compiled_poly_rejects_mismatched_dimensions():
         CompiledPoly(2, (Polynomial.variable(3, 0),))
     with pytest.raises(ValueError, match="dimension"):
         CompiledPoly(2, (Polynomial.variable(2, 0),))(np.ones(3))
+
+
+def test_powers_are_exact_products_on_dyadic_points():
+    # every power of these points is a float, so each product is exact: the
+    # table holds the exact values, zeros signed as pow signs them
+    x = np.array([0.0, -0.0, 0.5, -0.5, 3.0, -3.0])
+    table = _powers(x, 8)
+    assert table.shape == (6, 9)
+    exact = np.array([[float(Fraction(v) ** k) for k in range(9)] for v in x])
+    np.testing.assert_array_equal(table, exact)
+    np.testing.assert_array_equal(np.signbit(table), np.signbit(x[:, None] ** np.arange(9)))
+    # a point (0-d) gets its own row, and top 0 is the column of ones
+    np.testing.assert_array_equal(_powers(np.float64(-3.0), 8), exact[5])
+    np.testing.assert_array_equal(_powers(x, 0), np.ones((6, 1)))
+
+
+def test_powers_agree_with_pow_within_a_few_ulp():
+    # x^k takes k - 1 rounded products, each within half an ulp
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-3.0, 3.0, size=(50, 40))
+    e = np.arange(9)
+    reference = x[..., None] ** e
+    err = np.abs(_powers(x, 8) - reference)
+    assert np.all(err <= np.maximum(e, 1) * np.spacing(np.abs(reference)))
+
+
+def test_powers_propagate_inf_and_nan_as_pow_does():
+    x = np.array([np.inf, -np.inf, np.nan, 1e200, -1e-200])
+    with np.errstate(over="ignore", under="ignore"):
+        np.testing.assert_array_equal(_powers(x, 5), x[:, None] ** np.arange(6))
